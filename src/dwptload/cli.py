@@ -43,7 +43,7 @@ from .fleet import (
     composition_condition,
     q_ratio,
 )
-from .roadway import INDOT, ErConfig, EvParams, coil_pulse, constant_regime
+from .roadway import INDOT, ErConfig, EvParams, _require_finite, coil_pulse, constant_regime
 from .signals import detect_peaks, empirical_thc, estimate_psd, monte_carlo_psd, synthesize
 from .spectrum import (
     default_harmonic_count,
@@ -119,6 +119,7 @@ class RunConfig:
     n_ref: int = 45
 
     def __post_init__(self) -> None:
+        _require_finite(self, "sample_rate_hz", "duration_s", "segment_s")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.sample_rate_hz <= 0:
@@ -197,29 +198,31 @@ def runconfig_from_dict(doc: dict) -> RunConfig:
     """Build a RunConfig from a parsed JSON document, rejecting unknowns."""
     _require_keys(doc, _TOP_KEYS, "config")
     kwargs: dict = {}
-    for key, value in doc.items():
-        if key == "er":
-            kwargs["er"] = _er_from_dict(value)
-        elif key == "traffic":
-            kwargs["traffic"] = _traffic_from_dict(value)
-        elif key == "sweep_columns":
-            kwargs["sweep_columns"] = _columns_from_list(value)
-        elif key == "thetas":
-            kwargs["thetas"] = tuple(float(t) for t in value)
-        elif key in ("seed", "trials", "harmonics", "n_windows", "n_ref"):
-            kwargs[key] = None if value is None else int(value)
-        elif key in ("out_dir", "psd_method", "psd_window"):
-            kwargs[key] = str(value)
-        elif key == "analytic":
-            kwargs[key] = bool(value)
-        elif key == "demand_kw":
-            kwargs[key] = None if value is None else float(value)
-        else:
-            kwargs[key] = float(value)
     try:
+        for key, value in doc.items():
+            if key == "er":
+                kwargs["er"] = _er_from_dict(value)
+            elif key == "traffic":
+                kwargs["traffic"] = _traffic_from_dict(value)
+            elif key == "sweep_columns":
+                kwargs["sweep_columns"] = _columns_from_list(value)
+            elif key == "thetas":
+                kwargs["thetas"] = tuple(float(t) for t in value)
+            elif key in ("seed", "trials", "harmonics", "n_windows", "n_ref"):
+                kwargs[key] = None if value is None else int(value)
+            elif key in ("out_dir", "psd_method", "psd_window"):
+                kwargs[key] = str(value)
+            elif key == "analytic":
+                kwargs[key] = bool(value)
+            elif key == "demand_kw":
+                kwargs[key] = None if value is None else float(value)
+            else:
+                kwargs[key] = float(value)
         return RunConfig(**kwargs)
     except ConfigError:
         raise
+    except KeyError as exc:
+        raise ConfigError(f"{key} is missing key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 

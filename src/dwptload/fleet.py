@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 
 from .roadway import ErConfig, EvParams
 from .spectrum import fs_dc, fs_harmonic, harmonic_count_for_dc
@@ -133,37 +133,47 @@ def _ev_at(cfg: ErConfig, rx_len_m: float, demand_kw: float) -> EvParams:
     return EvParams(rx_len_m=rx_len_m, peak_demand_kw=demand_kw, speed_mps=1.0)
 
 
-def _uniform_moment(
-    cfg: ErConfig,
-    rx_len_m: float,
-    lo: float,
-    hi: float,
-    m: int,
-    *,
-    squared: bool,
-) -> float:
-    """E[f(p)] for p ~ U(lo, hi), with f the (squared) m-th coefficient."""
+def _ripple_moments(
+    cfg: ErConfig, rx_len_m: float, mid: float, half: float, m: int
+) -> tuple[float, float]:
+    """(mean c_0, mean c_m^2) for ramp width ``a = p / alpha`` uniform on
+    [mid - half, mid + half], inside the ripple range.
 
-    def f(p: float) -> float:
-        c = fs_harmonic(cfg, _ev_at(cfg, rx_len_m, p), m)
-        return c * c if squared else c
-
-    if hi == lo:
-        return f(hi)
-    # The coefficient formulas switch branch at the constant-load threshold.
-    threshold = cfg.power_density_kw_per_m * (rx_len_m - cfg.gap_m)
-    pts = [threshold] if lo < threshold < hi else None
-    val, _ = integrate.quad(
-        f, lo, hi, points=pts, limit=300, epsabs=1e-10, epsrel=1e-11
-    )
-    return val / (hi - lo)
+    There ``c_0 = alpha a (L - a) / D`` with ``L = tx_len + rx_len``, a
+    quadratic in ``a``, and for m >= 1 ``c_m = K (cos(k (a - L/2)) - C)``
+    with ``K = alpha D / (2 (m pi)^2)``, ``k = 2 pi m / D`` and
+    ``C = cos(pi m L / D)``.  The mean of ``cos(k a)`` over the interval is
+    ``cos(k mid) sin(k half) / (k half)``, and the mean of ``c_m^2`` is
+    ``K^2`` times the squared mean of ``cos - C`` plus the variance of cos.
+    """
+    alpha = cfg.power_density_kw_per_m
+    d_per = cfg.period_m
+    span = cfg.tx_len_m + rx_len_m
+    # a (L - a) has mean q and variance var over the interval.
+    s = mid - span / 2.0
+    q = mid * (span - mid) - half * half / 3.0
+    var = 4.0 * half * half * (s * s / 3.0 + half * half / 45.0)
+    e_c0 = alpha / d_per * q
+    if m == 0:
+        return e_c0, (alpha / d_per) ** 2 * (q * q + var)
+    big_k = alpha * d_per / (2.0 * (m * np.pi) ** 2)
+    k = 2.0 * np.pi * m / d_per
+    c = np.cos(np.pi * m * span / d_per)
+    mean_cos = np.cos(k * s) * np.sinc(k * half / np.pi)
+    mean_cos2 = 0.5 + 0.5 * np.cos(2.0 * k * s) * np.sinc(2.0 * k * half / np.pi)
+    var_cos = mean_cos2 - mean_cos**2
+    # Rounding can leave a vanishing variance slightly negative.
+    return e_c0, big_k * big_k * float((mean_cos - c) ** 2 + max(var_cos, 0.0))
 
 
 def class_moments(model: FleetModel, class_index: int, m: int) -> tuple[float, float]:
     """(E[c_0 | class], E[c_m^2 | class]) over the class demand distribution.
 
-    Point-mass (full-demand) classes evaluate the coefficients directly;
-    uniform-demand classes integrate them by adaptive quadrature.
+    Point-mass (full-demand) classes evaluate the coefficients directly.
+    For uniform demands the ramp width ``a = p / alpha`` is uniform too;
+    below the constant-load threshold ``a = rx_len - gap`` the load is the
+    demand itself (c_0 = p, no harmonics), and above it both moments are
+    elementary integrals (see :func:`_ripple_moments`).
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
@@ -174,8 +184,23 @@ def class_moments(model: FleetModel, class_index: int, m: int) -> tuple[float, f
         ev = _ev_at(cfg, c.rx_len_m, hi)
         cm = fs_harmonic(cfg, ev, m)
         return fs_dc(cfg, ev), cm * cm
-    e_c0 = _uniform_moment(cfg, c.rx_len_m, lo, hi, 0, squared=False)
-    e_cm2 = _uniform_moment(cfg, c.rx_len_m, lo, hi, m, squared=True)
+    alpha = cfg.power_density_kw_per_m
+    a_lo, a_hi = lo / alpha, hi / alpha
+    a_th = min(max(c.rx_len_m - cfg.gap_m, a_lo), a_hi)
+    e_c0 = e_cm2 = 0.0
+    if a_th > a_lo:
+        # Constant-load part: c_0 = p = alpha a, c_m = 0 for m >= 1.
+        mid, half = (a_lo + a_th) / 2.0, (a_th - a_lo) / 2.0
+        w = (a_th - a_lo) / (a_hi - a_lo)
+        e_c0 += w * alpha * mid
+        if m == 0:
+            e_cm2 += w * alpha * alpha * (mid * mid + half * half / 3.0)
+    if a_hi > a_th:
+        w = (a_hi - a_th) / (a_hi - a_lo)
+        mid, half = (a_th + a_hi) / 2.0, (a_hi - a_th) / 2.0
+        r0, r2 = _ripple_moments(cfg, c.rx_len_m, mid, half, m)
+        e_c0 += w * r0
+        e_cm2 += w * r2
     return e_c0, e_cm2
 
 
@@ -190,26 +215,6 @@ def mixture_moments(model: FleetModel, m: int) -> tuple[float, float]:
         e0 += c.prob * m0
         e2 += c.prob * m2
     return e0, e2
-
-
-def max_demand_harmonic_power(cfg: ErConfig, rx_len_m: float, m: int) -> float:
-    """Squared m-th coefficient at full demand, in product-of-sines form.
-
-    Algebraically identical to ``fs_harmonic(...)^2`` at peak demand; kept
-    as an independent formulation for cross-checking.
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    alpha = cfg.power_density_kw_per_m
-    d_per = cfg.period_m
-    amp = (
-        alpha
-        * d_per
-        / (m * np.pi) ** 2
-        * np.sin(m * np.pi * rx_len_m / d_per)
-        * np.sin(m * np.pi * cfg.tx_len_m / d_per)
-    )
-    return amp * amp
 
 
 @dataclass(frozen=True)

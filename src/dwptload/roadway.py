@@ -10,6 +10,7 @@ a periodic clipped-trapezoid pulse train.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -19,6 +20,13 @@ import numpy as np
 class ConstantRegimeError(ValueError):
     """Raised when a pulse-train quantity is requested for a demand so low
     that the load never varies (no ripple, no harmonics)."""
+
+
+def _require_finite(obj: object, *names: str) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -31,6 +39,9 @@ class ErConfig:
     segment_len_m: float  # total energized segment length
 
     def __post_init__(self) -> None:
+        _require_finite(
+            self, "tx_len_m", "gap_m", "power_density_kw_per_m", "segment_len_m"
+        )
         if not self.tx_len_m > 0:
             raise ValueError(f"tx_len_m must be > 0, got {self.tx_len_m}")
         if not self.gap_m > 0:
@@ -87,6 +98,7 @@ class EvParams:
     class_id: Optional[str] = None
 
     def __post_init__(self) -> None:
+        _require_finite(self, "rx_len_m", "peak_demand_kw", "speed_mps", "entry_time_s")
         if not self.rx_len_m > 0:
             raise ValueError(f"rx_len_m must be > 0, got {self.rx_len_m}")
         if not self.peak_demand_kw >= 0:
@@ -162,25 +174,25 @@ def constant_regime(cfg: ErConfig, ev: EvParams) -> bool:
     return ev.peak_demand_kw <= alpha * (ev.rx_len_m - cfg.gap_m)
 
 
-def _pulse_samples(cfg: ErConfig, ev: EvParams, xm: np.ndarray) -> np.ndarray:
+def _pulse_samples(
+    cfg: ErConfig, rx_len_m: float, demand_kw: float, xm: np.ndarray
+) -> np.ndarray:
     """Clipped-trapezoid pulse evaluated at positions within one period.
 
-    ``xm`` must lie in [0, period).  Branch boundaries are half-open with
-    ties going to the branch on the left.
+    ``xm`` must lie in [0, period).  The overlap ramps up from the coil
+    start and down to the end of the span ``tx_len + rx_len``; it never
+    falls below the minimum overlap ``rx_len - gap`` (zero for receivers
+    not longer than the gap) and the converter caps it at the demand.  A
+    demand at or below the minimum-overlap power makes the clip return the
+    demand everywhere, which is the constant-load regime.
     """
     alpha = cfg.power_density_kw_per_m
-    ell, ell_t = ev.rx_len_m, cfg.tx_len_m
-    p = ev.peak_demand_kw
-    out = np.select(
-        [xm < ell - cfg.gap_m, xm < p / alpha, xm < ell + ell_t - p / alpha],
-        [alpha * (ell - cfg.gap_m), alpha * xm, p],
-        default=alpha * (ell + ell_t - xm),
+    span = cfg.tx_len_m + rx_len_m
+    return np.clip(
+        alpha * np.minimum(xm, span - xm),
+        alpha * max(rx_len_m - cfg.gap_m, 0.0),
+        demand_kw,
     )
-    if ell < cfg.gap_m:
-        # Receiver shorter than the gap: the trough dips to zero instead of
-        # a positive baseline, and the trailing ramp must not go negative.
-        np.maximum(out, 0.0, out=out)
-    return out
 
 
 def coil_pulse(cfg: ErConfig, ev: EvParams, x) -> np.ndarray | float:
@@ -198,7 +210,7 @@ def coil_pulse(cfg: ErConfig, ev: EvParams, x) -> np.ndarray | float:
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0) or np.any(xa >= cfg.period_m):
         raise ValueError(f"position must be in [0, {cfg.period_m}), got {x}")
-    out = _pulse_samples(cfg, ev, xa)
+    out = _pulse_samples(cfg, ev.rx_len_m, ev.peak_demand_kw, xa)
     return out if np.ndim(x) else float(out)
 
 
@@ -213,18 +225,11 @@ def load_at_position(cfg: ErConfig, ev: EvParams, scheme: ControlScheme, x) -> n
     on = (xa >= 0) & (xa < cfg.energized_len_m)
     xm = np.where(on, np.mod(xa, cfg.period_m), 0.0)
     if isinstance(scheme, Scaling):
-        ref = EvParams(
-            rx_len_m=ev.rx_len_m,
-            peak_demand_kw=ev.max_demand_kw(cfg),
-            speed_mps=ev.speed_mps,
-            entry_time_s=ev.entry_time_s,
-            class_id=ev.class_id,
+        vals = scheme.scale_factor * _pulse_samples(
+            cfg, ev.rx_len_m, ev.max_demand_kw(cfg), xm
         )
-        vals = scheme.scale_factor * _pulse_samples(cfg, ref, xm)
-    elif constant_regime(cfg, ev):
-        vals = np.full_like(xm, ev.peak_demand_kw)
     else:
-        vals = _pulse_samples(cfg, ev, xm)
+        vals = _pulse_samples(cfg, ev.rx_len_m, ev.peak_demand_kw, xm)
     out = np.where(on, vals, 0.0)
     return out if np.ndim(x) else float(out)
 

@@ -14,14 +14,13 @@ periodic waveform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy import signal as sps
 
 from .fleet import FleetModel, demand_bounds
-from .roadway import Clipping, ErConfig, constant_regime, load_at_time, _pulse_samples
+from .roadway import Clipping, ErConfig, load_at_time
 from .spectrum import fs_harmonic_grid
 from .traffic import Scenario
 
@@ -271,40 +270,19 @@ def empirical_thc(
 # --- Period-exact coefficients and Monte Carlo ensembles ------------------
 
 
-@lru_cache(maxsize=64)
-def _period_rfft(
-    cfg: ErConfig, rx_len_m: float, demand_kw: float, n_samples: int
-) -> np.ndarray:
-    from .roadway import EvParams  # local import to avoid cycle noise
-
-    ev = EvParams(rx_len_m=rx_len_m, peak_demand_kw=demand_kw, speed_mps=1.0)
-    if constant_regime(cfg, ev):
-        out = np.zeros(n_samples // 2 + 1, dtype=complex)
-        out[0] = demand_kw
-        return out
-    x = np.arange(n_samples) * (cfg.period_m / n_samples)
-    g = _pulse_samples(cfg, ev, x)
-    return np.fft.rfft(g) / n_samples
-
-
 def period_coefficients(
-    cfg: ErConfig,
-    rx_len_m: float,
-    demand_kw: float,
-    m_max: int,
-    n_samples: int = 2**15,
+    cfg: ErConfig, rx_len_m: float, demand_kw: float, m_max: int
 ) -> np.ndarray:
     """Fourier coefficients c_0..c_m_max of one vehicle's periodic load.
 
-    Computed as the DFT of one densely sampled period (no windowing); the
-    phase origin is the start of a coil.  Results are cached per
-    (roadway, receiver, demand) so ensemble loops stay cheap.
+    The phase origin is the start of a coil: these are the real
+    closed-form coefficients of :func:`fs_harmonic_grid`, whose origin is
+    the pulse center ``L / 2`` with ``L = rx_len + tx_len``, times the
+    shift ``exp(-i pi m L / D)``.
     """
-    if m_max >= n_samples // 2:
-        raise ValueError(f"m_max={m_max} too large for n_samples={n_samples}")
-    return _period_rfft(cfg, float(rx_len_m), float(demand_kw), int(n_samples))[
-        : m_max + 1
-    ].copy()
+    m = np.arange(m_max + 1)
+    shift = np.exp(-1j * np.pi * m * (rx_len_m + cfg.tx_len_m) / cfg.period_m)
+    return fs_harmonic_grid(cfg, rx_len_m, demand_kw, m) * shift
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,9 +306,9 @@ def monte_carlo_psd(
     Each trial draws every vehicle's class, demand, and in-period phase
     (i.i.d. uniform, the stationarity hypothesis), forms the aggregate
     coefficient sum c_m = sum_n c_{m,n} e^{-2pi i m u_n}, and averages
-    |c_m|^2 across trials.  Point-demand classes use cached period-DFT
-    coefficients; continuous-demand classes evaluate the closed form at
-    the sampled demands.
+    |c_m|^2 across trials.  Point-demand classes use the coil-start-phase
+    coefficients of :func:`period_coefficients`; continuous-demand classes
+    evaluate the closed form at the sampled demands.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")

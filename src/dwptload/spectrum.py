@@ -13,23 +13,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .roadway import ConstantRegimeError, ErConfig, EvParams, constant_regime
+from .roadway import ErConfig, EvParams, constant_regime
 
 
-def _sinc(x: np.ndarray | float) -> np.ndarray | float:
-    """sin(pi x)/(pi x) with the removable singularity filled in."""
-    return np.sinc(x)
+def fs_harmonic_grid(cfg: ErConfig, rx_len_m: float, demands_kw, m) -> np.ndarray:
+    """Real coefficients c_m for one receiver at one or many demand levels.
+
+    Vectorized over both axes; returns shape ``demands_kw.shape + m.shape``.
+    With ramp width ``a = p / alpha`` and full width at half plateau
+    ``b = tx_len + rx_len - a`` the pulse is a periodized trapezoid, the
+    convolution of two rectangles, so
+    ``c_m = (p b / D) sinc(m a / D) sinc(m b / D)``, which for m >= 1 is
+    ``alpha D / (m pi)^2 sin(pi m a / D) sin(pi m b / D)``.  Demands at or
+    below the constant-load threshold yield c_0 = demand and zero
+    harmonics.
+    """
+    alpha = cfg.power_density_kw_per_m
+    d_per = cfg.period_m
+    ma = np.asarray(m, dtype=float)
+    p = np.asarray(demands_kw, dtype=float)
+    p = p.reshape(p.shape + (1,) * ma.ndim)
+    a = p / alpha
+    b = cfg.tx_len_m + rx_len_m - a
+    out = (p * b / d_per) * np.sinc(ma * a / d_per) * np.sinc(ma * b / d_per)
+    flat = p <= alpha * (rx_len_m - cfg.gap_m)
+    return np.where(flat, np.where(ma == 0, p, 0.0), out)
 
 
 def fs_dc(cfg: ErConfig, ev: EvParams) -> float:
     """Mean load over one spatial period (kW)."""
-    ev.validate_against(cfg)
-    if constant_regime(cfg, ev):
-        return ev.peak_demand_kw
-    alpha = cfg.power_density_kw_per_m
-    d_per = cfg.period_m
-    p = ev.peak_demand_kw
-    return p / d_per * (cfg.tx_len_m + ev.rx_len_m - p / alpha)
+    return fs_harmonic(cfg, ev, 0)
 
 
 def fs_harmonic(cfg: ErConfig, ev: EvParams, m) -> np.ndarray | float:
@@ -41,42 +54,8 @@ def fs_harmonic(cfg: ErConfig, ev: EvParams, m) -> np.ndarray | float:
     integer or an array of integers; c_0 equals :func:`fs_dc`.
     """
     ev.validate_against(cfg)
-    ma = np.asarray(m, dtype=float)
-    if constant_regime(cfg, ev):
-        out = np.where(ma == 0, ev.peak_demand_kw, 0.0)
-        return out if np.ndim(m) else float(out)
-    alpha = cfg.power_density_kw_per_m
-    d_per = cfg.period_m
-    p = ev.peak_demand_kw
-    # Widths of the two rectangles whose convolution is the trapezoid:
-    # the ramp span and the pulse's full-width-at-half-plateau.
-    a = p / alpha
-    b = cfg.tx_len_m + ev.rx_len_m - p / alpha
-    c0 = p / d_per * b
-    out = c0 * _sinc(ma * a / d_per) * _sinc(ma * b / d_per)
+    out = fs_harmonic_grid(cfg, ev.rx_len_m, ev.peak_demand_kw, m)
     return out if np.ndim(m) else float(out)
-
-
-def fs_harmonic_grid(
-    cfg: ErConfig, rx_len_m: float, demands_kw: np.ndarray, m: np.ndarray
-) -> np.ndarray:
-    """Real coefficients c_m for one receiver at many demand levels.
-
-    Vectorized over both axes; returns shape ``demands_kw.shape + m.shape``.
-    Demands at or below the constant-load threshold yield c_0 = demand and
-    zero harmonics.
-    """
-    alpha = cfg.power_density_kw_per_m
-    d_per = cfg.period_m
-    p = np.asarray(demands_kw, dtype=float)[..., np.newaxis]
-    ma = np.asarray(m, dtype=float)
-    a = p / alpha
-    b = cfg.tx_len_m + rx_len_m - a
-    out = (p * b / d_per) * _sinc(ma * a / d_per) * _sinc(ma * b / d_per)
-    flat = p[..., 0] <= alpha * (rx_len_m - cfg.gap_m)
-    if np.any(flat):
-        out[flat] = np.where(ma == 0, p[flat], 0.0)
-    return out
 
 
 def harmonic_bound(cfg: ErConfig, m) -> np.ndarray | float:

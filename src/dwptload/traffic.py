@@ -25,7 +25,7 @@ from .fleet import (
     demand_bounds,
     sample_demand,
 )
-from .roadway import ErConfig, EvParams
+from .roadway import ErConfig, EvParams, _require_finite
 
 CSV_FIELDS = ("entry_time_s", "speed_mps", "rx_len_m", "peak_demand_kw")
 
@@ -58,6 +58,7 @@ class TrafficSpec:
     classes: tuple[TrafficClass, ...]
 
     def __post_init__(self) -> None:
+        _require_finite(self, "rate_evps", "duration_s")
         if not self.rate_evps >= 0:
             raise ValueError(f"rate_evps must be >= 0, got {self.rate_evps}")
         if not self.duration_s > 0:
@@ -290,8 +291,8 @@ def ingest(path: str, cfg: ErConfig) -> Scenario:
         except ValueError as exc:
             raise IngestError(f"{path}:{lineno}: {exc}") from exc
         class_id = row[4].strip() if len(row) == 5 and row[4].strip() else None
-        if entry < 0:
-            raise IngestError(f"{path}:{lineno}: entry_time_s must be >= 0")
+        if not entry >= 0:
+            raise IngestError(f"{path}:{lineno}: entry_time_s must be >= 0, got {entry}")
         try:
             ev = EvParams(
                 rx_len_m=rx_len,

@@ -1,16 +1,21 @@
 """Independent numerical oracles used across the test suite.
 
 Everything here recomputes quantities from first principles -- geometric
-coil overlap, composite quadrature, exact piecewise integration -- so the
-closed forms in the package are checked against a second, structurally
-different derivation rather than against themselves.
+coil overlap, composite quadrature, exact piecewise integration -- or by
+the slower formulations the package used before its closed forms: the
+pulse by branch selection, uniform-demand moments by adaptive
+quadrature, and coil-start-phase coefficients by the DFT of a densely
+sampled period.  The closed forms in the package are thus checked against
+a second, structurally different derivation rather than against
+themselves.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import integrate
 
-from dwptload import ErConfig, EvParams, coil_pulse
+from dwptload import ErConfig, EvParams, coil_pulse, constant_regime, fs_harmonic
 
 
 def pulse_kinks(cfg: ErConfig, ev: EvParams) -> np.ndarray:
@@ -115,3 +120,82 @@ def draw_periodic_ev(
     hi = cfg.power_density_kw_per_m * rx
     demand = lo + (hi - lo) * rng.uniform(0.05, 1.0)
     return EvParams(rx_len_m=rx, peak_demand_kw=demand, speed_mps=speed_mps)
+
+
+def select_pulse(cfg: ErConfig, ev: EvParams, xm: np.ndarray) -> np.ndarray:
+    """On-segment load at in-period positions ``xm`` by branch selection.
+
+    ``xm`` must lie in [0, period).  Branch boundaries are half-open with
+    ties going to the branch on the left.  In the constant-load regime the
+    load is the demand everywhere.
+    """
+    if constant_regime(cfg, ev):
+        return np.full_like(xm, ev.peak_demand_kw)
+    alpha = cfg.power_density_kw_per_m
+    ell, ell_t = ev.rx_len_m, cfg.tx_len_m
+    p = ev.peak_demand_kw
+    out = np.select(
+        [xm < ell - cfg.gap_m, xm < p / alpha, xm < ell + ell_t - p / alpha],
+        [alpha * (ell - cfg.gap_m), alpha * xm, p],
+        default=alpha * (ell + ell_t - xm),
+    )
+    if ell < cfg.gap_m:
+        # Receiver shorter than the gap: the trough dips to zero instead of
+        # a positive baseline, and the trailing ramp must not go negative.
+        np.maximum(out, 0.0, out=out)
+    return out
+
+
+def max_demand_harmonic_power(cfg: ErConfig, rx_len_m: float, m: int) -> float:
+    """Squared m-th coefficient at full demand, in product-of-sines form."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    alpha = cfg.power_density_kw_per_m
+    d_per = cfg.period_m
+    amp = (
+        alpha
+        * d_per
+        / (m * np.pi) ** 2
+        * np.sin(m * np.pi * rx_len_m / d_per)
+        * np.sin(m * np.pi * cfg.tx_len_m / d_per)
+    )
+    return amp * amp
+
+
+def uniform_moment_quad(
+    cfg: ErConfig,
+    rx_len_m: float,
+    lo: float,
+    hi: float,
+    m: int,
+    *,
+    squared: bool,
+) -> float:
+    """E[f(p)] for p ~ U(lo, hi), with f the (squared) m-th coefficient,
+    by adaptive quadrature of the point coefficient."""
+
+    def f(p: float) -> float:
+        c = fs_harmonic(cfg, EvParams(rx_len_m, p, 1.0), m)
+        return c * c if squared else c
+
+    if hi == lo:
+        return f(hi)
+    # The coefficient formulas switch branch at the constant-load threshold.
+    threshold = cfg.power_density_kw_per_m * (rx_len_m - cfg.gap_m)
+    pts = [threshold] if lo < threshold < hi else None
+    val, _ = integrate.quad(
+        f, lo, hi, points=pts, limit=300, epsabs=0.0, epsrel=1e-11
+    )
+    return val / (hi - lo)
+
+
+def period_coefficients_fft(
+    cfg: ErConfig, rx_len_m: float, demand_kw: float, m_max: int, n_samples: int = 2**15
+) -> np.ndarray:
+    """Coefficients c_0..c_m_max with the phase origin at a coil start, as
+    the DFT of one densely sampled period (no windowing)."""
+    if m_max >= n_samples // 2:
+        raise ValueError(f"m_max={m_max} too large for n_samples={n_samples}")
+    ev = EvParams(rx_len_m=rx_len_m, peak_demand_kw=demand_kw, speed_mps=1.0)
+    x = np.arange(n_samples) * (cfg.period_m / n_samples)
+    return np.fft.rfft(select_pulse(cfg, ev, x))[: m_max + 1] / n_samples

@@ -92,6 +92,11 @@ def test_runconfig_round_trip():
         {"seed": -1},
         {"psd_method": "multitaper"},
         {"traffic": {"rate_evps": 0.1, "duration_s": 10.0, "classes": [{"rx_len_m": 1.2, "prob": 1.0, "speed_mps": 29.0, "demand": {"kind": "max"}, "oops": 1}]}},
+        {"er": {"tx_len_m": 3.66, "gap_m": 0.91, "power_density_kw_per_m": 109.36, "segment_len_m": float("inf")}},
+        {"traffic": {"duration_s": 10.0, "classes": [{"rx_len_m": 1.2, "prob": 1.0, "speed_mps": 29.0, "demand": {"kind": "max"}}]}},  # no rate_evps
+        {"traffic": {"rate_evps": 0.1, "duration_s": 10.0, "classes": [{"rx_len_m": 1.2, "prob": 1.0, "speed_mps": 29.0}]}},  # class without demand
+        {"duration_s": float("inf")},
+        {"sample_rate_hz": float("nan")},
     ],
 )
 def test_runconfig_rejects_bad_documents(doc):

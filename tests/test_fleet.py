@@ -28,7 +28,7 @@ from dwptload import (
     thc_single,
     thc_total,
 )
-from dwptload.fleet import max_demand_harmonic_power
+from oracles import max_demand_harmonic_power
 
 ALPHA = INDOT.power_density_kw_per_m
 D = INDOT.period_m

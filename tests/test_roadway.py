@@ -66,6 +66,24 @@ def test_bad_vehicle_parameters_rejected(kwargs):
         EvParams(**kwargs)
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+@pytest.mark.parametrize("field", ["tx_len_m", "gap_m", "power_density_kw_per_m", "segment_len_m"])
+def test_non_finite_roadway_parameters_rejected(field, value):
+    kwargs = dict(tx_len_m=3.66, gap_m=0.91, power_density_kw_per_m=109.36, segment_len_m=4000.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ErConfig(**kwargs)
+
+
+@pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan")])
+@pytest.mark.parametrize("field", ["rx_len_m", "peak_demand_kw", "speed_mps", "entry_time_s"])
+def test_non_finite_vehicle_parameters_rejected(field, value):
+    kwargs = dict(rx_len_m=1.83, peak_demand_kw=100.0, speed_mps=24.6, entry_time_s=0.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        EvParams(**kwargs)
+
+
 def test_cross_validation_against_roadway():
     with pytest.raises(ValueError):
         ev(5.0, 100.0).validate_against(INDOT)  # receiver longer than a coil

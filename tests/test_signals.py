@@ -30,6 +30,7 @@ from dwptload import (
 )
 from dwptload.roadway import EvParams
 from dwptload.signals import PsdEstimate
+from oracles import period_coefficients_fft
 
 F0_246 = 24.6 / INDOT.period_m  # 5.3829... Hz
 ALPHA = INDOT.power_density_kw_per_m
@@ -359,18 +360,20 @@ def test_mixture_thc_orders_by_sedan_receiver_length():
 
 def test_period_coefficients_match_closed_form():
     ev = EvParams(1.83, ALPHA * 1.83, 24.6)
-    got = np.abs(period_coefficients(INDOT, 1.83, ev.peak_demand_kw, 10))
+    got = period_coefficients(INDOT, 1.83, ev.peak_demand_kw, 10)
     want = [fs_dc(INDOT, ev)] + [abs(fs_harmonic(INDOT, ev, m)) for m in range(1, 11)]
-    # atol covers DFT aliasing on the near-null m=5 and m=10 lines.
-    assert np.allclose(got, want, rtol=1e-6, atol=1e-7)
+    np.testing.assert_allclose(np.abs(got), want, rtol=1e-14, atol=1e-12)
+    # The coil-start phase against the DFT of a sampled period; atol
+    # covers DFT aliasing on the near-null m=5 and m=10 lines.
+    fft = period_coefficients_fft(INDOT, 1.83, ev.peak_demand_kw, 10)
+    assert np.allclose(got, fft, rtol=1e-6, atol=1e-7)
 
 
 def test_period_coefficients_constant_regime():
     got = period_coefficients(INDOT, 1.83, 50.0, 6)
     assert got[0] == 50.0
     assert not got[1:].any()
-    with pytest.raises(ValueError):
-        period_coefficients(INDOT, 1.83, 50.0, 6, n_samples=8)
+    np.testing.assert_allclose(got, period_coefficients_fft(INDOT, 1.83, 50.0, 6), atol=1e-12)
 
 
 # --- Monte Carlo ensembles --------------------------------------------------

@@ -52,6 +52,11 @@ def test_spec_validation():
         TrafficSpec(rate_evps=0.2, duration_s=10.0, classes=())
     with pytest.raises(ValueError):
         spec(classes=(TrafficClass(1.83, 0.6, 24.6, MaxDemand()),))
+    # An infinite rate or horizon would never end the arrival loop.
+    with pytest.raises(ValueError, match="rate_evps must be finite"):
+        spec(rate=float("inf"))
+    with pytest.raises(ValueError, match="duration_s must be finite"):
+        spec(duration=float("inf"))
 
 
 def test_arrival_count_near_poisson_mean():
@@ -221,6 +226,8 @@ def test_ingest_skips_comments_and_blank_lines(tmp_path):
         ("-1.0,24.6,1.83,200.0", "entry_time_s"),
         ("0.0,abc,1.83,200.0", "abc"),
         ("0.0,24.6,1.83", "fields"),
+        ("nan,24.6,1.83,200.0", "entry_time_s"),
+        ("0.0,inf,1.83,200.0", "speed_mps"),
     ],
 )
 def test_ingest_rejects_bad_rows_with_location(tmp_path, row, fragment):
