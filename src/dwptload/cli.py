@@ -56,17 +56,8 @@ from .spectrum import (
     harmonic_ratio_scaling,
     thc_single,
 )
-from .traffic import (
-    IngestError,
-    Scenario,
-    TrafficClass,
-    TrafficSpec,
-    demand_dist_from_dict,
-    demand_dist_to_dict,
-    generate,
-    ingest,
-    scenario_to_json,
-)
+from .schema import from_dict, to_dict
+from .traffic import IngestError, Scenario, TrafficClass, TrafficSpec, generate, ingest
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -83,12 +74,6 @@ class ValidationFailure(Exception):
 
 
 # --- run configuration ----------------------------------------------------
-
-_ER_KEYS = ("tx_len_m", "gap_m", "power_density_kw_per_m", "segment_len_m")
-_TRAFFIC_KEYS = ("rate_evps", "duration_s", "classes")
-_CLASS_KEYS = ("rx_len_m", "prob", "speed_mps", "demand", "class_id")
-_DEMAND_KEYS = ("kind", "lo_kw", "hi_kw")
-_COLUMN_KEYS = ("rx_len_m", "demand")
 
 
 @dataclass(frozen=True)
@@ -119,7 +104,11 @@ class RunConfig:
     n_ref: int = 45
 
     def __post_init__(self) -> None:
-        _require_finite(self, "sample_rate_hz", "duration_s", "segment_s")
+        _require_finite(
+            self, "sample_rate_hz", "duration_s", "segment_s", "rx_len_m", "speed_mps"
+        )
+        if self.demand_kw is not None:
+            _require_finite(self, "demand_kw")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.sample_rate_hz <= 0:
@@ -144,132 +133,17 @@ class RunConfig:
             raise ConfigError("n_windows and n_ref must be >= 1")
 
 
-def _require_keys(doc: dict, allowed: Sequence[str], where: str) -> None:
-    unknown = set(doc) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
-
-
-def _er_from_dict(doc: dict) -> ErConfig:
-    _require_keys(doc, _ER_KEYS, "er")
-    missing = set(_ER_KEYS) - set(doc)
-    if missing:
-        raise ConfigError(f"er is missing key(s): {sorted(missing)}")
-    return ErConfig(**{k: float(doc[k]) for k in _ER_KEYS})
-
-
-def _traffic_from_dict(doc: dict) -> TrafficSpec:
-    _require_keys(doc, _TRAFFIC_KEYS, "traffic")
-    classes = []
-    for i, cdoc in enumerate(doc.get("classes", [])):
-        _require_keys(cdoc, _CLASS_KEYS, f"traffic.classes[{i}]")
-        _require_keys(cdoc["demand"], _DEMAND_KEYS, f"traffic.classes[{i}].demand")
-        classes.append(
-            TrafficClass(
-                rx_len_m=float(cdoc["rx_len_m"]),
-                prob=float(cdoc["prob"]),
-                speed_mps=float(cdoc["speed_mps"]),
-                demand_dist=demand_dist_from_dict(cdoc["demand"]),
-                class_id=cdoc.get("class_id"),
-            )
-        )
-    return TrafficSpec(
-        rate_evps=float(doc["rate_evps"]),
-        duration_s=float(doc["duration_s"]),
-        classes=tuple(classes),
-    )
-
-
-def _columns_from_list(docs: list) -> tuple[SweepColumn, ...]:
-    cols = []
-    for i, cdoc in enumerate(docs):
-        _require_keys(cdoc, _COLUMN_KEYS, f"sweep_columns[{i}]")
-        _require_keys(cdoc["demand"], _DEMAND_KEYS, f"sweep_columns[{i}].demand")
-        cols.append(
-            SweepColumn(float(cdoc["rx_len_m"]), demand_dist_from_dict(cdoc["demand"]))
-        )
-    return tuple(cols)
-
-
-_TOP_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))
-
-
 def runconfig_from_dict(doc: dict) -> RunConfig:
-    """Build a RunConfig from a parsed JSON document, rejecting unknowns."""
-    _require_keys(doc, _TOP_KEYS, "config")
-    kwargs: dict = {}
+    """Build a RunConfig from a parsed JSON document (rules in :mod:`.schema`)."""
     try:
-        for key, value in doc.items():
-            if key == "er":
-                kwargs["er"] = _er_from_dict(value)
-            elif key == "traffic":
-                kwargs["traffic"] = _traffic_from_dict(value)
-            elif key == "sweep_columns":
-                kwargs["sweep_columns"] = _columns_from_list(value)
-            elif key == "thetas":
-                kwargs["thetas"] = tuple(float(t) for t in value)
-            elif key in ("seed", "trials", "harmonics", "n_windows", "n_ref"):
-                kwargs[key] = None if value is None else int(value)
-            elif key in ("out_dir", "psd_method", "psd_window"):
-                kwargs[key] = str(value)
-            elif key == "analytic":
-                kwargs[key] = bool(value)
-            elif key == "demand_kw":
-                kwargs[key] = None if value is None else float(value)
-            else:
-                kwargs[key] = float(value)
-        return RunConfig(**kwargs)
-    except ConfigError:
-        raise
-    except KeyError as exc:
-        raise ConfigError(f"{key} is missing key {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+        return from_dict(RunConfig, doc, "config")
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def runconfig_to_dict(rc: RunConfig) -> dict:
     """Inverse of :func:`runconfig_from_dict`, used for hashing."""
-    doc: dict = {
-        "er": {k: getattr(rc.er, k) for k in _ER_KEYS},
-        "seed": rc.seed,
-        "out_dir": rc.out_dir,
-        "sample_rate_hz": rc.sample_rate_hz,
-        "duration_s": rc.duration_s,
-        "psd_method": rc.psd_method,
-        "segment_s": rc.segment_s,
-        "overlap_frac": rc.overlap_frac,
-        "psd_window": rc.psd_window,
-        "trials": rc.trials,
-        "harmonics": rc.harmonics,
-        "analytic": rc.analytic,
-        "rx_len_m": rc.rx_len_m,
-        "demand_kw": rc.demand_kw,
-        "speed_mps": rc.speed_mps,
-        "thetas": list(rc.thetas),
-        "n_windows": rc.n_windows,
-        "n_ref": rc.n_ref,
-    }
-    if rc.traffic is not None:
-        doc["traffic"] = {
-            "rate_evps": rc.traffic.rate_evps,
-            "duration_s": rc.traffic.duration_s,
-            "classes": [
-                {
-                    "rx_len_m": c.rx_len_m,
-                    "prob": c.prob,
-                    "speed_mps": c.speed_mps,
-                    "demand": demand_dist_to_dict(c.demand_dist),
-                    "class_id": c.class_id,
-                }
-                for c in rc.traffic.classes
-            ],
-        }
-    if rc.sweep_columns:
-        doc["sweep_columns"] = [
-            {"rx_len_m": c.rx_len_m, "demand": demand_dist_to_dict(c.demand_dist)}
-            for c in rc.sweep_columns
-        ]
-    return doc
+    return to_dict(rc)
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -389,10 +263,6 @@ def _resolved_traffic(rc: RunConfig, fallback) -> TrafficSpec:
     return spec
 
 
-def _scenario_body(scenario: Scenario) -> dict:
-    return json.loads(scenario_to_json(scenario))
-
-
 def cmd_simulate(rc: RunConfig) -> int:
     spec = _resolved_traffic(rc, _default_simulate_traffic)
     scenario = generate(rc.er, spec, rc.seed)
@@ -405,7 +275,7 @@ def cmd_simulate(rc: RunConfig) -> int:
         ("time_s", "load_kw"),
         zip(series.times_s.tolist(), series.samples_kw.tolist()),
     )
-    _write_json(out / "scenario.json", meta, _scenario_body(scenario))
+    _write_json(out / "scenario.json", meta, to_dict(scenario))
     print(
         f"simulate: {len(scenario.evs)} vehicles, {series.n_samples} samples, "
         f"mean load {series.mean_kw:.10g} kW"
@@ -740,7 +610,7 @@ def cmd_validate(rc: RunConfig, self_test: bool = False) -> int:
 def cmd_ingest(rc: RunConfig, path: str) -> int:
     scenario = ingest(path, rc.er)
     meta = run_metadata(rc)
-    _write_json(Path(rc.out_dir) / "scenario.json", meta, _scenario_body(scenario))
+    _write_json(Path(rc.out_dir) / "scenario.json", meta, to_dict(scenario))
     print(f"ingest: {len(scenario.evs)} vehicles from {path}")
     return EXIT_OK
 

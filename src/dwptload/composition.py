@@ -25,13 +25,14 @@ Variance control, so small trends survive a finite window budget:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 from scipy.stats import qmc
 
 from .fleet import (
+    DEMAND_KEY,
     DemandDist,
     EvClass,
     FleetModel,
@@ -40,7 +41,7 @@ from .fleet import (
     class_moments,
     demand_bounds,
 )
-from .roadway import ErConfig, EvParams
+from .roadway import ErConfig, EvParams, _require_finite
 from .signals import empirical_thc, synthesize
 from .spectrum import fs_dc
 from .traffic import (
@@ -58,7 +59,12 @@ class SweepColumn:
     """One sedan population to sweep penetrations against."""
 
     rx_len_m: float
-    demand_dist: DemandDist
+    demand_dist: DemandDist = field(metadata=DEMAND_KEY)
+
+    def __post_init__(self) -> None:
+        _require_finite(self, "rx_len_m")
+        if not self.rx_len_m > 0:
+            raise ValueError(f"rx_len_m must be > 0, got {self.rx_len_m}")
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,12 @@ built on the first harmonic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import ClassVar, Optional, Sequence, Union
 
 import numpy as np
 from scipy import optimize
 
-from .roadway import ErConfig, EvParams
+from .roadway import ErConfig, EvParams, _require_finite
 from .spectrum import fs_dc, fs_harmonic, harmonic_count_for_dc
 
 
@@ -26,21 +26,27 @@ from .spectrum import fs_dc, fs_harmonic, harmonic_count_for_dc
 class MaxDemand:
     """Every vehicle of the class demands the full deliverable power."""
 
+    kind: ClassVar[str] = "max"
+
 
 @dataclass(frozen=True)
 class UniformOnRange:
     """Demand uniform over the whole ripple-producing range: from the
     constant-load threshold (or zero for short receivers) up to full power."""
 
+    kind: ClassVar[str] = "uniform_range"
+
 
 @dataclass(frozen=True)
 class UniformExplicit:
     """Demand uniform over an explicit [lo_kw, hi_kw] interval."""
 
+    kind: ClassVar[str] = "uniform"
     lo_kw: float
     hi_kw: float
 
     def __post_init__(self) -> None:
+        _require_finite(self, "lo_kw", "hi_kw")
         if not 0 <= self.lo_kw <= self.hi_kw:
             raise ValueError(
                 f"need 0 <= lo_kw <= hi_kw, got ({self.lo_kw}, {self.hi_kw})"
@@ -48,6 +54,9 @@ class UniformExplicit:
 
 
 DemandDist = Union[MaxDemand, UniformOnRange, UniformExplicit]
+
+#: Metadata of a ``DemandDist`` field: documents store it under "demand".
+DEMAND_KEY = {"key": "demand"}
 
 
 def demand_bounds(dist: DemandDist, cfg: ErConfig, rx_len_m: float) -> tuple[float, float]:
@@ -78,6 +87,7 @@ class EvClass:
     class_id: Optional[str] = None
 
     def __post_init__(self) -> None:
+        _require_finite(self, "rx_len_m", "prob")
         if not self.rx_len_m > 0:
             raise ValueError(f"rx_len_m must be > 0, got {self.rx_len_m}")
         if not 0 <= self.prob <= 1:
@@ -94,6 +104,7 @@ class FleetModel:
     speed_mps: float
 
     def __post_init__(self) -> None:
+        _require_finite(self, "speed_mps")
         if len(self.classes) < 1:
             raise ValueError("need at least one class")
         total = sum(c.prob for c in self.classes)

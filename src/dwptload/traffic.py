@@ -12,20 +12,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+import math
+from dataclasses import dataclass, field
+from typing import ClassVar, Optional, Sequence, Union
 
 import numpy as np
 
-from .fleet import (
-    DemandDist,
-    MaxDemand,
-    UniformExplicit,
-    UniformOnRange,
-    demand_bounds,
-    sample_demand,
-)
+from .fleet import DEMAND_KEY, DemandDist, sample_demand
 from .roadway import ErConfig, EvParams, _require_finite
+from .schema import from_dict, to_dict
 
 CSV_FIELDS = ("entry_time_s", "speed_mps", "rx_len_m", "peak_demand_kw")
 
@@ -37,10 +32,11 @@ class TrafficClass:
     rx_len_m: float
     prob: float
     speed_mps: float
-    demand_dist: DemandDist
+    demand_dist: DemandDist = field(metadata=DEMAND_KEY)
     class_id: Optional[str] = None
 
     def __post_init__(self) -> None:
+        _require_finite(self, "rx_len_m", "prob", "speed_mps")
         if not self.rx_len_m > 0:
             raise ValueError(f"rx_len_m must be > 0, got {self.rx_len_m}")
         if not 0 <= self.prob <= 1:
@@ -72,11 +68,13 @@ class TrafficSpec:
 
 @dataclass(frozen=True)
 class Synthetic:
-    spec: TrafficSpec
+    kind: ClassVar[str] = "synthetic"
+    spec: TrafficSpec = field(metadata={"key": "generator"})
 
 
 @dataclass(frozen=True)
 class IngestedFile:
+    kind: ClassVar[str] = "ingested"
     path: str
 
 
@@ -92,6 +90,7 @@ class Scenario:
     provenance: Provenance
 
     def __post_init__(self) -> None:
+        _require_finite(self, "duration_s")
         if not self.duration_s >= 0:
             raise ValueError(f"duration_s must be >= 0, got {self.duration_s}")
         for i, ev in enumerate(self.evs):
@@ -280,6 +279,7 @@ def ingest(path: str, cfg: ErConfig) -> Scenario:
             f"{','.join(CSV_FIELDS)}[,class_id]"
         )
     evs: list[EvParams] = []
+    duration = 0.0
     for lineno, line in numbered[1:]:
         row = next(csv.reader([line]))
         if len(row) != len(header):
@@ -304,15 +304,14 @@ def ingest(path: str, cfg: ErConfig) -> Scenario:
             ev.validate_against(cfg)
         except ValueError as exc:
             raise IngestError(f"{path}:{lineno}: {exc}") from exc
+        end = max(entry + 1.0, entry + ev.dwell_s(cfg))
+        if not (math.isfinite(end) and end > entry):
+            raise IngestError(
+                f"{path}:{lineno}: no finite horizon after entry_time_s {entry} "
+                f"at speed_mps {speed}"
+            )
         evs.append(ev)
-    if evs:
-        duration = max(ev.entry_time_s for ev in evs) + 1.0
-        duration = max(
-            duration,
-            max(ev.entry_time_s + ev.dwell_s(cfg) for ev in evs),
-        )
-    else:
-        duration = 0.0
+        duration = max(duration, end)
     return Scenario(
         cfg=cfg,
         evs=tuple(evs),
@@ -325,122 +324,9 @@ def ingest(path: str, cfg: ErConfig) -> Scenario:
 # --- JSON serialization ---------------------------------------------------
 
 
-def demand_dist_to_dict(dist: DemandDist) -> dict:
-    if isinstance(dist, MaxDemand):
-        return {"kind": "max"}
-    if isinstance(dist, UniformOnRange):
-        return {"kind": "uniform_range"}
-    return {"kind": "uniform", "lo_kw": dist.lo_kw, "hi_kw": dist.hi_kw}
-
-
-def demand_dist_from_dict(doc: dict) -> DemandDist:
-    kind = doc.get("kind")
-    if kind == "max":
-        return MaxDemand()
-    if kind == "uniform_range":
-        return UniformOnRange()
-    if kind == "uniform":
-        return UniformExplicit(lo_kw=float(doc["lo_kw"]), hi_kw=float(doc["hi_kw"]))
-    raise ValueError(f"unknown demand distribution kind: {kind!r}")
-
-
-_CFG_KEYS = ("tx_len_m", "gap_m", "power_density_kw_per_m", "segment_len_m")
-
-
-def _cfg_to_dict(cfg: ErConfig) -> dict:
-    return {k: getattr(cfg, k) for k in _CFG_KEYS}
-
-
-def _cfg_from_dict(doc: dict) -> ErConfig:
-    return ErConfig(**{k: float(doc[k]) for k in _CFG_KEYS})
-
-
-def _class_to_dict(c: TrafficClass) -> dict:
-    out = {
-        "rx_len_m": c.rx_len_m,
-        "prob": c.prob,
-        "speed_mps": c.speed_mps,
-        "demand": demand_dist_to_dict(c.demand_dist),
-    }
-    if c.class_id is not None:
-        out["class_id"] = c.class_id
-    return out
-
-
-def _class_from_dict(doc: dict) -> TrafficClass:
-    return TrafficClass(
-        rx_len_m=float(doc["rx_len_m"]),
-        prob=float(doc["prob"]),
-        speed_mps=float(doc["speed_mps"]),
-        demand_dist=demand_dist_from_dict(doc["demand"]),
-        class_id=doc.get("class_id"),
-    )
-
-
 def scenario_to_json(scenario: Scenario) -> str:
-    if isinstance(scenario.provenance, Synthetic):
-        spec = scenario.provenance.spec
-        prov = {
-            "kind": "synthetic",
-            "generator": {
-                "rate_evps": spec.rate_evps,
-                "duration_s": spec.duration_s,
-                "classes": [_class_to_dict(c) for c in spec.classes],
-            },
-        }
-    else:
-        prov = {"kind": "ingested", "path": scenario.provenance.path}
-    doc = {
-        "cfg": _cfg_to_dict(scenario.cfg),
-        "duration_s": scenario.duration_s,
-        "seed": scenario.seed,
-        "provenance": prov,
-        "evs": [
-            {
-                "entry_time_s": ev.entry_time_s,
-                "speed_mps": ev.speed_mps,
-                "rx_len_m": ev.rx_len_m,
-                "peak_demand_kw": ev.peak_demand_kw,
-                "class_id": ev.class_id,
-            }
-            for ev in scenario.evs
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(to_dict(scenario), indent=2, sort_keys=True)
 
 
 def scenario_from_json(text: str) -> Scenario:
-    doc = json.loads(text)
-    cfg = _cfg_from_dict(doc["cfg"])
-    prov_doc = doc["provenance"]
-    provenance: Provenance
-    if prov_doc["kind"] == "synthetic":
-        gen = prov_doc["generator"]
-        provenance = Synthetic(
-            TrafficSpec(
-                rate_evps=float(gen["rate_evps"]),
-                duration_s=float(gen["duration_s"]),
-                classes=tuple(_class_from_dict(c) for c in gen["classes"]),
-            )
-        )
-    elif prov_doc["kind"] == "ingested":
-        provenance = IngestedFile(prov_doc["path"])
-    else:
-        raise ValueError(f"unknown provenance kind: {prov_doc['kind']!r}")
-    evs = tuple(
-        EvParams(
-            rx_len_m=float(e["rx_len_m"]),
-            peak_demand_kw=float(e["peak_demand_kw"]),
-            speed_mps=float(e["speed_mps"]),
-            entry_time_s=float(e["entry_time_s"]),
-            class_id=e.get("class_id"),
-        )
-        for e in doc["evs"]
-    )
-    return Scenario(
-        cfg=cfg,
-        evs=evs,
-        duration_s=float(doc["duration_s"]),
-        seed=doc.get("seed"),
-        provenance=provenance,
-    )
+    return from_dict(Scenario, json.loads(text), "scenario")

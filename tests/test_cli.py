@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +86,26 @@ def test_runconfig_round_trip():
     assert runconfig_from_dict(runconfig_to_dict(rc)) == rc
 
 
+def one_class(**changes):
+    cls = {"rx_len_m": 1.2, "prob": 1.0, "speed_mps": 29.0, "demand": {"kind": "max"}}
+    return {"traffic": {"rate_evps": 0.1, "duration_s": 10.0, "classes": [{**cls, **changes}]}}
+
+
+#: Documents the schema rejects, with the path its message must name.
+MISTYPED = [
+    ({"analytic": "false"}, "config.analytic"),
+    ({"seed": 1.7}, "config.seed"),
+    ({"harmonics": 2.9}, "config.harmonics"),
+    ({"er": None}, "config.er"),
+    (one_class(class_id=7), "config.traffic.classes[0].class_id"),
+    (one_class(demand={"kind": "max", "lo_kw": 5}), "config.traffic.classes[0].demand"),
+    (
+        one_class(demand={"kind": "uniform", "lo_kw": 0, "hi_kw": float("inf")}),
+        "config.traffic.classes[0].demand",
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -97,10 +120,17 @@ def test_runconfig_round_trip():
         {"traffic": {"rate_evps": 0.1, "duration_s": 10.0, "classes": [{"rx_len_m": 1.2, "prob": 1.0, "speed_mps": 29.0}]}},  # class without demand
         {"duration_s": float("inf")},
         {"sample_rate_hz": float("nan")},
+        *(doc for doc, _ in MISTYPED),
     ],
 )
 def test_runconfig_rejects_bad_documents(doc):
     with pytest.raises(ConfigError):
+        runconfig_from_dict(doc)
+
+
+@pytest.mark.parametrize("doc, where", MISTYPED)
+def test_config_errors_name_the_path(doc, where):
+    with pytest.raises(ConfigError, match=re.escape(where)):
         runconfig_from_dict(doc)
 
 
@@ -125,6 +155,10 @@ def test_exit_codes(tmp_path):
     assert main(["spectrum", "--config", str(bad_json)]) == EXIT_CONFIG
     unknown = write_config(tmp_path, {"nonsense": 1})
     assert main(["spectrum", "--config", unknown]) == EXIT_CONFIG
+    infinite = write_config(
+        tmp_path, one_class(demand={"kind": "uniform", "lo_kw": 0, "hi_kw": float("inf")})
+    )
+    assert main(["simulate", "--config", infinite, "--out", str(tmp_path)]) == EXIT_CONFIG
     assert main(["ingest", str(tmp_path / "absent.csv")]) == EXIT_IO
     bad_csv = tmp_path / "bad.csv"
     bad_csv.write_text("entry_time_s,speed_mps,rx_len_m,peak_demand_kw\n0.0,24.6,9.9,10.0\n")
@@ -132,10 +166,15 @@ def test_exit_codes(tmp_path):
 
 
 def test_version_runs_as_module():
+    # The child does not inherit pytest's `pythonpath`: hand it the directory
+    # the package was imported from.
+    src = str(Path(dwptload.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "dwptload.cli", "--version"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == dwptload.__version__

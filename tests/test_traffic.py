@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -228,6 +231,8 @@ def test_ingest_skips_comments_and_blank_lines(tmp_path):
         ("0.0,24.6,1.83", "fields"),
         ("nan,24.6,1.83,200.0", "entry_time_s"),
         ("0.0,inf,1.83,200.0", "speed_mps"),
+        ("0.0,5e-324,1.83,200.0", "horizon"),  # dwell overflows to inf
+        ("1e20,24.6,1.83,200.0", "horizon"),  # entry + dwell rounds to entry
     ],
 )
 def test_ingest_rejects_bad_rows_with_location(tmp_path, row, fragment):
@@ -295,3 +300,21 @@ def test_json_rejects_unknown_kinds():
     text = scenario_to_json(sc)
     with pytest.raises(ValueError):
         scenario_from_json(text.replace('"synthetic"', '"mystery"'))
+
+
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        (lambda doc: doc.update(extra=1), "scenario"),
+        (lambda doc: doc.pop("evs"), "scenario"),
+        (lambda doc: doc["evs"][0].update(speed_mps="fast"), "scenario.evs[0].speed_mps"),
+        (lambda doc: doc["provenance"].pop("generator"), "scenario.provenance"),
+    ],
+    ids=["unknown-key", "no-evs", "string-speed", "no-generator"],
+)
+def test_json_rejects_malformed_documents(edit, where):
+    sc = generate(INDOT, spec(rate=0.2, duration=50.0), seed=2)
+    doc = json.loads(scenario_to_json(sc))
+    edit(doc)
+    with pytest.raises(ValueError, match=re.escape(where)):
+        scenario_from_json(json.dumps(doc))
