@@ -253,14 +253,14 @@ def _default_psd_traffic(rc: RunConfig) -> TrafficSpec:
 
 
 def _resolved_traffic(rc: RunConfig, fallback) -> TrafficSpec:
-    spec = rc.traffic if rc.traffic is not None else fallback(rc)
-    if spec.duration_s != rc.duration_s:
-        spec = TrafficSpec(
-            rate_evps=spec.rate_evps,
-            duration_s=rc.duration_s,
-            classes=spec.classes,
+    if rc.traffic is None:
+        return fallback(rc)
+    if rc.traffic.duration_s != rc.duration_s:
+        raise ConfigError(
+            f"traffic.duration_s ({rc.traffic.duration_s}) must equal "
+            f"duration_s ({rc.duration_s})"
         )
-    return spec
+    return rc.traffic
 
 
 def cmd_simulate(rc: RunConfig) -> int:

@@ -21,6 +21,10 @@ Variance control, so small trends survive a finite window budget:
   windows.  Window-to-window line-power noise is pairwise phase
   interference, which the low-discrepancy pairing averages out far
   faster than independent draws would.
+
+Because the rows of a window share their vehicle slots, each slot's
+truck waveform and sedan waveform is sampled at most once per (window,
+column) and added into every penetration row that holds the slot.
 """
 
 from __future__ import annotations
@@ -42,16 +46,9 @@ from .fleet import (
     demand_bounds,
 )
 from .roadway import ErConfig, EvParams, _require_finite
-from .signals import empirical_thc, synthesize
+from .signals import LoadSeries, _vehicle_blocks, empirical_thc
 from .spectrum import fs_dc
-from .traffic import (
-    Scenario,
-    Synthetic,
-    TrafficClass,
-    TrafficSpec,
-    covering_entry_time,
-    max_covering_periods,
-)
+from .traffic import covering_entry_time, max_covering_periods
 
 
 @dataclass(frozen=True)
@@ -241,6 +238,7 @@ def run_sweep(sw: SweepConfig, seed: int) -> SweepResult:
     for _ in range(n_cols):
         sob = qmc.Sobol(d=2 * n_max, scramble=True, seed=rng)
         pools.append(sob.random_base2(max(1, int(np.ceil(np.log2(sw.n_windows))))))
+    n_samples = int(round((window[1] - window[0]) * sw.sample_rate_hz))
     thc = np.empty((n_thetas, n_cols, sw.n_windows))
     for w in range(sw.n_windows):
         for j, col in enumerate(sw.columns):
@@ -248,66 +246,38 @@ def run_sweep(sw: SweepConfig, seed: int) -> SweepResult:
             u_phase = pools[j][w, :n_max]
             u_demand = pools[j][w, n_max:]
             u_k = rng.random(n_max)
-            for i, theta in enumerate(sw.thetas):
-                n = int(counts[i, j])
-                n_trucks = int(schedules[i, j, w])
-                evs = []
-                for s in range(n_trucks):
-                    k = int(u_k[s] * (k_truck + 1))
-                    entry = covering_entry_time(
-                        cfg, sw.truck_speed_mps, window, u_phase[s], k
-                    )
-                    evs.append(
-                        EvParams(
-                            sw.truck_rx_len_m,
-                            truck_demand,
-                            sw.truck_speed_mps,
-                            entry,
-                            "truck",
-                        )
-                    )
-                for s in range(n_max - (n - n_trucks), n_max):
-                    k = int(u_k[s] * (k_sedan + 1))
-                    entry = covering_entry_time(
-                        cfg, sw.sedan_speed_mps, window, u_phase[s], k
-                    )
-                    evs.append(
-                        EvParams(
-                            col.rx_len_m,
-                            lo + (hi - lo) * u_demand[s],
-                            sw.sedan_speed_mps,
-                            entry,
-                            "sedan",
-                        )
-                    )
-                spec = TrafficSpec(
-                    rate_evps=n / window[1],
-                    duration_s=window[1],
-                    classes=(
-                        TrafficClass(
-                            sw.truck_rx_len_m,
-                            theta,
-                            sw.truck_speed_mps,
-                            MaxDemand(),
-                            "truck",
-                        ),
-                        TrafficClass(
-                            col.rx_len_m,
-                            1.0 - theta,
-                            sw.sedan_speed_mps,
-                            col.demand_dist,
-                            "sedan",
-                        ),
-                    ),
+            n_trucks = schedules[:, j, w]
+            n_sedans = counts[:, j] - n_trucks
+            # Row i holds truck slots [0, n_trucks[i]) and sedan slots
+            # [n_max - n_sedans[i], n_max): each slot's waveform is sampled
+            # once and added to every row that holds it, trucks first, each
+            # kind in slot order, as a per-row sum would add them.
+            slots = []
+            for s in range(int(n_trucks.max())):
+                k = int(u_k[s] * (k_truck + 1))
+                entry = covering_entry_time(
+                    cfg, sw.truck_speed_mps, window, u_phase[s], k
                 )
-                scenario = Scenario(
-                    cfg=cfg,
-                    evs=tuple(evs),
-                    duration_s=window[1],
-                    seed=seed,
-                    provenance=Synthetic(spec),
+                ev = EvParams(
+                    sw.truck_rx_len_m, truck_demand, sw.truck_speed_mps, entry, "truck"
                 )
-                series = synthesize(scenario, sw.sample_rate_hz, window=window)
+                slots.append((ev, np.flatnonzero(n_trucks > s)))
+            for s in range(n_max - int(n_sedans.max()), n_max):
+                k = int(u_k[s] * (k_sedan + 1))
+                entry = covering_entry_time(
+                    cfg, sw.sedan_speed_mps, window, u_phase[s], k
+                )
+                demand = lo + (hi - lo) * u_demand[s]
+                ev = EvParams(col.rx_len_m, demand, sw.sedan_speed_mps, entry, "sedan")
+                slots.append((ev, np.flatnonzero(n_sedans >= n_max - s)))
+            rows = np.zeros((n_thetas, n_samples))
+            for ev, holders in slots:
+                blocks = _vehicle_blocks(cfg, ev, window, sw.sample_rate_hz, n_samples)
+                for a, b, load in blocks:
+                    for i in holders:
+                        rows[i, a:b] += load
+            for i in range(n_thetas):
+                series = LoadSeries(rows[i], sw.sample_rate_hz, t0)
                 thc[i, j, w] = empirical_thc(series, [f_truck, f_sedan], sw.m_max)
     return SweepResult(
         thetas=sw.thetas,

@@ -179,7 +179,7 @@ def _pulse_samples(
 ) -> np.ndarray:
     """Clipped-trapezoid pulse evaluated at positions within one period.
 
-    ``xm`` must lie in [0, period).  The overlap ramps up from the coil
+    ``xm`` must lie in [0, period].  The overlap ramps up from the coil
     start and down to the end of the span ``tx_len + rx_len``; it never
     falls below the minimum overlap ``rx_len - gap`` (zero for receivers
     not longer than the gap) and the converter caps it at the demand.  A
@@ -218,12 +218,15 @@ def load_at_position(cfg: ErConfig, ev: EvParams, scheme: ControlScheme, x) -> n
     """Load drawn when the receiver front edge is at roadway position ``x``.
 
     Zero outside the energized span [0, n_coils * period).  Positions are
-    relative to the vehicle's segment entry point.
+    relative to the vehicle's segment entry point.  The in-period position
+    comes from the phase in periods and may round up to a whole period,
+    where the continuous, periodic pulse takes its value at 0.
     """
     ev.validate_against(cfg)
     xa = np.asarray(x, dtype=float)
     on = (xa >= 0) & (xa < cfg.energized_len_m)
-    xm = np.where(on, np.mod(xa, cfg.period_m), 0.0)
+    u = xa / cfg.period_m
+    xm = (u - np.floor(u)) * cfg.period_m
     if isinstance(scheme, Scaling):
         vals = scheme.scale_factor * _pulse_samples(
             cfg, ev.rx_len_m, ev.max_demand_kw(cfg), xm

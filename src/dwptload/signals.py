@@ -14,13 +14,13 @@ periodic waveform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 from scipy import signal as sps
 
 from .fleet import FleetModel, demand_bounds
-from .roadway import Clipping, ErConfig, load_at_time
+from .roadway import Clipping, ErConfig, EvParams, load_at_time
 from .spectrum import fs_harmonic_grid
 from .traffic import Scenario
 
@@ -54,6 +54,31 @@ class LoadSeries:
         return float(np.mean(self.samples_kw)) if self.n_samples else 0.0
 
 
+#: Samples per pulse evaluation: the temporaries of one block stay in cache.
+_BLOCK = 8192
+
+
+def _vehicle_blocks(
+    cfg: ErConfig,
+    ev: EvParams,
+    window: tuple[float, float],
+    sample_rate_hz: float,
+    n: int,
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield ``(a, b, load)``: one vehicle's load at samples ``a`` to ``b - 1``
+    of the ``n``-sample grid of ``window``, in blocks of at most ``_BLOCK``
+    samples over its on-segment span (plus one sample either side)."""
+    t0, t1 = window
+    exit_time = ev.entry_time_s + ev.dwell_s(cfg)
+    if exit_time <= t0 or ev.entry_time_s >= t1:
+        return
+    i0 = max(0, int(np.ceil((ev.entry_time_s - t0) * sample_rate_hz)) - 1)
+    i1 = min(n, int(np.floor((exit_time - t0) * sample_rate_hz)) + 2)
+    for a in range(i0, i1, _BLOCK):
+        b = min(a + _BLOCK, i1)
+        yield a, b, load_at_time(cfg, ev, Clipping(), t0 + np.arange(a, b) / sample_rate_hz)
+
+
 def synthesize(
     scenario: Scenario,
     sample_rate_hz: float = 1000.0,
@@ -64,7 +89,10 @@ def synthesize(
     The window defaults to the whole scenario horizon.  Choose a sample
     rate comfortably above twice the highest harmonic you intend to read
     off the result; the clipped waveforms have spectral content rolling
-    off only quadratically.
+    off only quadratically.  Each vehicle is evaluated over its
+    on-segment span only, in blocks of a fixed number of samples, so the
+    memory a vehicle needs beyond the output array is bounded by the
+    block, however long the window.
     """
     if window is None:
         window = (0.0, scenario.duration_s)
@@ -73,14 +101,9 @@ def synthesize(
         raise ValueError(f"bad window {window}")
     n = int(round((t1 - t0) * sample_rate_hz))
     total = np.zeros(n)
-    times = t0 + np.arange(n) / sample_rate_hz
     for ev in scenario.evs:
-        exit_time = ev.entry_time_s + ev.dwell_s(scenario.cfg)
-        if exit_time <= t0 or ev.entry_time_s >= t1:
-            continue
-        i0 = max(0, int(np.ceil((ev.entry_time_s - t0) * sample_rate_hz)) - 1)
-        i1 = min(n, int(np.floor((exit_time - t0) * sample_rate_hz)) + 2)
-        total[i0:i1] += load_at_time(scenario.cfg, ev, Clipping(), times[i0:i1])
+        for a, b, load in _vehicle_blocks(scenario.cfg, ev, window, sample_rate_hz, n):
+            total[a:b] += load
     return LoadSeries(samples_kw=total, sample_rate_hz=sample_rate_hz, t0_s=t0)
 
 

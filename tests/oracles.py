@@ -2,20 +2,40 @@
 
 Everything here recomputes quantities from first principles -- geometric
 coil overlap, composite quadrature, exact piecewise integration -- or by
-the slower formulations the package used before its closed forms: the
-pulse by branch selection, uniform-demand moments by adaptive
-quadrature, and coil-start-phase coefficients by the DFT of a densely
-sampled period.  The closed forms in the package are thus checked against
-a second, structurally different derivation rather than against
-themselves.
+the slower formulations the package used before: the pulse by branch
+selection, uniform-demand moments by adaptive quadrature,
+coil-start-phase coefficients by the DFT of a densely sampled period,
+synthesis by one ``np.mod`` pulse call per vehicle over its whole span,
+and the composition sweep by one scenario per row.  The package is thus
+checked against a second, structurally different derivation rather
+than against itself.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import integrate
+from scipy.stats import qmc
 
-from dwptload import ErConfig, EvParams, coil_pulse, constant_regime, fs_harmonic
+from dwptload import (
+    ErConfig,
+    EvParams,
+    LoadSeries,
+    MaxDemand,
+    Scenario,
+    SweepConfig,
+    Synthetic,
+    TrafficClass,
+    TrafficSpec,
+    coil_pulse,
+    constant_regime,
+    demand_bounds,
+    empirical_thc,
+    fs_harmonic,
+)
+from dwptload.composition import matched_counts, truck_count_schedules
+from dwptload.roadway import _pulse_samples
+from dwptload.traffic import covering_entry_time, max_covering_periods
 
 
 def pulse_kinks(cfg: ErConfig, ev: EvParams) -> np.ndarray:
@@ -199,3 +219,105 @@ def period_coefficients_fft(
     ev = EvParams(rx_len_m=rx_len_m, peak_demand_kw=demand_kw, speed_mps=1.0)
     x = np.arange(n_samples) * (cfg.period_m / n_samples)
     return np.fft.rfft(select_pulse(cfg, ev, x))[: m_max + 1] / n_samples
+
+
+def mod_load_at_time(cfg: ErConfig, ev: EvParams, t: np.ndarray) -> np.ndarray:
+    """Clipping load at times ``t``, with the in-period position taken by
+    the float ``np.mod`` of the position, as the package once did."""
+    ev.validate_against(cfg)
+    x = ev.speed_mps * (np.asarray(t, dtype=float) - ev.entry_time_s)
+    on = (x >= 0) & (x < cfg.energized_len_m)
+    xm = np.where(on, np.mod(x, cfg.period_m), 0.0)
+    return np.where(on, _pulse_samples(cfg, ev.rx_len_m, ev.peak_demand_kw, xm), 0.0)
+
+
+def unblocked_synthesize(
+    scenario: Scenario, sample_rate_hz: float, window: tuple[float, float]
+) -> LoadSeries:
+    """Total load with each vehicle's whole span sampled in one call, on a
+    full-length time array, by :func:`mod_load_at_time`."""
+    t0, t1 = window
+    n = int(round((t1 - t0) * sample_rate_hz))
+    total = np.zeros(n)
+    times = t0 + np.arange(n) / sample_rate_hz
+    for ev in scenario.evs:
+        exit_time = ev.entry_time_s + ev.dwell_s(scenario.cfg)
+        if exit_time <= t0 or ev.entry_time_s >= t1:
+            continue
+        i0 = max(0, int(np.ceil((ev.entry_time_s - t0) * sample_rate_hz)) - 1)
+        i1 = min(n, int(np.floor((exit_time - t0) * sample_rate_hz)) + 2)
+        total[i0:i1] += mod_load_at_time(scenario.cfg, ev, times[i0:i1])
+    return LoadSeries(samples_kw=total, sample_rate_hz=sample_rate_hz, t0_s=t0)
+
+
+def per_row_sweep(sw: SweepConfig, seed: int) -> np.ndarray:
+    """Per-window THC of every sweep cell, (n_thetas, n_cols, n_windows),
+    with every row built as its own validated ``Scenario`` and synthesized
+    by :func:`unblocked_synthesize`.  Draws the same random numbers in the
+    same order as :func:`dwptload.run_sweep`."""
+    cfg = sw.cfg
+    alpha = cfg.power_density_kw_per_m
+    t0 = sw.window_start_s
+    window = (t0, t0 + sw.window_s)
+    f_truck = sw.truck_speed_mps / cfg.period_m
+    f_sedan = sw.sedan_speed_mps / cfg.period_m
+    k_truck = max_covering_periods(cfg, sw.truck_speed_mps, window)
+    k_sedan = max_covering_periods(cfg, sw.sedan_speed_mps, window)
+    truck_demand = alpha * sw.truck_rx_len_m
+
+    n_thetas = len(sw.thetas)
+    n_cols = len(sw.columns)
+    counts = np.array([matched_counts(sw, c) for c in sw.columns]).T
+    n_max = int(counts.max())
+    schedules = np.empty((n_thetas, n_cols, sw.n_windows), dtype=int)
+    for j in range(n_cols):
+        schedules[:, j, :] = truck_count_schedules(sw.thetas, counts[:, j], sw.n_windows)
+    bounds = [demand_bounds(c.demand_dist, cfg, c.rx_len_m) for c in sw.columns]
+
+    rng = np.random.default_rng(seed)
+    pools = []
+    for _ in range(n_cols):
+        sob = qmc.Sobol(d=2 * n_max, scramble=True, seed=rng)
+        pools.append(sob.random_base2(max(1, int(np.ceil(np.log2(sw.n_windows))))))
+    thc = np.empty((n_thetas, n_cols, sw.n_windows))
+    for w in range(sw.n_windows):
+        for j, col in enumerate(sw.columns):
+            lo, hi = bounds[j]
+            u_phase = pools[j][w, :n_max]
+            u_demand = pools[j][w, n_max:]
+            u_k = rng.random(n_max)
+            for i, theta in enumerate(sw.thetas):
+                n = int(counts[i, j])
+                n_trucks = int(schedules[i, j, w])
+                evs = []
+                for s in range(n_trucks):
+                    k = int(u_k[s] * (k_truck + 1))
+                    entry = covering_entry_time(
+                        cfg, sw.truck_speed_mps, window, u_phase[s], k
+                    )
+                    evs.append(
+                        EvParams(sw.truck_rx_len_m, truck_demand, sw.truck_speed_mps, entry)
+                    )
+                for s in range(n_max - (n - n_trucks), n_max):
+                    k = int(u_k[s] * (k_sedan + 1))
+                    entry = covering_entry_time(
+                        cfg, sw.sedan_speed_mps, window, u_phase[s], k
+                    )
+                    demand = lo + (hi - lo) * u_demand[s]
+                    evs.append(EvParams(col.rx_len_m, demand, sw.sedan_speed_mps, entry))
+                spec = TrafficSpec(
+                    rate_evps=n / window[1],
+                    duration_s=window[1],
+                    classes=(
+                        TrafficClass(
+                            sw.truck_rx_len_m, theta, sw.truck_speed_mps, MaxDemand()
+                        ),
+                        TrafficClass(
+                            col.rx_len_m, 1.0 - theta, sw.sedan_speed_mps, col.demand_dist
+                        ),
+                    ),
+                )
+                scenario = Scenario(cfg, tuple(evs), window[1], seed, Synthetic(spec))
+                series = unblocked_synthesize(scenario, sw.sample_rate_hz, window)
+                thc[i, j, w] = empirical_thc(series, [f_truck, f_sedan], sw.m_max)
+    return thc

@@ -165,6 +165,16 @@ def test_exit_codes(tmp_path):
     assert main(["ingest", "--out", str(tmp_path), str(bad_csv)]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("command", ["simulate", "psd"])
+def test_traffic_duration_must_equal_run_duration(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, {"duration_s": 30.0, **one_class()})
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "traffic.duration_s (10.0)" in err
+    assert "duration_s (30.0)" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_version_runs_as_module():
     # The child does not inherit pytest's `pythonpath`: hand it the directory
     # the package was imported from.

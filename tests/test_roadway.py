@@ -235,6 +235,24 @@ def test_load_zero_outside_energized_span():
         assert load_at_position(INDOT, vehicle, Clipping(), x) == 0.0
 
 
+@pytest.mark.parametrize("scheme", [Clipping(), Scaling(0.6)])
+@pytest.mark.parametrize("rx", [0.5, 1.83])  # shorter / longer than the gap
+def test_load_at_period_and_span_edges(scheme, rx):
+    vehicle = ev(rx, 0.9 * ALPHA * rx)
+    at_start = load_at_position(INDOT, vehicle, scheme, 0.0)
+    # Every whole period k*D and one ulp either side: the phase in periods
+    # may round to 0 or to 1 there, and both must give the start value.
+    kd = np.arange(1, INDOT.n_coils) * INDOT.period_m
+    for x in (np.nextafter(kd, -np.inf), kd, np.nextafter(kd, np.inf)):
+        got = load_at_position(INDOT, vehicle, scheme, x)
+        np.testing.assert_allclose(got, at_start, rtol=0, atol=1e-9 * ALPHA * rx)
+    end = INDOT.energized_len_m
+    last = load_at_position(INDOT, vehicle, scheme, np.nextafter(end, -np.inf))
+    assert last == pytest.approx(at_start, rel=0, abs=1e-9 * ALPHA * rx)
+    for x in (end, np.nextafter(end, np.inf), end + INDOT.period_m):
+        assert load_at_position(INDOT, vehicle, scheme, x) == 0.0
+
+
 def test_load_is_periodic_along_the_array():
     vehicle = max_ev(1.83)
     x = np.linspace(0.0, (INDOT.n_coils - 1) * INDOT.period_m, 4001, endpoint=False)
