@@ -243,22 +243,32 @@ def harmonic_line_powers(
     projecting, which suppresses spectral leakage from the DC term and
     from the line itself.
     """
+    return _line_powers(series.samples_kw, series.sample_rate_hz, fundamental_hz, m_max)
+
+
+def _line_powers(
+    rows: np.ndarray, sample_rate_hz: float, fundamental_hz: float, m_max: int
+) -> np.ndarray:
+    """:func:`harmonic_line_powers` of each series along the last axis of
+    ``rows``, all sampled at ``sample_rate_hz`` from one start time: the
+    powers have shape ``rows.shape[:-1] + (m_max,)``, and the exponential
+    is built once for all of them."""
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
-    fs = series.sample_rate_hz
-    n = series.n_samples
+    fs = sample_rate_hz
+    n = rows.shape[-1]
     n_cycles = int(np.floor(n / fs * fundamental_hz + 1e-12))
     if n_cycles < 1:
         raise ValueError("series shorter than one fundamental period")
     n_trim = min(n, int(round(n_cycles / fundamental_hz * fs)))
     t = np.arange(n_trim) / fs
-    x = series.samples_kw[:n_trim]
+    x = rows[..., :n_trim]
     z = np.exp(-2j * np.pi * fundamental_hz * t)
-    powers = np.empty(m_max)
+    powers = np.empty(rows.shape[:-1] + (m_max,))
     zm = np.ones_like(z)
     for i in range(m_max):
         zm = zm * z
-        powers[i] = np.abs(np.mean(x * zm)) ** 2
+        powers[..., i] = np.abs(np.mean(x * zm, axis=-1)) ** 2
     return powers
 
 
@@ -331,7 +341,15 @@ def monte_carlo_psd(
     coefficient sum c_m = sum_n c_{m,n} e^{-2pi i m u_n}, and averages
     |c_m|^2 across trials.  Point-demand classes use the coil-start-phase
     coefficients of :func:`period_coefficients`; continuous-demand classes
-    evaluate the closed form at the sampled demands.
+    evaluate the real closed form of :func:`fs_harmonic_grid` at the
+    sampled demands, without the coil-start phase shift.
+
+    Trials are drawn in chunks of ``4_000_000 // (n_evs (m_max + 1))``.
+    Each chunk draws, in this order, the classes of all its vehicles, their
+    phases ``u``, then the demands of each present continuous class in
+    class order.  The harmonics are then taken one at a time, with
+    ``e^{-2pi i m u}`` carried as a running product of ``e^{-2pi i u}``, so
+    every work array is ``(chunk, n_evs)``: none has a harmonic axis.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
@@ -342,32 +360,45 @@ def monte_carlo_psd(
     n = model.n_evs
     g_count = len(model.classes)
     probs = np.array([c.prob for c in model.classes])
-    m = np.arange(m_max + 1)
+    bounds = [demand_bounds(c.demand_dist, cfg, c.rx_len_m) for c in model.classes]
+    # Coil-start-phase coefficients of each point-demand class, c_0..c_m_max.
+    point = [
+        period_coefficients(cfg, c.rx_len_m, hi, m_max) if hi == lo else None
+        for c, (lo, hi) in zip(model.classes, bounds)
+    ]
 
-    # Chunk over trials to keep the (trials, n_evs, m) work arrays modest.
     chunk = max(1, min(trials, 4_000_000 // (n * (m_max + 1))))
     p_sum = np.zeros(m_max + 1)
     p_sumsq = np.zeros(m_max + 1)
     done = 0
     while done < trials:
         t_here = min(chunk, trials - done)
-        cls = rng.choice(g_count, p=probs, size=(t_here, n))
+        cls = rng.choice(g_count, p=probs, size=(t_here, n)).ravel()
         u = rng.random((t_here, n))
-        coeff = np.zeros((t_here, n, m_max + 1), dtype=complex)
-        for g, c in enumerate(model.classes):
-            mask = cls == g
-            if not mask.any():
+        members = []  # (class, flat indices into the chunk, demands or None)
+        for g in range(g_count):
+            idx = np.flatnonzero(cls == g)
+            if not idx.size:
                 continue
-            lo, hi = demand_bounds(c.demand_dist, cfg, c.rx_len_m)
-            if hi == lo:
-                coeff[mask] = period_coefficients(cfg, c.rx_len_m, hi, m_max)
-            else:
-                demands = rng.uniform(lo, hi, size=int(mask.sum()))
-                coeff[mask] = fs_harmonic_grid(cfg, c.rx_len_m, demands, m)
-        agg = np.sum(coeff * np.exp(-2j * np.pi * u[:, :, None] * m), axis=1)
-        power = np.abs(agg) ** 2
-        p_sum += power.sum(axis=0)
-        p_sumsq += (power * power).sum(axis=0)
+            lo, hi = bounds[g]
+            demands = None if point[g] is not None else rng.uniform(lo, hi, size=idx.size)
+            members.append((g, idx, demands))
+        z = np.exp(-2j * np.pi * u)
+        zk = np.ones_like(z)
+        coeff = np.empty(t_here * n, dtype=complex)
+        for k in range(m_max + 1):
+            for g, idx, demands in members:
+                if demands is None:
+                    coeff[idx] = point[g][k]
+                else:
+                    coeff[idx] = fs_harmonic_grid(
+                        cfg, model.classes[g].rx_len_m, demands, k
+                    )
+            agg = np.sum(coeff.reshape(t_here, n) * zk, axis=1)
+            power = np.abs(agg) ** 2
+            p_sum[k] += power.sum()
+            p_sumsq[k] += (power * power).sum()
+            zk *= z
         done += t_here
     mean = p_sum / trials
     var = np.maximum(p_sumsq - trials * mean * mean, 0.0) / (trials - 1)

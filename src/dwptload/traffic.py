@@ -105,16 +105,23 @@ class Scenario:
 def generate(cfg: ErConfig, spec: TrafficSpec, seed: int) -> Scenario:
     """Homogeneous-Poisson scenario: exponential gaps, class by probability,
     speed by class, demand by the class distribution.  Same seed, same
-    scenario."""
+    scenario.
+
+    The class is the first index whose normalized cumulative probability
+    exceeds one ``rng.random()`` draw.  That is what
+    ``rng.choice(len(classes), p=probs)`` computes for one draw, so the
+    stream is the same, without ``choice``'s per-call argument checks.
+    """
     rng = np.random.default_rng(seed)
-    probs = np.array([c.prob for c in spec.classes])
+    cdf = np.cumsum([c.prob for c in spec.classes])
+    cdf /= cdf[-1]
     evs: list[EvParams] = []
     t = 0.0
     while spec.rate_evps > 0:
         t += rng.exponential(1.0 / spec.rate_evps)
         if t >= spec.duration_s:
             break
-        k = int(rng.choice(len(spec.classes), p=probs))
+        k = int(cdf.searchsorted(rng.random(), side="right"))
         c = spec.classes[k]
         demand = sample_demand(c.demand_dist, rng, cfg, c.rx_len_m)
         evs.append(

@@ -6,9 +6,10 @@ the slower formulations the package used before: the pulse by branch
 selection, uniform-demand moments by adaptive quadrature,
 coil-start-phase coefficients by the DFT of a densely sampled period,
 synthesis by one ``np.mod`` pulse call per vehicle over its whole span,
-and the composition sweep by one scenario per row.  The package is thus
-checked against a second, structurally different derivation rather
-than against itself.
+the composition sweep by one scenario per row, the Monte Carlo ensemble
+on dense (trials, vehicles, harmonics) arrays, and traffic classes by
+``Generator.choice``.  The package is thus checked against a second,
+structurally different derivation rather than against itself.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ from scipy import integrate
 from scipy.stats import qmc
 
 from dwptload import (
+    EnsemblePsd,
     ErConfig,
     EvParams,
+    FleetModel,
     LoadSeries,
     MaxDemand,
     Scenario,
@@ -32,6 +35,9 @@ from dwptload import (
     demand_bounds,
     empirical_thc,
     fs_harmonic,
+    fs_harmonic_grid,
+    period_coefficients,
+    sample_demand,
 )
 from dwptload.composition import matched_counts, truck_count_schedules
 from dwptload.roadway import _pulse_samples
@@ -321,3 +327,62 @@ def per_row_sweep(sw: SweepConfig, seed: int) -> np.ndarray:
                 series = unblocked_synthesize(scenario, sw.sample_rate_hz, window)
                 thc[i, j, w] = empirical_thc(series, [f_truck, f_sedan], sw.m_max)
     return thc
+
+
+def dense_monte_carlo_psd(
+    model: FleetModel, trials: int, seed: int, m_max: int = 5
+) -> EnsemblePsd:
+    """Monte Carlo line powers from a (trials, vehicles, harmonics) array of
+    coefficients per draw chunk, with every ``e^{-2pi i m u}`` computed
+    directly.  Draws the same random numbers in the same order as
+    :func:`dwptload.monte_carlo_psd`."""
+    rng = np.random.default_rng(seed)
+    cfg = model.cfg
+    n = model.n_evs
+    g_count = len(model.classes)
+    probs = np.array([c.prob for c in model.classes])
+    m = np.arange(m_max + 1)
+    chunk = max(1, min(trials, 4_000_000 // (n * (m_max + 1))))
+    p_sum = np.zeros(m_max + 1)
+    p_sumsq = np.zeros(m_max + 1)
+    done = 0
+    while done < trials:
+        t_here = min(chunk, trials - done)
+        cls = rng.choice(g_count, p=probs, size=(t_here, n))
+        u = rng.random((t_here, n))
+        coeff = np.zeros((t_here, n, m_max + 1), dtype=complex)
+        for g, c in enumerate(model.classes):
+            mask = cls == g
+            if not mask.any():
+                continue
+            lo, hi = demand_bounds(c.demand_dist, cfg, c.rx_len_m)
+            if hi == lo:
+                coeff[mask] = period_coefficients(cfg, c.rx_len_m, hi, m_max)
+            else:
+                demands = rng.uniform(lo, hi, size=int(mask.sum()))
+                coeff[mask] = fs_harmonic_grid(cfg, c.rx_len_m, demands, m)
+        agg = np.sum(coeff * np.exp(-2j * np.pi * u[:, :, None] * m), axis=1)
+        power = np.abs(agg) ** 2
+        p_sum += power.sum(axis=0)
+        p_sumsq += (power * power).sum(axis=0)
+        done += t_here
+    mean = p_sum / trials
+    var = np.maximum(p_sumsq - trials * mean * mean, 0.0) / (trials - 1)
+    return EnsemblePsd(mean, np.sqrt(var / trials), model.fundamental_hz, trials)
+
+
+def choice_generate(cfg: ErConfig, spec: TrafficSpec, seed: int) -> tuple[EvParams, ...]:
+    """Vehicles of :func:`dwptload.generate`, with each class drawn by
+    ``Generator.choice``."""
+    rng = np.random.default_rng(seed)
+    probs = np.array([c.prob for c in spec.classes])
+    evs: list[EvParams] = []
+    t = 0.0
+    while spec.rate_evps > 0:
+        t += rng.exponential(1.0 / spec.rate_evps)
+        if t >= spec.duration_s:
+            break
+        c = spec.classes[int(rng.choice(len(spec.classes), p=probs))]
+        demand = sample_demand(c.demand_dist, rng, cfg, c.rx_len_m)
+        evs.append(EvParams(c.rx_len_m, demand, c.speed_mps, t, c.class_id))
+    return tuple(evs)

@@ -1,0 +1,180 @@
+"""The per-harmonic Monte Carlo ensemble and the class draw of ``generate``
+against their oracles, and the ensemble against the analytic spectrum.
+
+``monte_carlo_psd`` takes the harmonics one at a time on (chunk,
+vehicles) arrays and ``generate`` draws each class by searching the
+cumulative class probabilities; ``tests/oracles.py`` keeps the dense
+(chunk, vehicles, harmonics) ensemble and the ``Generator.choice`` draw
+they replaced.  On generated fleets and traffic the two routes must draw
+the same numbers and agree to rounding, and the ensemble's lines must
+sit within a few standard errors of ``analytic_psd``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dwptload import (
+    INDOT,
+    ErConfig,
+    EvClass,
+    FleetModel,
+    MaxDemand,
+    TrafficClass,
+    TrafficSpec,
+    UniformExplicit,
+    UniformOnRange,
+    analytic_psd,
+    demand_bounds,
+    generate,
+    mixture_moments,
+    monte_carlo_psd,
+)
+from oracles import choice_generate, dense_monte_carlo_psd
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def geometries(draw) -> ErConfig:
+    """The test track, or a coil array with any duty cycle."""
+    if draw(st.booleans()):
+        return INDOT
+    tx = draw(st.floats(0.5, 5.0))
+    gap = draw(st.floats(0.1, 3.0))
+    alpha = draw(st.floats(10.0, 300.0))
+    return ErConfig(tx, gap, alpha, segment_len_m=100.0 * (tx + gap))
+
+
+@st.composite
+def demand_classes(draw, cfg: ErConfig):
+    """(rx_len_m, demand) with a receiver from well below the gap up to
+    just under the coil, and a full, ranged, explicit or point demand."""
+    rx = cfg.tx_len_m * draw(st.floats(0.01, 0.995))
+    full = cfg.power_density_kw_per_m * rx
+    kind = draw(st.sampled_from(["max", "range", "explicit", "point"]))
+    if kind == "max":
+        return rx, MaxDemand()
+    if kind == "range":
+        return rx, UniformOnRange()
+    if kind == "point":
+        level = full * draw(UNIT)
+        return rx, UniformExplicit(level, level)
+    lo, hi = sorted((full * draw(UNIT), full * draw(UNIT)))
+    return rx, UniformExplicit(lo, hi)
+
+
+def class_probs(draw, n: int) -> list[float]:
+    """``n`` probabilities summing to one; some may be exactly zero, the
+    rest are at least a few percent, so every present class is drawn
+    often enough for the ensemble's normal approximation."""
+    weights = draw(
+        st.lists(st.just(0.0) | st.floats(0.2, 1.0), min_size=n, max_size=n).filter(
+            lambda w: sum(w) > 0
+        )
+    )
+    total = sum(weights)
+    return [w / total for w in weights]
+
+
+@st.composite
+def fleets(draw, max_evs: int = 60) -> FleetModel:
+    cfg = draw(geometries())
+    n = draw(st.integers(1, 4))
+    kinds = [draw(demand_classes(cfg)) for _ in range(n)]
+    probs = class_probs(draw, n)
+    classes = tuple(EvClass(rx, p, d) for (rx, d), p in zip(kinds, probs))
+    return FleetModel(cfg, classes, draw(st.integers(1, max_evs)), 24.6)
+
+
+#: Four classes: a short receiver (below INDOT's 0.91 m gap) with ranged
+#: demand, an absent class, a point-demand explicit interval and a full
+#: truck.  2000 vehicles at m_max = 19 give draw chunks of 100 trials, so
+#: 250 trials take two whole chunks and a remainder.
+CHUNKED = FleetModel(
+    INDOT,
+    (
+        EvClass(0.6, 0.3, UniformOnRange()),
+        EvClass(1.2, 0.0, UniformOnRange()),
+        EvClass(1.5, 0.3, UniformExplicit(90.0, 90.0)),
+        EvClass(1.83, 0.4, MaxDemand()),
+    ),
+    2000,
+    24.6,
+)
+
+
+def assert_ensembles_agree(got, want) -> None:
+    np.testing.assert_allclose(got.line_powers_kw2, want.line_powers_kw2, rtol=1e-10, atol=0)
+    # The variance is a difference of two sums of ~trials * line^2, so it
+    # carries a rounding error of a few eps * line^2 whatever its size: a
+    # deterministic line's standard error is rounding noise on both routes.
+    var_got = got.stderr_kw2**2 * got.trials
+    var_want = want.stderr_kw2**2 * want.trials
+    floor = 64 * np.finfo(float).eps * want.line_powers_kw2**2
+    assert np.all(np.abs(var_got - var_want) <= 2e-10 * var_want + floor)
+    assert got.trials == want.trials
+    assert got.fundamental_hz == want.fundamental_hz
+
+
+@SETTINGS
+@given(
+    model=fleets(),
+    trials=st.integers(100, 300),
+    seed=st.integers(0, 2**32 - 1),
+    m_max=st.integers(0, 20),
+)
+@example(model=CHUNKED, trials=250, seed=7, m_max=19)
+def test_monte_carlo_matches_dense_oracle(model, trials, seed, m_max):
+    assert_ensembles_agree(
+        monte_carlo_psd(model, trials, seed, m_max),
+        dense_monte_carlo_psd(model, trials, seed, m_max),
+    )
+
+
+@st.composite
+def traffic_specs(draw) -> tuple[ErConfig, TrafficSpec]:
+    cfg = draw(geometries())
+    n = draw(st.integers(1, 4))
+    kinds = [draw(demand_classes(cfg)) for _ in range(n)]
+    probs = class_probs(draw, n)
+    classes = tuple(
+        TrafficClass(rx, p, draw(st.floats(5.0, 40.0)), d, f"c{i}")
+        for i, ((rx, d), p) in enumerate(zip(kinds, probs))
+    )
+    return cfg, TrafficSpec(draw(st.floats(0.0, 20.0)), draw(st.floats(1.0, 200.0)), classes)
+
+
+@SETTINGS
+@given(case=traffic_specs(), seed=st.integers(0, 2**32 - 1))
+def test_generate_matches_choice_oracle(case, seed):
+    cfg, spec = case
+    assert generate(cfg, spec, seed).evs == choice_generate(cfg, spec, seed)
+
+
+@SETTINGS
+@given(model=fleets(max_evs=50), seed=st.integers(0, 2**32 - 1), m_max=st.integers(1, 10))
+def test_monte_carlo_lines_match_analytic(model, seed, m_max):
+    trials = 2000
+    mc = monte_carlo_psd(model, trials, seed, m_max)
+    ana = analytic_psd(model, m_max)
+    lines, se = mc.line_powers_kw2, mc.stderr_kw2
+    # A line of identical trials (one point-demand vehicle) has a standard
+    # error of rounding noise; its deviation is rounding too.
+    want = np.asarray(ana.harmonic_powers)
+    assert np.all(np.abs(lines[1:] - want) <= 4.5 * se[1:] + 1e-9 * want)
+    # E|sum_n c_0n|^2 = N E[c_0^2] + N (N - 1) E[c_0]^2; analytic_psd's DC
+    # line (N E[c_0])^2 leaves out the class and demand variance, which a
+    # fleet of one point-demand class does not have.
+    e0, e00 = mixture_moments(model, 0)
+    n = model.n_evs
+    dc = n * e00 + n * (n - 1) * e0 * e0
+    assert abs(lines[0] - dc) <= 4.5 * se[0] + 1e-9 * dc
+    present = [c for c in model.classes if c.prob > 0]
+    lo, hi = demand_bounds(present[0].demand_dist, model.cfg, present[0].rx_len_m)
+    if len(present) == 1 and lo == hi:
+        assert lines[0] == pytest.approx(ana.dc_power_sq, rel=1e-9)
