@@ -46,7 +46,7 @@ from .fleet import (
     demand_bounds,
 )
 from .roadway import ErConfig, EvParams, _require_finite
-from .signals import _line_powers, _vehicle_blocks
+from .signals import _thc, _vehicle_blocks
 from .spectrum import fs_dc
 from .traffic import covering_entry_time, max_covering_periods
 
@@ -276,14 +276,7 @@ def run_sweep(sw: SweepConfig, seed: int) -> SweepResult:
                 for a, b, load in blocks:
                     for i in holders:
                         rows[i, a:b] += load
-            # empirical_thc of every row, with one projection per fundamental.
-            dc = rows.mean(axis=1)
-            if not dc.all():
-                raise ValueError("series has zero mean; THC undefined")
-            total = np.zeros(n_thetas)
-            for f0 in (f_truck, f_sedan):
-                total += _line_powers(rows, sw.sample_rate_hz, f0, sw.m_max).sum(axis=1)
-            thc[:, j, w] = 100.0 * np.sqrt(2.0 * total) / dc
+            thc[:, j, w] = _thc(rows, sw.sample_rate_hz, (f_truck, f_sedan), sw.m_max)
     return SweepResult(
         thetas=sw.thetas,
         columns=sw.columns,
