@@ -383,7 +383,7 @@ def cmd_psd(rc: RunConfig) -> int:
         overlap_frac=rc.overlap_frac,
         window=rc.psd_window,
     )
-    fundamentals = sorted({ev.speed_mps / rc.er.period_m for ev in scenario.evs})
+    fundamentals = sorted(set((scenario.evs.speed_mps / rc.er.period_m).tolist()))
     peaks = detect_peaks(est, fundamentals, rc.harmonics or 5)
     _write_csv(
         out / "psd.csv",

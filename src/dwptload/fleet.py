@@ -18,7 +18,7 @@ from typing import ClassVar, Optional, Sequence, Union
 import numpy as np
 from scipy import optimize
 
-from .roadway import ErConfig, EvParams, _require_finite
+from .roadway import ErConfig, EvParams, _require_class_id, _require_finite
 from .spectrum import fs_dc, fs_harmonic, harmonic_count_for_dc
 
 
@@ -73,7 +73,11 @@ def demand_bounds(dist: DemandDist, cfg: ErConfig, rx_len_m: float) -> tuple[flo
 def sample_demand(
     dist: DemandDist, rng: np.random.Generator, cfg: ErConfig, rx_len_m: float
 ) -> float:
-    lo, hi = demand_bounds(dist, cfg, rx_len_m)
+    return _draw_demand(rng, *demand_bounds(dist, cfg, rx_len_m))
+
+
+def _draw_demand(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """One uniform demand on [lo, hi]; a point support takes no draw."""
     if hi == lo:
         return hi
     return float(rng.uniform(lo, hi))
@@ -92,6 +96,7 @@ class EvClass:
             raise ValueError(f"rx_len_m must be > 0, got {self.rx_len_m}")
         if not 0 <= self.prob <= 1:
             raise ValueError(f"prob must be in [0, 1], got {self.prob}")
+        _require_class_id(self.class_id)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,28 @@ def _require_finite(obj: object, *names: str) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _class_id_ok(class_id: object) -> bool:
+    """A class id is absent, or a non-empty string that a trajectory CSV
+    gives back unchanged: no surrounding whitespace and no line break."""
+    if class_id is None:
+        return True
+    return (
+        isinstance(class_id, str)
+        and class_id != ""
+        and class_id == class_id.strip()
+        and "\n" not in class_id
+        and "\r" not in class_id
+    )
+
+
+def _require_class_id(class_id: object) -> None:
+    if not _class_id_ok(class_id):
+        raise ValueError(
+            "class_id must be a non-empty string without surrounding whitespace "
+            f"or line breaks, got {class_id!r}"
+        )
+
+
 @dataclass(frozen=True)
 class ErConfig:
     """Electrified-roadway segment parameters."""
@@ -105,6 +127,7 @@ class EvParams:
             raise ValueError(f"peak_demand_kw must be >= 0, got {self.peak_demand_kw}")
         if not self.speed_mps > 0:
             raise ValueError(f"speed_mps must be > 0, got {self.speed_mps}")
+        _require_class_id(self.class_id)
 
     def validate_against(self, cfg: ErConfig) -> None:
         """Check the cross-constraints that involve roadway geometry."""

@@ -7,7 +7,11 @@ Run configs and scenario files share one format:
 * a class with a ``kind`` class attribute carries it as a ``"kind"`` key,
   which picks the member when a field's type is a ``Union`` of such
   classes;
-* a ``tuple[X, ...]`` is an array and ``None`` is ``null``.
+* a ``tuple[X, ...]`` is an array and ``None`` is ``null``;
+* a class with a ``row_type`` class attribute is a table held column by
+  column: its document is an array of ``row_type`` objects, ``column(name)``
+  gives the values of one of their fields, and the class is built from
+  one keyword argument per field, each a list of values.
 
 Reading is strict.  Unknown keys, a missing key for a field without a
 default and a value of the wrong JSON type each raise ``ValueError``
@@ -45,7 +49,12 @@ def _fields(cls: type) -> tuple[tuple[str, str, Any, bool], ...]:
 
 
 def to_dict(obj: Any) -> Any:
-    """The JSON document of a dataclass instance, tuple or scalar."""
+    """The JSON document of a dataclass instance, table, tuple or scalar."""
+    if hasattr(obj, "row_type"):
+        fields = _fields(obj.row_type)
+        keys = [key for _, key, _, _ in fields]
+        columns = [obj.column(name) for name, _, _, _ in fields]
+        return [dict(zip(keys, row)) for row in zip(*columns)]
     if dataclasses.is_dataclass(obj):
         doc = {"kind": obj.kind} if hasattr(obj, "kind") else {}
         for name, key, _, _ in _fields(type(obj)):
@@ -78,6 +87,8 @@ def from_dict(cls: Any, doc: Any, where: str) -> Any:
         if not isinstance(doc, list):
             raise ValueError(f"{where}: expected an array, got {doc!r}")
         return tuple(from_dict(args[0], item, f"{where}[{i}]") for i, item in enumerate(doc))
+    if hasattr(cls, "row_type"):
+        return _table(cls, doc, where)
     if dataclasses.is_dataclass(cls):
         return _object(cls, doc, where)
     # bool is a subclass of int, so only a bool field may take true or false.
@@ -87,7 +98,8 @@ def from_dict(cls: Any, doc: Any, where: str) -> Any:
     raise ValueError(f"{where}: expected {_JSON_TYPE[cls]}, got {doc!r}")
 
 
-def _object(cls: type, doc: Any, where: str) -> Any:
+def _kwargs(cls: type, doc: Any, where: str) -> dict:
+    """The constructor arguments of a ``cls`` given by its document."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected an object, got {doc!r}")
     fields = _fields(cls)
@@ -103,7 +115,28 @@ def _object(cls: type, doc: Any, where: str) -> Any:
             kwargs[name] = from_dict(tp, doc[key], f"{where}.{key}")
         elif required:
             raise ValueError(f"{where}: missing key {key!r}")
+    return kwargs
+
+
+def _build(cls: type, kwargs: dict, where: str) -> Any:
     try:
         return cls(**kwargs)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from exc
+
+
+def _object(cls: type, doc: Any, where: str) -> Any:
+    return _build(cls, _kwargs(cls, doc, where), where)
+
+
+def _table(cls: type, doc: Any, where: str) -> Any:
+    """A table from an array of row objects, checked key by key per row and
+    then built, and range-checked, column by column."""
+    if not isinstance(doc, list):
+        raise ValueError(f"{where}: expected an array, got {doc!r}")
+    rows = [_kwargs(cls.row_type, item, f"{where}[{i}]") for i, item in enumerate(doc)]
+    columns = {
+        f.name: [row.get(f.name, f.default) for row in rows]
+        for f in dataclasses.fields(cls.row_type)
+    }
+    return _build(cls, columns, where)

@@ -23,10 +23,11 @@ def fs_harmonic_grid(cfg: ErConfig, rx_len_m: float, demands_kw, m) -> np.ndarra
     With ramp width ``a = p / alpha`` and full width at half plateau
     ``b = tx_len + rx_len - a`` the pulse is a periodized trapezoid, the
     convolution of two rectangles, so
-    ``c_m = (p b / D) sinc(m a / D) sinc(m b / D)``, which for m >= 1 is
-    ``alpha D / (m pi)^2 sin(pi m a / D) sin(pi m b / D)``.  Demands at or
-    below the constant-load threshold yield c_0 = demand and zero
-    harmonics.
+    ``c_m = (p b / D) sinc(m a / D) sinc(m b / D)``, which is evaluated as
+    ``p b / D`` for m = 0 and as
+    ``alpha D / (m pi)^2 sin(pi m a / D) sin(pi m b / D)`` for m >= 1.
+    Demands at or below the constant-load threshold yield c_0 = demand and
+    zero harmonics.
     """
     alpha = cfg.power_density_kw_per_m
     d_per = cfg.period_m
@@ -35,9 +36,16 @@ def fs_harmonic_grid(cfg: ErConfig, rx_len_m: float, demands_kw, m) -> np.ndarra
     p = p.reshape(p.shape + (1,) * ma.ndim)
     a = p / alpha
     b = cfg.tx_len_m + rx_len_m - a
-    out = (p * b / d_per) * np.sinc(ma * a / d_per) * np.sinc(ma * b / d_per)
+    dc = ma == 0
+    envelope = alpha * d_per / (np.pi * np.where(dc, 1.0, ma)) ** 2
+    # The sine arguments round as those of the sinc form, pi * (m a / D),
+    # so the two forms agree to a few ulps even next to a zero of c_m.
+    out = envelope * np.sin(np.pi * (ma * a / d_per))
+    out *= np.sin(np.pi * (ma * b / d_per))
+    if dc.any():
+        out = np.where(dc, p * b / d_per, out)
     flat = p <= alpha * (rx_len_m - cfg.gap_m)
-    return np.where(flat, np.where(ma == 0, p, 0.0), out)
+    return np.where(flat, np.where(dc, p, 0.0), out)
 
 
 def fs_dc(cfg: ErConfig, ev: EvParams) -> float:

@@ -1,25 +1,33 @@
 """Arrival scenarios: synthetic stochastic traffic and trajectory files.
 
-A scenario is a concrete list of vehicles with entry times on a common
+A scenario is a concrete set of vehicles with entry times on a common
 roadway.  Synthetic scenarios draw Poisson arrivals with per-class speeds
 and demands; trajectory files use a small CSV format
 (``entry_time_s,speed_mps,rx_len_m,peak_demand_kw[,class_id]``) so that
 externally simulated traffic can be ingested.
+
+A scenario holds its vehicles in a :class:`VehicleTable`, one column per
+``EvParams`` field.  Generating, writing, ingesting and serializing a
+scenario work on the columns and check them on arrays, so none of them
+builds an ``EvParams`` per vehicle; the table still reads as a sequence
+of ``EvParams``, each built on access.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import json
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import ClassVar, Optional, Sequence, Union
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 
-from .fleet import DEMAND_KEY, DemandDist, sample_demand
-from .roadway import ErConfig, EvParams, _require_finite
+from .fleet import DEMAND_KEY, DemandDist, _draw_demand, demand_bounds, sample_demand
+from .roadway import ErConfig, EvParams, _class_id_ok, _require_class_id, _require_finite
 from .schema import from_dict, to_dict
 
 CSV_FIELDS = ("entry_time_s", "speed_mps", "rx_len_m", "peak_demand_kw")
@@ -43,6 +51,7 @@ class TrafficClass:
             raise ValueError(f"prob must be in [0, 1], got {self.prob}")
         if not self.speed_mps > 0:
             raise ValueError(f"speed_mps must be > 0, got {self.speed_mps}")
+        _require_class_id(self.class_id)
 
 
 @dataclass(frozen=True)
@@ -81,25 +90,170 @@ class IngestedFile:
 Provenance = Union[Synthetic, IngestedFile]
 
 
+#: The columns of a :class:`VehicleTable`, in trajectory-CSV order.
+COLUMNS = CSV_FIELDS + ("class_id",)
+
+
+def _rejected(entry, speed, rx, demand, class_id) -> np.ndarray:
+    """Where ``EvParams.__post_init__`` rejects a vehicle."""
+    ok = np.isfinite(entry) & np.isfinite(speed) & np.isfinite(rx) & np.isfinite(demand)
+    ok &= (rx > 0) & (demand >= 0) & (speed > 0)
+    bad_ids = {c for c in set(class_id) if not _class_id_ok(c)}
+    if bad_ids:
+        ok &= np.array([c not in bad_ids for c in class_id], dtype=bool)
+    return ~ok
+
+
+def _undeliverable(cfg: ErConfig, rx, demand) -> np.ndarray:
+    """Where ``EvParams.validate_against`` rejects a vehicle."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        max_kw = cfg.power_density_kw_per_m * rx
+        return ~(rx < cfg.tx_len_m) | (demand > max_kw * (1 + 1e-12))
+
+
+@dataclass(frozen=True, eq=False)
+class VehicleTable(Sequence):
+    """The vehicles of a scenario, one column per :class:`EvParams` field.
+
+    The four numeric columns are read-only float arrays and ``class_id`` is
+    a tuple.  Building a table makes the checks of ``EvParams.__post_init__``
+    in one vectorised pass; a rejected table raises the scalar message of
+    its first bad vehicle ``i`` as ``ev[i]: ...``.  The table is also a
+    sequence of ``EvParams``, each built when it is read.
+    """
+
+    #: The type of one row; :mod:`dwptload.schema` writes a table as an
+    #: array of such objects.
+    row_type: ClassVar[type] = EvParams
+
+    entry_time_s: np.ndarray
+    speed_mps: np.ndarray
+    rx_len_m: np.ndarray
+    peak_demand_kw: np.ndarray
+    class_id: tuple[Optional[str], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "class_id", tuple(self.class_id))
+        n = len(self.class_id)
+        for name in CSV_FIELDS:
+            col = np.array(getattr(self, name), dtype=float)
+            if col.shape != (n,):
+                raise ValueError(f"{name} must hold {n} values, got shape {col.shape}")
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+        bad = _rejected(
+            self.entry_time_s, self.speed_mps, self.rx_len_m, self.peak_demand_kw, self.class_id
+        )
+        for i in np.flatnonzero(bad):
+            try:
+                self[i]  # the row's EvParams raises its own message
+            except ValueError as exc:
+                raise ValueError(f"ev[{i}]: {exc}") from None
+
+    @classmethod
+    def from_evs(cls, evs: Iterable[EvParams]) -> "VehicleTable":
+        """The table of the given vehicles, in order."""
+        evs = tuple(evs)
+        return cls(**{name: [getattr(ev, name) for ev in evs] for name in COLUMNS})
+
+    @classmethod
+    def from_classes(
+        cls,
+        classes: Sequence["TrafficClass"],
+        kinds: Sequence[int],
+        entry_time_s: Sequence[float],
+        peak_demand_kw: Sequence[float],
+    ) -> "VehicleTable":
+        """Vehicles of the given class indices, entry times and demands."""
+        idx = np.asarray(kinds, dtype=np.intp)
+        ids = [c.class_id for c in classes]
+        return cls(
+            entry_time_s=entry_time_s,
+            speed_mps=np.array([c.speed_mps for c in classes])[idx],
+            rx_len_m=np.array([c.rx_len_m for c in classes])[idx],
+            peak_demand_kw=peak_demand_kw,
+            class_id=tuple(map(ids.__getitem__, kinds)),
+        )
+
+    def column(self, name: str) -> list:
+        """One column as a list of plain Python values."""
+        col = getattr(self, name)
+        return list(col) if name == "class_id" else col.tolist()
+
+    def validate_against(self, cfg: ErConfig, duration_s: float) -> None:
+        """The checks of ``EvParams.validate_against`` and of an entry time
+        in ``[0, duration_s)``, in one vectorised pass."""
+        entry = self.entry_time_s
+        bad = _undeliverable(cfg, self.rx_len_m, self.peak_demand_kw)
+        bad |= ~((entry >= 0) & (entry < duration_s))
+        for i in np.flatnonzero(bad):
+            ev = self[i]
+            try:
+                ev.validate_against(cfg)
+            except ValueError as exc:
+                raise ValueError(f"ev[{i}]: {exc}") from None
+            if not 0 <= ev.entry_time_s < duration_s:
+                raise ValueError(
+                    f"ev[{i}] entry time {ev.entry_time_s} outside [0, {duration_s})"
+                )
+
+    def __len__(self) -> int:
+        return len(self.class_id)
+
+    def __getitem__(self, i: int) -> EvParams:
+        i = range(len(self))[i]
+        return EvParams(
+            rx_len_m=float(self.rx_len_m[i]),
+            peak_demand_kw=float(self.peak_demand_kw[i]),
+            speed_mps=float(self.speed_mps[i]),
+            entry_time_s=float(self.entry_time_s[i]),
+            class_id=self.class_id[i],
+        )
+
+    def __iter__(self) -> Iterator[EvParams]:
+        return map(
+            EvParams,
+            self.rx_len_m.tolist(),
+            self.peak_demand_kw.tolist(),
+            self.speed_mps.tolist(),
+            self.entry_time_s.tolist(),
+            self.class_id,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        """Equal to a table with equal columns, or to a sequence of equal
+        ``EvParams``."""
+        if isinstance(other, VehicleTable):
+            return self.class_id == other.class_id and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in CSV_FIELDS
+            )
+        if isinstance(other, (tuple, list)):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:  # equal to the hash of an equal tuple
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class Scenario:
     cfg: ErConfig
-    evs: tuple[EvParams, ...]
+    evs: VehicleTable
     duration_s: float
     seed: Optional[int]
     provenance: Provenance
 
     def __post_init__(self) -> None:
+        if not isinstance(self.evs, VehicleTable):
+            raise TypeError(
+                f"evs must be a VehicleTable (see VehicleTable.from_evs), got "
+                f"{type(self.evs).__name__}"
+            )
         _require_finite(self, "duration_s")
         if not self.duration_s >= 0:
             raise ValueError(f"duration_s must be >= 0, got {self.duration_s}")
-        for i, ev in enumerate(self.evs):
-            ev.validate_against(self.cfg)
-            if not 0 <= ev.entry_time_s < self.duration_s:
-                raise ValueError(
-                    f"ev[{i}] entry time {ev.entry_time_s} outside "
-                    f"[0, {self.duration_s})"
-                )
+        self.evs.validate_against(self.cfg, self.duration_s)
 
 
 def generate(cfg: ErConfig, spec: TrafficSpec, seed: int) -> Scenario:
@@ -111,31 +265,29 @@ def generate(cfg: ErConfig, spec: TrafficSpec, seed: int) -> Scenario:
     exceeds one ``rng.random()`` draw.  That is what
     ``rng.choice(len(classes), p=probs)`` computes for one draw, so the
     stream is the same, without ``choice``'s per-call argument checks.
+    Each vehicle takes one gap, one class and one demand draw, in that
+    order.  The loop keeps plain floats and class indices, with each
+    class's demand bounds computed once, and builds the table at the end.
     """
     rng = np.random.default_rng(seed)
     cdf = np.cumsum([c.prob for c in spec.classes])
-    cdf /= cdf[-1]
-    evs: list[EvParams] = []
+    cdf = (cdf / cdf[-1]).tolist()
+    bounds = [demand_bounds(c.demand_dist, cfg, c.rx_len_m) for c in spec.classes]
+    entries: list[float] = []
+    kinds: list[int] = []
+    demands: list[float] = []
     t = 0.0
     while spec.rate_evps > 0:
         t += rng.exponential(1.0 / spec.rate_evps)
         if t >= spec.duration_s:
             break
-        k = int(cdf.searchsorted(rng.random(), side="right"))
-        c = spec.classes[k]
-        demand = sample_demand(c.demand_dist, rng, cfg, c.rx_len_m)
-        evs.append(
-            EvParams(
-                rx_len_m=c.rx_len_m,
-                peak_demand_kw=demand,
-                speed_mps=c.speed_mps,
-                entry_time_s=t,
-                class_id=c.class_id,
-            )
-        )
+        k = bisect.bisect_right(cdf, rng.random())
+        entries.append(t)
+        kinds.append(k)
+        demands.append(_draw_demand(rng, *bounds[k]))
     return Scenario(
         cfg=cfg,
-        evs=tuple(evs),
+        evs=VehicleTable.from_classes(spec.classes, kinds, entries, demands),
         duration_s=spec.duration_s,
         seed=seed,
         provenance=Synthetic(spec),
@@ -195,33 +347,28 @@ def covering_scenario(
     the analytical spectrum.
     """
     rng = np.random.default_rng(seed)
-    evs: list[EvParams] = []
-    for c, count in counts:
+    classes = tuple(c for c, _ in counts)
+    entries: list[float] = []
+    kinds: list[int] = []
+    demands: list[float] = []
+    for g, (c, count) in enumerate(counts):
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
         k_max = max_covering_periods(cfg, c.speed_mps, window)
         for _ in range(count):
             u = float(rng.random())
             k = int(rng.integers(0, k_max + 1)) if k_max > 0 else 0
-            entry = covering_entry_time(cfg, c.speed_mps, window, u, k)
-            demand = sample_demand(c.demand_dist, rng, cfg, c.rx_len_m)
-            evs.append(
-                EvParams(
-                    rx_len_m=c.rx_len_m,
-                    peak_demand_kw=demand,
-                    speed_mps=c.speed_mps,
-                    entry_time_s=entry,
-                    class_id=c.class_id,
-                )
-            )
+            entries.append(covering_entry_time(cfg, c.speed_mps, window, u, k))
+            kinds.append(g)
+            demands.append(sample_demand(c.demand_dist, rng, cfg, c.rx_len_m))
     spec = TrafficSpec(
-        rate_evps=0.0 if not evs else len(evs) / window[1],
+        rate_evps=0.0 if not kinds else len(kinds) / window[1],
         duration_s=window[1],
-        classes=tuple(c for c, _ in counts),
+        classes=classes,
     )
     return Scenario(
         cfg=cfg,
-        evs=tuple(evs),
+        evs=VehicleTable.from_classes(classes, kinds, entries, demands),
         duration_s=window[1],
         seed=seed,
         provenance=Synthetic(spec),
@@ -235,28 +382,78 @@ class IngestError(ValueError):
     """A trajectory file failed to parse or validate."""
 
 
+def _csv_field(class_id: Optional[str]) -> str:
+    """A class id quoted as ``csv`` quotes it; an absent id is empty."""
+    if class_id is None:
+        return ""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([class_id])
+    return buf.getvalue()[:-1]
+
+
 def write_scenario_csv(scenario: Scenario, path: str) -> None:
     """Write the vehicle list in the trajectory CSV format (UTF-8, LF).
 
-    Floats are written in shortest round-trip form so reading the file
-    back reproduces the scenario exactly.
+    Floats are written in shortest round-trip form and class ids are
+    quoted as ``csv`` quotes them, so reading the file back reproduces the
+    scenario exactly.  The file is written column by column.
     """
-    with_class = any(ev.class_id is not None for ev in scenario.evs)
-    fields = CSV_FIELDS + (("class_id",) if with_class else ())
-    buf = io.StringIO()
-    buf.write(",".join(fields) + "\n")
-    for ev in scenario.evs:
-        row = [
-            repr(ev.entry_time_s),
-            repr(ev.speed_mps),
-            repr(ev.rx_len_m),
-            repr(ev.peak_demand_kw),
-        ]
-        if with_class:
-            row.append(ev.class_id if ev.class_id is not None else "")
-        buf.write(",".join(row) + "\n")
+    evs = scenario.evs
+    columns = [list(map(float.__repr__, evs.column(name))) for name in CSV_FIELDS]
+    fields = CSV_FIELDS
+    if any(c is not None for c in evs.class_id):
+        fields = COLUMNS
+        quoted = {c: _csv_field(c) for c in set(evs.class_id)}
+        columns.append(list(map(quoted.__getitem__, evs.class_id)))
+    lines = [",".join(fields), *map(",".join, zip(*columns))]
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(buf.getvalue())
+        f.write("\n".join(lines) + "\n")
+
+
+def _check_line(path: str, lineno: int, row: list[str], n_fields: int, cfg: ErConfig) -> None:
+    """Raise the ``file:line:`` diagnostic of one trajectory row, if any.
+
+    The checks run in order: field count, numbers, entry time, the vehicle
+    (``EvParams`` and ``validate_against``), and a finite horizon.
+    """
+    where = f"{path}:{lineno}"
+    if len(row) != n_fields:
+        raise IngestError(f"{where}: expected {n_fields} fields, got {len(row)}")
+    try:
+        entry, speed, rx_len, demand = (float(v) for v in row[:4])
+    except ValueError as exc:
+        raise IngestError(f"{where}: {exc}") from exc
+    class_id = (row[4].strip() or None) if n_fields == 5 else None
+    if not entry >= 0:
+        raise IngestError(f"{where}: entry_time_s must be >= 0, got {entry}")
+    try:
+        ev = EvParams(rx_len, demand, speed, entry, class_id)
+        ev.validate_against(cfg)
+    except ValueError as exc:
+        raise IngestError(f"{where}: {exc}") from exc
+    end = max(entry + 1.0, entry + ev.dwell_s(cfg))
+    if not (math.isfinite(end) and end > entry):
+        raise IngestError(
+            f"{where}: no finite horizon after entry_time_s {entry} at speed_mps {speed}"
+        )
+
+
+def _columns(rows: list[list[str]], n_fields: int):
+    """The numeric columns and the class ids of the rows, or None if a
+    row has the wrong field count or a number that does not parse."""
+    if set(map(len, rows)) - {n_fields}:
+        return None
+    cols = list(zip(*rows)) or [()] * n_fields
+    try:
+        numbers = [np.fromiter(map(float, col), float, len(col)) for col in cols[:4]]
+    except ValueError:
+        return None
+    if n_fields == 5:
+        ids = {raw: raw.strip() or None for raw in set(cols[4])}
+        class_id = tuple(map(ids.__getitem__, cols[4]))
+    else:
+        class_id = (None,) * len(rows)
+    return (*numbers, class_id)
 
 
 def ingest(path: str, cfg: ErConfig) -> Scenario:
@@ -265,64 +462,48 @@ def ingest(path: str, cfg: ErConfig) -> Scenario:
     Lines starting with ``#`` and blank lines are skipped.  The first
     content line must be the header.  Any malformed or invalid row aborts
     the ingest with a diagnostic naming the offending line.
+
+    The content lines are parsed in one ``csv.reader`` pass, converted
+    column by column and checked on arrays.  Only when that rejects the
+    file are rows checked one at a time, to name the first bad line.
     """
     with open(path, "r", encoding="utf-8") as f:
         raw = f.readlines()
-    numbered = [
-        (i + 1, line)
-        for i, line in enumerate(raw)
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
+    numbered = [(i, line) for i, line in enumerate(raw, 1) if line.lstrip()[:1] not in ("", "#")]
     if not numbered:
         raise IngestError(f"{path}: no header row found")
-    header_no, header_line = numbered[0]
-    header = next(csv.reader([header_line]))
-    header = [h.strip() for h in header]
+    linenos, lines = zip(*numbered)
+    rows = list(csv.reader(lines))
+    if len(rows) != len(lines):  # a quoted field ran past its line's end
+        rows = [next(csv.reader([line])) for line in lines]
+    header = [h.strip() for h in rows[0]]
     if tuple(header[:4]) != CSV_FIELDS or len(header) > 5 or (
         len(header) == 5 and header[4] != "class_id"
     ):
         raise IngestError(
-            f"{path}:{header_no}: bad header {header!r}; expected "
+            f"{path}:{linenos[0]}: bad header {header!r}; expected "
             f"{','.join(CSV_FIELDS)}[,class_id]"
         )
-    evs: list[EvParams] = []
-    duration = 0.0
-    for lineno, line in numbered[1:]:
-        row = next(csv.reader([line]))
-        if len(row) != len(header):
-            raise IngestError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-            )
-        try:
-            entry, speed, rx_len, demand = (float(v) for v in row[:4])
-        except ValueError as exc:
-            raise IngestError(f"{path}:{lineno}: {exc}") from exc
-        class_id = row[4].strip() if len(row) == 5 and row[4].strip() else None
-        if not entry >= 0:
-            raise IngestError(f"{path}:{lineno}: entry_time_s must be >= 0, got {entry}")
-        try:
-            ev = EvParams(
-                rx_len_m=rx_len,
-                peak_demand_kw=demand,
-                speed_mps=speed,
-                entry_time_s=entry,
-                class_id=class_id,
-            )
-            ev.validate_against(cfg)
-        except ValueError as exc:
-            raise IngestError(f"{path}:{lineno}: {exc}") from exc
-        end = max(entry + 1.0, entry + ev.dwell_s(cfg))
-        if not (math.isfinite(end) and end > entry):
-            raise IngestError(
-                f"{path}:{lineno}: no finite horizon after entry_time_s {entry} "
-                f"at speed_mps {speed}"
-            )
-        evs.append(ev)
-        duration = max(duration, end)
+    body, linenos = rows[1:], linenos[1:]
+    columns = _columns(body, len(header))
+    if columns is None:
+        # Some row has the wrong field count or a number that does not
+        # parse, so the scan below raises at that row at the latest.
+        suspects = range(len(body))
+    else:
+        entry, speed, rx, demand, class_id = columns
+        with np.errstate(all="ignore"):
+            end = np.maximum(entry + 1.0, entry + cfg.energized_len_m / speed)
+            bad = ~(entry >= 0) | ~(np.isfinite(end) & (end > entry))
+        bad |= _rejected(entry, speed, rx, demand, class_id)
+        bad |= _undeliverable(cfg, rx, demand)
+        suspects = np.flatnonzero(bad)
+    for k in suspects:
+        _check_line(path, linenos[k], body[k], len(header), cfg)
     return Scenario(
         cfg=cfg,
-        evs=tuple(evs),
-        duration_s=duration,
+        evs=VehicleTable(entry, speed, rx, demand, class_id),
+        duration_s=float(end.max()) if len(end) else 0.0,
         seed=None,
         provenance=IngestedFile(path),
     )

@@ -7,12 +7,18 @@ selection, uniform-demand moments by adaptive quadrature,
 coil-start-phase coefficients by the DFT of a densely sampled period,
 synthesis by one ``np.mod`` pulse call per vehicle over its whole span,
 the composition sweep by one scenario per row, the Monte Carlo ensemble
-on dense (trials, vehicles, harmonics) arrays, and traffic classes by
-``Generator.choice``.  The package is thus checked against a second,
-structurally different derivation rather than against itself.
+on dense (trials, vehicles, harmonics) arrays, traffic classes by
+``Generator.choice``, and the checks, trajectory CSV and JSON document of
+a scenario's vehicles by one ``EvParams`` per vehicle.  The package is
+thus checked against a second, structurally different derivation rather
+than against itself.
 """
 
 from __future__ import annotations
+
+import csv
+import io
+import math
 
 import numpy as np
 from scipy import integrate
@@ -23,6 +29,8 @@ from dwptload import (
     ErConfig,
     EvParams,
     FleetModel,
+    IngestedFile,
+    IngestError,
     LoadSeries,
     MaxDemand,
     Scenario,
@@ -30,6 +38,7 @@ from dwptload import (
     Synthetic,
     TrafficClass,
     TrafficSpec,
+    VehicleTable,
     coil_pulse,
     constant_regime,
     demand_bounds,
@@ -41,7 +50,8 @@ from dwptload import (
 )
 from dwptload.composition import matched_counts, truck_count_schedules
 from dwptload.roadway import _pulse_samples
-from dwptload.traffic import covering_entry_time, max_covering_periods
+from dwptload.schema import to_dict
+from dwptload.traffic import CSV_FIELDS, covering_entry_time, max_covering_periods
 
 
 def pulse_kinks(cfg: ErConfig, ev: EvParams) -> np.ndarray:
@@ -323,7 +333,8 @@ def per_row_sweep(sw: SweepConfig, seed: int) -> np.ndarray:
                         ),
                     ),
                 )
-                scenario = Scenario(cfg, tuple(evs), window[1], seed, Synthetic(spec))
+                table = VehicleTable.from_evs(evs)
+                scenario = Scenario(cfg, table, window[1], seed, Synthetic(spec))
                 series = unblocked_synthesize(scenario, sw.sample_rate_hz, window)
                 thc[i, j, w] = empirical_thc(series, [f_truck, f_sedan], sw.m_max)
     return thc
@@ -386,3 +397,112 @@ def choice_generate(cfg: ErConfig, spec: TrafficSpec, seed: int) -> tuple[EvPara
         demand = sample_demand(c.demand_dist, rng, cfg, c.rx_len_m)
         evs.append(EvParams(c.rx_len_m, demand, c.speed_mps, t, c.class_id))
     return tuple(evs)
+
+
+# --- scenario vehicles, one EvParams per vehicle ---------------------------
+
+
+def rowwise_evs(
+    entry_time_s, speed_mps, rx_len_m, peak_demand_kw, class_id
+) -> tuple[EvParams, ...]:
+    """One ``EvParams`` per row of the columns, in order; the first that
+    cannot be built raises its message as ``ev[i]: ...``."""
+    evs = []
+    for i, (entry, speed, rx, demand, cid) in enumerate(
+        zip(entry_time_s, speed_mps, rx_len_m, peak_demand_kw, class_id)
+    ):
+        try:
+            evs.append(EvParams(float(rx), float(demand), float(speed), float(entry), cid))
+        except ValueError as exc:
+            raise ValueError(f"ev[{i}]: {exc}") from None
+    return tuple(evs)
+
+
+def rowwise_scenario_checks(cfg: ErConfig, evs, duration_s: float) -> None:
+    """The vehicle loop ``Scenario.__post_init__`` ran per vehicle, with each
+    roadway message given as ``ev[i]: ...``."""
+    for i, ev in enumerate(evs):
+        try:
+            ev.validate_against(cfg)
+        except ValueError as exc:
+            raise ValueError(f"ev[{i}]: {exc}") from None
+        if not 0 <= ev.entry_time_s < duration_s:
+            raise ValueError(
+                f"ev[{i}] entry time {ev.entry_time_s} outside [0, {duration_s})"
+            )
+
+
+def rowwise_ingest(path: str, cfg: ErConfig) -> Scenario:
+    """:func:`dwptload.ingest` one line at a time: each content line through
+    its own ``csv.reader`` and one ``EvParams`` per row."""
+    with open(path, "r", encoding="utf-8") as f:
+        raw = f.readlines()
+    numbered = [
+        (i + 1, line)
+        for i, line in enumerate(raw)
+        if line.strip() and not line.lstrip().startswith("#")
+    ]
+    if not numbered:
+        raise IngestError(f"{path}: no header row found")
+    header_no, header_line = numbered[0]
+    header = [h.strip() for h in next(csv.reader([header_line]))]
+    if tuple(header[:4]) != CSV_FIELDS or len(header) > 5 or (
+        len(header) == 5 and header[4] != "class_id"
+    ):
+        raise IngestError(
+            f"{path}:{header_no}: bad header {header!r}; expected "
+            f"{','.join(CSV_FIELDS)}[,class_id]"
+        )
+    evs: list[EvParams] = []
+    duration = 0.0
+    for lineno, line in numbered[1:]:
+        row = next(csv.reader([line]))
+        if len(row) != len(header):
+            raise IngestError(
+                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+            )
+        try:
+            entry, speed, rx_len, demand = (float(v) for v in row[:4])
+        except ValueError as exc:
+            raise IngestError(f"{path}:{lineno}: {exc}") from exc
+        class_id = row[4].strip() if len(row) == 5 and row[4].strip() else None
+        if not entry >= 0:
+            raise IngestError(f"{path}:{lineno}: entry_time_s must be >= 0, got {entry}")
+        try:
+            ev = EvParams(rx_len, demand, speed, entry, class_id)
+            ev.validate_against(cfg)
+        except ValueError as exc:
+            raise IngestError(f"{path}:{lineno}: {exc}") from exc
+        end = max(entry + 1.0, entry + ev.dwell_s(cfg))
+        if not (math.isfinite(end) and end > entry):
+            raise IngestError(
+                f"{path}:{lineno}: no finite horizon after entry_time_s {entry} "
+                f"at speed_mps {speed}"
+            )
+        evs.append(ev)
+        duration = max(duration, end)
+    return Scenario(cfg, VehicleTable.from_evs(evs), duration, None, IngestedFile(path))
+
+
+def rowwise_scenario_csv(scenario: Scenario) -> bytes:
+    """The trajectory CSV of :func:`dwptload.write_scenario_csv`, written one
+    vehicle at a time by ``csv.writer``."""
+    with_class = any(ev.class_id is not None for ev in scenario.evs)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_FIELDS + (("class_id",) if with_class else ()))
+    for ev in scenario.evs:
+        row = [repr(getattr(ev, name)) for name in CSV_FIELDS]
+        if with_class:
+            row.append(ev.class_id if ev.class_id is not None else "")
+        writer.writerow(row)
+    return buf.getvalue().encode("utf-8")
+
+
+def rowwise_scenario_dict(scenario: Scenario) -> dict:
+    """The JSON document of a scenario, its vehicles converted one
+    ``EvParams`` at a time."""
+    doc = {name: to_dict(getattr(scenario, name)) for name in ("cfg", "duration_s", "seed")}
+    doc["provenance"] = to_dict(scenario.provenance)
+    doc["evs"] = [to_dict(ev) for ev in scenario.evs]
+    return doc

@@ -103,6 +103,9 @@ MISTYPED = [
         one_class(demand={"kind": "uniform", "lo_kw": 0, "hi_kw": float("inf")}),
         "config.traffic.classes[0].demand",
     ),
+    # A trajectory CSV could not give these class ids back unchanged.
+    (one_class(class_id=""), "config.traffic.classes[0]: class_id"),
+    (one_class(class_id=" pad "), "config.traffic.classes[0]: class_id"),
 ]
 
 
@@ -159,6 +162,8 @@ def test_exit_codes(tmp_path):
         tmp_path, one_class(demand={"kind": "uniform", "lo_kw": 0, "hi_kw": float("inf")})
     )
     assert main(["simulate", "--config", infinite, "--out", str(tmp_path)]) == EXIT_CONFIG
+    padded = write_config(tmp_path, one_class(class_id=" pad "))
+    assert main(["simulate", "--config", padded, "--out", str(tmp_path)]) == EXIT_CONFIG
     assert main(["ingest", str(tmp_path / "absent.csv")]) == EXIT_IO
     bad_csv = tmp_path / "bad.csv"
     bad_csv.write_text("entry_time_s,speed_mps,rx_len_m,peak_demand_kw\n0.0,24.6,9.9,10.0\n")

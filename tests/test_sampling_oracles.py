@@ -30,7 +30,7 @@ from dwptload import (
 )
 from dwptload.composition import matched_counts, truck_count_schedules
 from dwptload.signals import _BLOCK
-from dwptload.traffic import IngestedFile
+from dwptload.traffic import IngestedFile, VehicleTable
 from oracles import per_row_sweep, unblocked_synthesize
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -61,7 +61,9 @@ def block_edge_cases(draw):
         demand = rx * 109.36 * draw(st.floats(0.5, 1.0))
         evs.append(EvParams(rx, demand, speed, max(0.0, t0 + offset / fs)))
     duration = max(t1, max(e.entry_time_s for e in evs) + 1.0)
-    scenario = Scenario(cfg, tuple(evs), duration, None, IngestedFile("generated"))
+    scenario = Scenario(
+        cfg, VehicleTable.from_evs(evs), duration, None, IngestedFile("generated")
+    )
     return scenario, fs, (t0, t1)
 
 

@@ -30,6 +30,7 @@ from dwptload import (
     TrafficSpec,
     UniformExplicit,
     UniformOnRange,
+    VehicleTable,
 )
 from dwptload.cli import (
     EXIT_OK,
@@ -62,7 +63,11 @@ demands = st.one_of(
         lambda b: UniformExplicit(min(b), max(b))
     ),
 )
-class_ids = st.none() | st.text(max_size=6)
+#: Class ids a trajectory CSV gives back unchanged: non-empty, unpadded,
+#: on one line.
+class_ids = st.none() | st.text(min_size=1, max_size=6).filter(
+    lambda s: s == s.strip() and "\n" not in s and "\r" not in s
+)
 
 
 @st.composite
@@ -125,7 +130,7 @@ def scenarios(draw) -> Scenario:
     )
     provenance = draw(st.just(Synthetic(spec)) | st.text(max_size=12).map(IngestedFile))
     seed = draw(st.none() | st.integers(0, 2**64))
-    return Scenario(INDOT, evs, spec.duration_s, seed, provenance)
+    return Scenario(INDOT, VehicleTable.from_evs(evs), spec.duration_s, seed, provenance)
 
 
 def through_json(doc):

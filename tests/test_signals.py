@@ -16,6 +16,7 @@ from dwptload import (
     Peak,
     Scenario,
     TrafficClass,
+    VehicleTable,
     analytic_psd,
     covering_scenario,
     detect_peaks,
@@ -44,7 +45,7 @@ def trucks_cover(n, seed, speed=24.6, window=(130.0, 190.0)):
 def manual_scenario(evs, duration=200.0):
     return Scenario(
         cfg=INDOT,
-        evs=tuple(evs),
+        evs=VehicleTable.from_evs(evs),
         duration_s=duration,
         seed=None,
         provenance=IngestedFile("inline"),

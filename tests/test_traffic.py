@@ -20,6 +20,7 @@ from dwptload import (
     TrafficSpec,
     UniformExplicit,
     UniformOnRange,
+    VehicleTable,
     covering_entry_time,
     covering_scenario,
     demand_bounds,
@@ -118,7 +119,7 @@ def test_scenario_rejects_out_of_horizon_entries():
     with pytest.raises(ValueError):
         Scenario(
             cfg=INDOT,
-            evs=(EvParams(1.83, 100.0, 24.6, entry_time_s=60.0),),
+            evs=VehicleTable.from_evs([EvParams(1.83, 100.0, 24.6, entry_time_s=60.0)]),
             duration_s=60.0,
             seed=None,
             provenance=IngestedFile("x"),
@@ -263,6 +264,17 @@ def test_csv_round_trip_is_exact(tmp_path):
     write_scenario_csv(sc, str(path))
     back = ingest(str(path), INDOT)
     assert back.evs == sc.evs  # float repr round-trips exactly
+    # Class ids that need quoting come back unchanged too.
+    odd = [EvParams(1.83, 200.0, 24.6, float(i), cid) for i, cid in enumerate(["a,b", 'q"', None])]
+    sc = Scenario(INDOT, VehicleTable.from_evs(odd), 10.0, None, IngestedFile("x"))
+    write_scenario_csv(sc, str(path))
+    assert ingest(str(path), INDOT).evs == sc.evs
+    # Ids it could not give back are rejected where vehicles and classes are built.
+    for cid in ("", " pad ", "pad\n"):
+        with pytest.raises(ValueError, match="class_id"):
+            EvParams(1.83, 200.0, 24.6, class_id=cid)
+        with pytest.raises(ValueError, match="class_id"):
+            TrafficClass(1.83, 1.0, 24.6, MaxDemand(), cid)
 
 
 # --- JSON serialization ----------------------------------------------------
