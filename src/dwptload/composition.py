@@ -24,7 +24,9 @@ Variance control, so small trends survive a finite window budget:
 
 Because the rows of a window share their vehicle slots, each slot's
 truck waveform and sedan waveform is sampled at most once per (window,
-column) and added into every penetration row that holds the slot.
+column), from the window's one time array and only over the slot's
+exact on-segment samples, and added into every penetration row that
+holds the slot.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ from .fleet import (
     class_moments,
     demand_bounds,
 )
-from .roadway import ErConfig, EvParams, _require_finite
-from .signals import _thc, _vehicle_blocks
+from .roadway import ErConfig, EvParams, _pulse_at, _require_finite
+from .signals import _BLOCK, _sample_spans, _thc
 from .spectrum import fs_dc
 from .traffic import covering_entry_time, max_covering_periods
 
@@ -238,7 +240,9 @@ def run_sweep(sw: SweepConfig, seed: int) -> SweepResult:
     for _ in range(n_cols):
         sob = qmc.Sobol(d=2 * n_max, scramble=True, seed=rng)
         pools.append(sob.random_base2(max(1, int(np.ceil(np.log2(sw.n_windows))))))
-    n_samples = int(round((window[1] - window[0]) * sw.sample_rate_hz))
+    fs = sw.sample_rate_hz
+    n_samples = int(round((window[1] - window[0]) * fs))
+    times = t0 + np.arange(n_samples) / fs
     thc = np.empty((n_thetas, n_cols, sw.n_windows))
     for w in range(sw.n_windows):
         for j, col in enumerate(sw.columns):
@@ -261,6 +265,7 @@ def run_sweep(sw: SweepConfig, seed: int) -> SweepResult:
                 ev = EvParams(
                     sw.truck_rx_len_m, truck_demand, sw.truck_speed_mps, entry, "truck"
                 )
+                ev.validate_against(cfg)
                 slots.append((ev, np.flatnonzero(n_trucks > s)))
             for s in range(n_max - int(n_sedans.max()), n_max):
                 k = int(u_k[s] * (k_sedan + 1))
@@ -269,14 +274,25 @@ def run_sweep(sw: SweepConfig, seed: int) -> SweepResult:
                 )
                 demand = lo + (hi - lo) * u_demand[s]
                 ev = EvParams(col.rx_len_m, demand, sw.sedan_speed_mps, entry, "sedan")
+                ev.validate_against(cfg)
                 slots.append((ev, np.flatnonzero(n_sedans >= n_max - s)))
+            j0, j1 = _sample_spans(
+                cfg,
+                [ev.speed_mps for ev, _ in slots],
+                [ev.entry_time_s for ev, _ in slots],
+                t0,
+                fs,
+                n_samples,
+            )
             rows = np.zeros((n_thetas, n_samples))
-            for ev, holders in slots:
-                blocks = _vehicle_blocks(cfg, ev, window, sw.sample_rate_hz, n_samples)
-                for a, b, load in blocks:
+            for (ev, holders), lo, hi in zip(slots, j0.tolist(), j1.tolist()):
+                for a in range(lo, hi, _BLOCK):
+                    b = min(a + _BLOCK, hi)
+                    x = ev.speed_mps * (times[a:b] - ev.entry_time_s)
+                    load = _pulse_at(cfg, ev.rx_len_m, ev.peak_demand_kw, x)
                     for i in holders:
                         rows[i, a:b] += load
-            thc[:, j, w] = _thc(rows, sw.sample_rate_hz, (f_truck, f_sedan), sw.m_max)
+            thc[:, j, w] = _thc(rows, fs, (f_truck, f_sedan), sw.m_max)
     return SweepResult(
         thetas=sw.thetas,
         columns=sw.columns,

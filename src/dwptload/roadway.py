@@ -218,6 +218,19 @@ def _pulse_samples(
     )
 
 
+def _pulse_at(
+    cfg: ErConfig, rx_len_m: float, demand_kw: float, x: np.ndarray
+) -> np.ndarray:
+    """The periodic pulse at segment positions ``x``, with no on-segment mask.
+
+    The in-period position comes from the phase in periods and may round
+    up to a whole period, where the continuous, periodic pulse takes its
+    value at 0.
+    """
+    u = x / cfg.period_m
+    return _pulse_samples(cfg, rx_len_m, demand_kw, (u - np.floor(u)) * cfg.period_m)
+
+
 def coil_pulse(cfg: ErConfig, ev: EvParams, x) -> np.ndarray | float:
     """One period of the clipped load waveform at in-period position ``x``.
 
@@ -241,21 +254,15 @@ def load_at_position(cfg: ErConfig, ev: EvParams, scheme: ControlScheme, x) -> n
     """Load drawn when the receiver front edge is at roadway position ``x``.
 
     Zero outside the energized span [0, n_coils * period).  Positions are
-    relative to the vehicle's segment entry point.  The in-period position
-    comes from the phase in periods and may round up to a whole period,
-    where the continuous, periodic pulse takes its value at 0.
+    relative to the vehicle's segment entry point.
     """
     ev.validate_against(cfg)
     xa = np.asarray(x, dtype=float)
     on = (xa >= 0) & (xa < cfg.energized_len_m)
-    u = xa / cfg.period_m
-    xm = (u - np.floor(u)) * cfg.period_m
     if isinstance(scheme, Scaling):
-        vals = scheme.scale_factor * _pulse_samples(
-            cfg, ev.rx_len_m, ev.max_demand_kw(cfg), xm
-        )
+        vals = scheme.scale_factor * _pulse_at(cfg, ev.rx_len_m, ev.max_demand_kw(cfg), xa)
     else:
-        vals = _pulse_samples(cfg, ev.rx_len_m, ev.peak_demand_kw, xm)
+        vals = _pulse_at(cfg, ev.rx_len_m, ev.peak_demand_kw, xa)
     out = np.where(on, vals, 0.0)
     return out if np.ndim(x) else float(out)
 

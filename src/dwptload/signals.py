@@ -14,13 +14,13 @@ periodic waveform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy import signal as sps
 
 from .fleet import FleetModel, demand_bounds
-from .roadway import Clipping, ErConfig, EvParams, load_at_time
+from .roadway import ErConfig, _pulse_at
 from .spectrum import fs_harmonic_grid
 from .traffic import Scenario
 
@@ -54,29 +54,48 @@ class LoadSeries:
         return float(np.mean(self.samples_kw)) if self.n_samples else 0.0
 
 
-#: Samples per pulse evaluation: the temporaries of one block stay in cache.
+#: Samples per block of an output grid.  Every work array of the sampled
+#: path (a block's times, one vehicle's positions and pulse there) has at
+#: most this many samples, so it stays in cache however long the window.
 _BLOCK = 8192
 
 
-def _vehicle_blocks(
+def _sample_spans(
     cfg: ErConfig,
-    ev: EvParams,
-    window: tuple[float, float],
+    speed_mps: np.ndarray,
+    entry_time_s: np.ndarray,
+    t0: float,
     sample_rate_hz: float,
     n: int,
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield ``(a, b, load)``: one vehicle's load at samples ``a`` to ``b - 1``
-    of the ``n``-sample grid of ``window``, in blocks of at most ``_BLOCK``
-    samples over its on-segment span (plus one sample either side)."""
-    t0, t1 = window
-    exit_time = ev.entry_time_s + ev.dwell_s(cfg)
-    if exit_time <= t0 or ev.entry_time_s >= t1:
-        return
-    i0 = max(0, int(np.ceil((ev.entry_time_s - t0) * sample_rate_hz)) - 1)
-    i1 = min(n, int(np.floor((exit_time - t0) * sample_rate_hz)) + 2)
-    for a in range(i0, i1, _BLOCK):
-        b = min(a + _BLOCK, i1)
-        yield a, b, load_at_time(cfg, ev, Clipping(), t0 + np.arange(a, b) / sample_rate_hz)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each vehicle's exact on-segment sample range ``[j0, j1)`` on a grid.
+
+    Sample ``k`` of the ``n``-sample grid is taken at
+    ``t_k = t0 + k / sample_rate_hz`` and finds the vehicle at
+    ``x_k = speed * (t_k - entry)``; it is on the segment when
+    ``0 <= x_k < energized_len_m``.  Each step of ``x_k`` rounds
+    monotonically, so ``x_k`` never decreases in ``k`` and these samples
+    are contiguous.  Both edges are found by bisection on ``x_k`` computed
+    with the float operations that sampling uses, so the ranges are exact.
+    A vehicle that is never on the segment gets ``j0 == j1``.
+    """
+    speed = np.asarray(speed_mps, dtype=float)
+    entry = np.asarray(entry_time_s, dtype=float)
+
+    def first(bound: float) -> np.ndarray:
+        """The least k in [0, n] with ``x_k >= bound``, or n if there is none."""
+        lo = np.zeros(speed.shape, dtype=np.int64)
+        hi = np.full(speed.shape, n, dtype=np.int64)
+        while True:
+            open_ = lo < hi
+            if not open_.any():
+                return lo
+            mid = (lo + hi) // 2
+            below = speed * ((t0 + mid / sample_rate_hz) - entry) < bound
+            lo = np.where(open_ & below, mid + 1, lo)
+            hi = np.where(open_ & ~below, mid, hi)
+
+    return first(0.0), first(cfg.energized_len_m)
 
 
 def synthesize(
@@ -89,21 +108,40 @@ def synthesize(
     The window defaults to the whole scenario horizon.  Choose a sample
     rate comfortably above twice the highest harmonic you intend to read
     off the result; the clipped waveforms have spectral content rolling
-    off only quadratically.  Each vehicle is evaluated over its
-    on-segment span only, in blocks of a fixed number of samples, so the
-    memory a vehicle needs beyond the output array is bounded by the
-    block, however long the window.
+    off only quadratically.
+
+    The grid is filled in blocks of ``_BLOCK`` samples.  Each block's
+    times are computed once, and the vehicles that are on the segment
+    during the block add their load there in table order, each only over
+    its exact on-segment samples (:func:`_sample_spans`).  So no sample
+    is masked, and beyond the output array no work array grows with the
+    window.
     """
+    if not (np.isfinite(sample_rate_hz) and sample_rate_hz > 0):
+        raise ValueError(f"sample_rate_hz must be finite and > 0, got {sample_rate_hz}")
     if window is None:
         window = (0.0, scenario.duration_s)
     t0, t1 = window
-    if not (0.0 <= t0 < t1):
-        raise ValueError(f"bad window {window}")
+    if not (0.0 <= t0 < t1 and np.isfinite((t1 - t0) * sample_rate_hz)):
+        raise ValueError(
+            f"bad window {window}: need 0 <= t0 < t1 and a finite number of "
+            f"samples at {sample_rate_hz} Hz"
+        )
     n = int(round((t1 - t0) * sample_rate_hz))
+    cfg = scenario.cfg
+    evs = scenario.evs
+    j0, j1 = _sample_spans(cfg, evs.speed_mps, evs.entry_time_s, t0, sample_rate_hz, n)
+    on = j1 > j0
+    speed, entry = evs.speed_mps.tolist(), evs.entry_time_s.tolist()
+    rx, demand = evs.rx_len_m.tolist(), evs.peak_demand_kw.tolist()
     total = np.zeros(n)
-    for ev in scenario.evs:
-        for a, b, load in _vehicle_blocks(scenario.cfg, ev, window, sample_rate_hz, n):
-            total[a:b] += load
+    for a in range(0, n, _BLOCK):
+        b = min(a + _BLOCK, n)
+        t = t0 + np.arange(a, b) / sample_rate_hz
+        for i in np.flatnonzero(on & (j0 < b) & (j1 > a)).tolist():
+            lo, hi = max(int(j0[i]), a), min(int(j1[i]), b)
+            x = speed[i] * (t[lo - a : hi - a] - entry[i])
+            total[lo:hi] += _pulse_at(cfg, rx[i], demand[i], x)
     return LoadSeries(samples_kw=total, sample_rate_hz=sample_rate_hz, t0_s=t0)
 
 

@@ -5,8 +5,9 @@ coil overlap, composite quadrature, exact piecewise integration -- or by
 the slower formulations the package used before: the pulse by branch
 selection, uniform-demand moments by adaptive quadrature,
 coil-start-phase coefficients by the DFT of a densely sampled period,
-synthesis by one ``np.mod`` pulse call per vehicle over its whole span,
-the composition sweep by one scenario per row, the Monte Carlo ensemble
+synthesis by one ``np.mod`` pulse call per vehicle over its whole span
+or by masked ``load_at_time`` calls per vehicle and block, the
+composition sweep by one scenario per row, the Monte Carlo ensemble
 on dense (trials, vehicles, harmonics) arrays, traffic classes by
 ``Generator.choice``, and the checks, trajectory CSV and JSON document of
 a scenario's vehicles by one ``EvParams`` per vehicle.  The package is
@@ -25,6 +26,7 @@ from scipy import integrate
 from scipy.stats import qmc
 
 from dwptload import (
+    Clipping,
     EnsemblePsd,
     ErConfig,
     EvParams,
@@ -45,11 +47,13 @@ from dwptload import (
     empirical_thc,
     fs_harmonic,
     fs_harmonic_grid,
+    load_at_time,
     period_coefficients,
     sample_demand,
 )
 from dwptload.composition import matched_counts, truck_count_schedules
 from dwptload.roadway import _pulse_samples
+from dwptload.signals import _BLOCK, _thc
 from dwptload.schema import to_dict
 from dwptload.traffic import CSV_FIELDS, covering_entry_time, max_covering_periods
 
@@ -247,6 +251,27 @@ def mod_load_at_time(cfg: ErConfig, ev: EvParams, t: np.ndarray) -> np.ndarray:
     return np.where(on, _pulse_samples(cfg, ev.rx_len_m, ev.peak_demand_kw, xm), 0.0)
 
 
+def padded_span(
+    cfg: ErConfig, ev: EvParams, window: tuple[float, float], sample_rate_hz: float, n: int
+) -> tuple[int, int]:
+    """Samples ``[i0, i1)`` of the ``n``-sample grid of ``window`` that cover
+    the vehicle's on-segment interval, from its entry and exit times, plus
+    one sample either side; empty (``i0 >= i1``) when it leaves well before
+    the window or enters after it.
+
+    The package once also skipped every vehicle whose exit time was at or
+    before the window start.  When ``entry + dwell`` rounds onto the start
+    while the first sample's position is still just short of the segment
+    end, that dropped a sample ``load_at_time`` puts on the segment; the
+    padding alone keeps it.
+    """
+    t0 = window[0]
+    exit_time = ev.entry_time_s + ev.dwell_s(cfg)
+    i0 = max(0, int(np.ceil((ev.entry_time_s - t0) * sample_rate_hz)) - 1)
+    i1 = min(n, int(np.floor((exit_time - t0) * sample_rate_hz)) + 2)
+    return i0, max(i0, i1)
+
+
 def unblocked_synthesize(
     scenario: Scenario, sample_rate_hz: float, window: tuple[float, float]
 ) -> LoadSeries:
@@ -257,26 +282,65 @@ def unblocked_synthesize(
     total = np.zeros(n)
     times = t0 + np.arange(n) / sample_rate_hz
     for ev in scenario.evs:
-        exit_time = ev.entry_time_s + ev.dwell_s(scenario.cfg)
-        if exit_time <= t0 or ev.entry_time_s >= t1:
-            continue
-        i0 = max(0, int(np.ceil((ev.entry_time_s - t0) * sample_rate_hz)) - 1)
-        i1 = min(n, int(np.floor((exit_time - t0) * sample_rate_hz)) + 2)
+        i0, i1 = padded_span(scenario.cfg, ev, window, sample_rate_hz, n)
         total[i0:i1] += mod_load_at_time(scenario.cfg, ev, times[i0:i1])
+    return LoadSeries(samples_kw=total, sample_rate_hz=sample_rate_hz, t0_s=t0)
+
+
+def blocked_synthesize(
+    scenario: Scenario, sample_rate_hz: float, window: tuple[float, float]
+) -> LoadSeries:
+    """Total load vehicle by vehicle, each over its :func:`padded_span` in
+    blocks of ``_BLOCK`` samples that build their own times and go through
+    the validated, masked :func:`dwptload.load_at_time`: the package's
+    sampling before it took exact spans on shared block times."""
+    t0, t1 = window
+    n = int(round((t1 - t0) * sample_rate_hz))
+    total = np.zeros(n)
+    for ev in scenario.evs:
+        i0, i1 = padded_span(scenario.cfg, ev, window, sample_rate_hz, n)
+        for a in range(i0, i1, _BLOCK):
+            b = min(a + _BLOCK, i1)
+            times = t0 + np.arange(a, b) / sample_rate_hz
+            total[a:b] += load_at_time(scenario.cfg, ev, Clipping(), times)
     return LoadSeries(samples_kw=total, sample_rate_hz=sample_rate_hz, t0_s=t0)
 
 
 def per_row_sweep(sw: SweepConfig, seed: int) -> np.ndarray:
     """Per-window THC of every sweep cell, (n_thetas, n_cols, n_windows),
-    with every row built as its own validated ``Scenario`` and synthesized
-    by :func:`unblocked_synthesize`.  Draws the same random numbers in the
-    same order as :func:`dwptload.run_sweep`."""
+    with every row built as its own validated ``Scenario``, synthesized by
+    :func:`unblocked_synthesize` and projected on its own."""
+    fundamentals = (sw.truck_speed_mps / sw.cfg.period_m, sw.sedan_speed_mps / sw.cfg.period_m)
+    thc = np.empty((len(sw.thetas), len(sw.columns), sw.n_windows))
+    for w, j, rows in per_row_series(sw, seed, unblocked_synthesize):
+        for i, series in enumerate(rows):
+            thc[i, j, w] = empirical_thc(series, fundamentals, sw.m_max)
+    return thc
+
+
+def blocked_sweep(sw: SweepConfig, seed: int) -> np.ndarray:
+    """:func:`per_row_sweep` with every row synthesized by
+    :func:`blocked_synthesize` and the rows of a (window, column) projected
+    together.  Each row sums its vehicles in the slot order of
+    :func:`dwptload.run_sweep`, so this is, number for number, the
+    slot-shared sweep before it took exact spans."""
+    fundamentals = (sw.truck_speed_mps / sw.cfg.period_m, sw.sedan_speed_mps / sw.cfg.period_m)
+    thc = np.empty((len(sw.thetas), len(sw.columns), sw.n_windows))
+    for w, j, rows in per_row_series(sw, seed, blocked_synthesize):
+        stacked = np.stack([series.samples_kw for series in rows])
+        thc[:, j, w] = _thc(stacked, sw.sample_rate_hz, fundamentals, sw.m_max)
+    return thc
+
+
+def per_row_series(sw: SweepConfig, seed: int, synthesize):
+    """Yield ``(w, j, rows)``: the series of every penetration row of window
+    ``w`` and column ``j``, each row built as its own validated
+    ``Scenario`` and sampled by ``synthesize``.  Draws the same random
+    numbers in the same order as :func:`dwptload.run_sweep`."""
     cfg = sw.cfg
     alpha = cfg.power_density_kw_per_m
     t0 = sw.window_start_s
     window = (t0, t0 + sw.window_s)
-    f_truck = sw.truck_speed_mps / cfg.period_m
-    f_sedan = sw.sedan_speed_mps / cfg.period_m
     k_truck = max_covering_periods(cfg, sw.truck_speed_mps, window)
     k_sedan = max_covering_periods(cfg, sw.sedan_speed_mps, window)
     truck_demand = alpha * sw.truck_rx_len_m
@@ -295,13 +359,13 @@ def per_row_sweep(sw: SweepConfig, seed: int) -> np.ndarray:
     for _ in range(n_cols):
         sob = qmc.Sobol(d=2 * n_max, scramble=True, seed=rng)
         pools.append(sob.random_base2(max(1, int(np.ceil(np.log2(sw.n_windows))))))
-    thc = np.empty((n_thetas, n_cols, sw.n_windows))
     for w in range(sw.n_windows):
         for j, col in enumerate(sw.columns):
             lo, hi = bounds[j]
             u_phase = pools[j][w, :n_max]
             u_demand = pools[j][w, n_max:]
             u_k = rng.random(n_max)
+            rows = []
             for i, theta in enumerate(sw.thetas):
                 n = int(counts[i, j])
                 n_trucks = int(schedules[i, j, w])
@@ -335,9 +399,8 @@ def per_row_sweep(sw: SweepConfig, seed: int) -> np.ndarray:
                 )
                 table = VehicleTable.from_evs(evs)
                 scenario = Scenario(cfg, table, window[1], seed, Synthetic(spec))
-                series = unblocked_synthesize(scenario, sw.sample_rate_hz, window)
-                thc[i, j, w] = empirical_thc(series, [f_truck, f_sedan], sw.m_max)
-    return thc
+                rows.append(synthesize(scenario, sw.sample_rate_hz, window))
+            yield w, j, rows
 
 
 def dense_monte_carlo_psd(

@@ -1,12 +1,16 @@
-"""The blocked, mod-free sampling path against its unblocked oracles.
+"""The exact-span, mod-free sampling path against its oracles.
 
-``synthesize`` evaluates each vehicle in fixed blocks of samples and
-takes the in-period position from the phase in periods; ``run_sweep``
-samples each vehicle slot once and adds it into every penetration row
-that holds it.  ``tests/oracles.py`` keeps the formulations they
-replaced: one ``np.mod`` pulse call per vehicle over its whole span, and
-one validated scenario per sweep row.  Both routes must agree on
-generated inputs.
+``synthesize`` fills the output grid block by block, computing each
+block's times once and adding each vehicle only over its exact
+on-segment samples; it takes the in-period position from the phase in
+periods.  ``run_sweep`` samples each vehicle slot once, on the window's
+one time array, and adds it into every penetration row that holds it.
+``tests/oracles.py`` keeps the formulations they replaced: one ``np.mod``
+pulse call per vehicle over its whole span, masked ``load_at_time`` calls
+per vehicle and block, and one validated scenario per sweep row.  The
+``np.mod`` routes must agree to rounding; the ``load_at_time`` routes
+make the same float operations on every on-segment sample and must agree
+bit for bit.
 """
 
 from __future__ import annotations
@@ -25,13 +29,14 @@ from dwptload import (
     SweepColumn,
     SweepConfig,
     UniformOnRange,
+    default_sweep_config,
     run_sweep,
     synthesize,
 )
 from dwptload.composition import matched_counts, truck_count_schedules
-from dwptload.signals import _BLOCK
+from dwptload.signals import _BLOCK, _sample_spans
 from dwptload.traffic import IngestedFile, VehicleTable
-from oracles import per_row_sweep, unblocked_synthesize
+from oracles import blocked_sweep, blocked_synthesize, per_row_sweep, unblocked_synthesize
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -79,6 +84,113 @@ def test_blocked_synthesis_matches_unblocked_oracle(case):
     assert not np.any(got[want == 0.0])
 
 
+@st.composite
+def output_block_edge_cases(draw):
+    """A window of one to three output blocks, give or take three samples,
+    and vehicles whose on-segment samples start and end within three
+    samples (and a fraction) of an output-block edge, or that leave the
+    segment before the window starts or enter it after the window ends."""
+    n_coils = draw(st.integers(20, 200))
+    cfg = ErConfig(3.66, 0.91, 109.36, n_coils * 4.57)
+    fs = draw(st.floats(100.0, 1000.0))
+    # Late enough that a vehicle of four blocks fits before the window.
+    t0 = 5 * _BLOCK / fs + draw(st.floats(0.0, 50.0))
+    n = draw(st.integers(1, 3)) * _BLOCK + draw(st.integers(-3, 3))
+    edge = st.builds(lambda b, d: b * _BLOCK + d, st.integers(0, 4), st.integers(-3, 3))
+    evs = []
+    for _ in range(draw(st.integers(1, 5))):
+        first, last = sorted(draw(st.lists(edge, min_size=2, max_size=2, unique=True)))
+        place = draw(st.sampled_from(["edges", "before", "after"]))
+        if place == "before":
+            shift = -last - draw(st.integers(0, 3))
+        elif place == "after":
+            shift = n - first + draw(st.integers(0, 3))
+        else:
+            shift = 0
+        nudge = draw(st.sampled_from([0.0, 1e-9, -1e-9, 0.5]))
+        speed = cfg.energized_len_m * fs / (last - first)
+        rx = draw(st.floats(1.0, 3.5))
+        demand = rx * 109.36 * draw(st.floats(0.5, 1.0))
+        evs.append(EvParams(rx, demand, speed, t0 + (first + shift + nudge) / fs))
+    duration = max(t0 + n / fs, max(e.entry_time_s for e in evs) + 1.0)
+    scenario = Scenario(
+        cfg, VehicleTable.from_evs(evs), duration, None, IngestedFile("generated")
+    )
+    return scenario, fs, (t0, t0 + n / fs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(block_edge_cases() | output_block_edge_cases())
+def test_synthesis_is_bit_identical_to_blocked_oracle(case):
+    scenario, fs, window = case
+    got = synthesize(scenario, fs, window).samples_kw
+    want = blocked_synthesize(scenario, fs, window).samples_kw
+    assert np.array_equal(got, want)
+
+
+# A roadway whose energized length, 16 m, and a grid whose times,
+# 1 + k/8 s, are exact in binary, so entries can put a sample exactly on
+# either edge of the segment.
+EXACT_CFG = ErConfig(3.0, 1.0, 100.0, 16.0)
+EXACT_GRID = (1.0, 8.0)  # t0, sample rate
+
+
+def brute_force_span(cfg, speed, entry, t0, fs, n):
+    x = speed * ((t0 + np.arange(n) / fs) - entry)
+    on = np.flatnonzero((x >= 0) & (x < cfg.energized_len_m))
+    if not on.size:
+        return None
+    assert on.size == on[-1] + 1 - on[0]  # contiguous
+    return int(on[0]), int(on[-1]) + 1
+
+
+def assert_spans_match_brute_force(cfg, speeds, entries, t0, fs, n):
+    j0, j1 = _sample_spans(cfg, np.array(speeds), np.array(entries), t0, fs, n)
+    for speed, entry, a, b in zip(speeds, entries, j0.tolist(), j1.tolist()):
+        want = brute_force_span(cfg, speed, entry, t0, fs, n)
+        if want is None:
+            assert a == b
+        else:
+            assert (a, b) == want
+
+
+def test_sample_spans_on_exact_segment_edges():
+    cfg = EXACT_CFG
+    t0, fs = EXACT_GRID
+    speed = 2.0
+    assert cfg.energized_len_m == 16.0
+    entries = []
+    for k in (0, 3, 17, 39):
+        at_start = t0 + k / fs  # x_k == 0
+        at_end = at_start - cfg.energized_len_m / speed  # x_k == E
+        assert speed * ((t0 + k / fs) - at_start) == 0.0
+        assert speed * ((t0 + k / fs) - at_end) == cfg.energized_len_m
+        for entry in (at_start, at_end):
+            entries += [entry, np.nextafter(entry, -np.inf), np.nextafter(entry, np.inf)]
+    # Never on the segment during the grid: out long before, in long after.
+    entries += [t0 - 100.0, t0 + 100.0]
+    for n in (0, 1, 2, 40, 41):
+        assert_spans_match_brute_force(cfg, [speed] * len(entries), entries, t0, fs, n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    n_coils=st.integers(1, 30),
+    fs=st.floats(1.0, 2000.0),
+    t0=st.floats(0.0, 1e4),
+    n=st.integers(0, 300) | st.just(1),
+    vehicles=st.lists(
+        st.tuples(st.floats(0.5, 60.0), st.floats(-2.0, 2.0)), min_size=1, max_size=6
+    ),
+)
+def test_sample_spans_match_brute_force(n_coils, fs, t0, n, vehicles):
+    cfg = ErConfig(3.66, 0.91, 109.36, n_coils * 4.57)
+    speeds = [v for v, _ in vehicles]
+    # Entries from before the grid's start to after its end, in grid lengths.
+    entries = [t0 + u * max(n, 1) / fs for _, u in vehicles]
+    assert_spans_match_brute_force(cfg, speeds, entries, t0, fs, n)
+
+
 def assert_sweeps_agree(sw: SweepConfig, seed: int) -> None:
     try:
         want = per_row_sweep(sw, seed)
@@ -86,7 +198,9 @@ def assert_sweeps_agree(sw: SweepConfig, seed: int) -> None:
         with pytest.raises(ValueError):
             run_sweep(sw, seed)
         return
-    np.testing.assert_allclose(run_sweep(sw, seed).thc_windows, want, rtol=1e-12, atol=0)
+    got = run_sweep(sw, seed).thc_windows
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert np.array_equal(got, blocked_sweep(sw, seed))
 
 
 COLUMNS = (
@@ -142,3 +256,9 @@ def test_heavy_sedan_column_matches_per_row_oracle():
     sedans = np.array(counts)[:, None] - truck_count_schedules(sw.thetas, counts, 2)
     assert sedans[:, 0].tolist() == [10, 8, 9]
     assert_sweeps_agree(sw, seed=11)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_default_sweep_is_bit_identical_to_blocked_oracle(seed):
+    sw = default_sweep_config(INDOT, n_windows=2)
+    assert np.array_equal(run_sweep(sw, seed).thc_windows, blocked_sweep(sw, seed))

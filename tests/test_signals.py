@@ -104,6 +104,25 @@ def test_sample_count_and_window_validation():
             synthesize(sc, 100.0, bad)
 
 
+@pytest.mark.parametrize(
+    "rate, window, message",
+    [
+        (100.0, (0.0, np.inf), "bad window"),
+        (100.0, (np.nan, 5.0), "bad window"),
+        (100.0, (0.0, np.nan), "bad window"),
+        (1e308, (0.0, 10.0), "bad window"),  # finite, but too many samples
+        (np.inf, None, "sample_rate_hz"),
+        (np.nan, None, "sample_rate_hz"),
+        (-5.0, None, "sample_rate_hz"),
+        (0.0, None, "sample_rate_hz"),
+    ],
+)
+def test_bad_synthesize_arguments_are_named(rate, window, message):
+    sc = manual_scenario([EvParams(1.83, 200.0, 24.6, entry_time_s=1.0)], duration=30.0)
+    with pytest.raises(ValueError, match=message):
+        synthesize(sc, rate, window)
+
+
 def test_superposition_of_scenarios():
     a = EvParams(1.83, 200.1288, 24.6, entry_time_s=2.0)
     b = EvParams(1.2, 90.0, 29.0, entry_time_s=7.5)
