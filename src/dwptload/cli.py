@@ -56,7 +56,7 @@ from .spectrum import (
     harmonic_ratio_scaling,
     thc_single,
 )
-from .schema import from_dict, to_dict
+from .schema import dumps, from_dict, members, to_dict
 from .traffic import IngestError, Scenario, TrafficClass, TrafficSpec, generate, ingest
 
 EXIT_OK = 0
@@ -225,7 +225,7 @@ def _fmt(cell) -> str:
 
 
 def _write_json(path: Path, meta: dict, body: dict) -> None:
-    _write_atomic(path, json.dumps({"meta": meta, **body}, indent=2, sort_keys=True))
+    _write_atomic(path, dumps({"meta": meta, **body}))
 
 
 # --- subcommands ----------------------------------------------------------
@@ -275,7 +275,7 @@ def cmd_simulate(rc: RunConfig) -> int:
         ("time_s", "load_kw"),
         zip(series.times_s.tolist(), series.samples_kw.tolist()),
     )
-    _write_json(out / "scenario.json", meta, to_dict(scenario))
+    _write_json(out / "scenario.json", meta, members(scenario))
     print(
         f"simulate: {len(scenario.evs)} vehicles, {series.n_samples} samples, "
         f"mean load {series.mean_kw:.10g} kW"
@@ -610,7 +610,7 @@ def cmd_validate(rc: RunConfig, self_test: bool = False) -> int:
 def cmd_ingest(rc: RunConfig, path: str) -> int:
     scenario = ingest(path, rc.er)
     meta = run_metadata(rc)
-    _write_json(Path(rc.out_dir) / "scenario.json", meta, to_dict(scenario))
+    _write_json(Path(rc.out_dir) / "scenario.json", meta, members(scenario))
     print(f"ingest: {len(scenario.evs)} vehicles from {path}")
     return EXIT_OK
 

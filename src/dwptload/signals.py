@@ -20,8 +20,8 @@ import numpy as np
 from scipy import signal as sps
 
 from .fleet import FleetModel, demand_bounds
-from .roadway import ErConfig, _pulse_at
-from .spectrum import fs_harmonic_grid
+from .roadway import ErConfig, _pulse_at, _require_finite
+from .spectrum import _stepped_rows, fs_harmonic_grid
 from .traffic import Scenario
 
 
@@ -34,6 +34,7 @@ class LoadSeries:
     t0_s: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self, "sample_rate_hz", "t0_s")
         if not self.sample_rate_hz > 0:
             raise ValueError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
 
@@ -392,15 +393,17 @@ def monte_carlo_psd(
     coefficient sum c_m = sum_n c_{m,n} e^{-2pi i m u_n}, and averages
     |c_m|^2 across trials.  Point-demand classes use the coil-start-phase
     coefficients of :func:`period_coefficients`; continuous-demand classes
-    evaluate the real closed form of :func:`fs_harmonic_grid` at the
-    sampled demands, without the coil-start phase shift.
+    take the real closed form of :func:`fs_harmonic_grid` at the sampled
+    demands, without the coil-start phase shift.
 
     Trials are drawn in chunks of ``4_000_000 // (n_evs (m_max + 1))``.
     Each chunk draws, in this order, the classes of all its vehicles, their
     phases ``u``, then the demands of each present continuous class in
     class order.  The harmonics are then taken one at a time, with
-    ``e^{-2pi i m u}`` carried as a running product of ``e^{-2pi i u}``, so
-    every work array is ``(chunk, n_evs)``: none has a harmonic axis.
+    ``e^{-2pi i m u}`` carried as a running product of ``e^{-2pi i u}`` and
+    each continuous class's coefficients stepped from one harmonic to the
+    next by :func:`dwptload.spectrum._stepped_rows`, so every work array is
+    ``(chunk, n_evs)``: none has a harmonic axis.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
@@ -428,27 +431,27 @@ def monte_carlo_psd(
         t_here = min(chunk, trials - done)
         cls = rng.choice(g_count, p=probs, size=(t_here, n)).ravel()
         u = rng.random((t_here, n))
-        members = []  # (class, flat indices into the chunk, demands or None)
+        members = []  # (class, flat indices into the chunk, rows or None)
         for g in range(g_count):
             idx = np.flatnonzero(cls == g)
             if not idx.size:
                 continue
             lo, hi = bounds[g]
-            demands = None if point[g] is not None else rng.uniform(lo, hi, size=idx.size)
-            members.append((g, idx, demands))
+            rows = None
+            if point[g] is None:
+                demands = rng.uniform(lo, hi, size=idx.size)
+                rows = _stepped_rows(cfg, model.classes[g].rx_len_m, demands, m_max)
+            members.append((g, idx, rows))
         z = np.exp(-2j * np.pi * u)
+        del cls, u
         zk = np.ones_like(z)
         coeff = np.empty(t_here * n, dtype=complex)
+        per_trial = coeff.reshape(t_here, n)
         for k in range(m_max + 1):
-            for g, idx, demands in members:
-                if demands is None:
-                    coeff[idx] = point[g][k]
-                else:
-                    coeff[idx] = fs_harmonic_grid(
-                        cfg, model.classes[g].rx_len_m, demands, k
-                    )
-            agg = np.sum(coeff.reshape(t_here, n) * zk, axis=1)
-            power = np.abs(agg) ** 2
+            for g, idx, rows in members:
+                coeff[idx] = point[g][k] if rows is None else next(rows)
+            per_trial *= zk
+            power = np.abs(per_trial.sum(axis=1)) ** 2
             p_sum[k] += power.sum()
             p_sumsq[k] += (power * power).sum()
             zk *= z

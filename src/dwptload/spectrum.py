@@ -10,10 +10,21 @@ the pulse center, so with that phase convention all coefficients are real.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .roadway import ErConfig, EvParams, constant_regime
+
+
+def _trapezoid(cfg: ErConfig, rx_len_m: float, p: np.ndarray):
+    """Ramp width ``a = p / alpha``, full width at half plateau
+    ``b = tx_len + rx_len - a``, and where the demand is at or below the
+    constant-load threshold ``alpha (rx_len - gap)``."""
+    alpha = cfg.power_density_kw_per_m
+    a = p / alpha
+    b = cfg.tx_len_m + rx_len_m - a
+    return a, b, p <= alpha * (rx_len_m - cfg.gap_m)
 
 
 def fs_harmonic_grid(cfg: ErConfig, rx_len_m: float, demands_kw, m) -> np.ndarray:
@@ -34,8 +45,7 @@ def fs_harmonic_grid(cfg: ErConfig, rx_len_m: float, demands_kw, m) -> np.ndarra
     ma = np.asarray(m, dtype=float)
     p = np.asarray(demands_kw, dtype=float)
     p = p.reshape(p.shape + (1,) * ma.ndim)
-    a = p / alpha
-    b = cfg.tx_len_m + rx_len_m - a
+    a, b, flat = _trapezoid(cfg, rx_len_m, p)
     dc = ma == 0
     envelope = alpha * d_per / (np.pi * np.where(dc, 1.0, ma)) ** 2
     # The sine arguments round as those of the sinc form, pi * (m a / D),
@@ -44,8 +54,44 @@ def fs_harmonic_grid(cfg: ErConfig, rx_len_m: float, demands_kw, m) -> np.ndarra
     out *= np.sin(np.pi * (ma * b / d_per))
     if dc.any():
         out = np.where(dc, p * b / d_per, out)
-    flat = p <= alpha * (rx_len_m - cfg.gap_m)
     return np.where(flat, np.where(dc, p, 0.0), out)
+
+
+def _stepped_rows(
+    cfg: ErConfig, rx_len_m: float, demands_kw: np.ndarray, m_max: int
+) -> Iterator[np.ndarray]:
+    """The rows c_0, c_1, ..., c_m_max of :func:`fs_harmonic_grid` for one
+    receiver at a 1-D array of demands, one harmonic at a time.
+
+    The same closed form in product-to-sum form:
+    ``c_k = alpha D / (2 (k pi)^2) [cos(k delta) - cos(k sigma)]`` with
+    ``delta = pi (b - a) / D``, which varies with the demand, and
+    ``sigma = pi (a + b) / D = pi (tx_len + rx_len) / D``, one scalar.
+    ``cos(k delta)`` is stepped by the Chebyshev recurrence
+    ``cos((k+1) delta) = 2 cos(delta) cos(k delta) - cos((k-1) delta)``, so
+    a row costs a few array operations where :func:`fs_harmonic_grid` takes
+    two sines.  Row k differs from it by rounding that grows with k, up to
+    about ``eps k (4 + k / 8)`` of the envelope ``alpha D / (k pi)^2`` as
+    measured; c_0 and the rows of flat demands are equal to it.
+    """
+    d_per = cfg.period_m
+    a, b, flat = _trapezoid(cfg, rx_len_m, demands_kw)
+    yield np.where(flat, demands_kw, demands_kw * b / d_per)
+    flat = np.flatnonzero(flat)
+    cos_prev, cos_k = 1.0, np.cos(np.pi * (b - a) / d_per)
+    del a, b
+    two_cos = 2.0 * cos_k
+    sigma = np.pi * (cfg.tx_len_m + rx_len_m) / d_per
+    half_env = cfg.power_density_kw_per_m * d_per / 2.0
+    for k in range(1, m_max + 1):
+        if k > 1:
+            cos_next = two_cos * cos_k
+            cos_next -= cos_prev
+            cos_prev, cos_k = cos_k, cos_next
+        row = cos_k - np.cos(k * sigma)
+        row *= half_env / (np.pi * k) ** 2
+        row[flat] = 0.0
+        yield row
 
 
 def fs_dc(cfg: ErConfig, ev: EvParams) -> float:

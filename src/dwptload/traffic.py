@@ -28,7 +28,7 @@ import numpy as np
 
 from .fleet import DEMAND_KEY, DemandDist, _draw_demand, demand_bounds, sample_demand
 from .roadway import ErConfig, EvParams, _class_id_ok, _require_class_id, _require_finite
-from .schema import from_dict, to_dict
+from .schema import dumps, from_dict
 
 CSV_FIELDS = ("entry_time_s", "speed_mps", "rx_len_m", "peak_demand_kw")
 
@@ -513,7 +513,7 @@ def ingest(path: str, cfg: ErConfig) -> Scenario:
 
 
 def scenario_to_json(scenario: Scenario) -> str:
-    return json.dumps(to_dict(scenario), indent=2, sort_keys=True)
+    return dumps(scenario)
 
 
 def scenario_from_json(text: str) -> Scenario:

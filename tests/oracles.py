@@ -9,8 +9,9 @@ synthesis by one ``np.mod`` pulse call per vehicle over its whole span
 or by masked ``load_at_time`` calls per vehicle and block, the
 composition sweep by one scenario per row, the Monte Carlo ensemble
 on dense (trials, vehicles, harmonics) arrays, traffic classes by
-``Generator.choice``, and the checks, trajectory CSV and JSON document of
-a scenario's vehicles by one ``EvParams`` per vehicle.  The package is
+``Generator.choice``, the checks, trajectory CSV and JSON document of
+a scenario's vehicles by one ``EvParams`` per vehicle, and JSON text by
+``json.dumps`` of the whole document.  The package is
 thus checked against a second, structurally different derivation rather
 than against itself.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 
 import numpy as np
@@ -569,3 +571,17 @@ def rowwise_scenario_dict(scenario: Scenario) -> dict:
     doc["provenance"] = to_dict(scenario.provenance)
     doc["evs"] = [to_dict(ev) for ev in scenario.evs]
     return doc
+
+
+def json_text(obj) -> str:
+    """``json.dumps(to_dict(obj), indent=2, sort_keys=True)``, with the
+    items of a dict, list or tuple converted by ``to_dict`` too."""
+
+    def doc(x):
+        if isinstance(x, dict):
+            return {k: doc(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [doc(v) for v in x]
+        return to_dict(x)
+
+    return json.dumps(doc(obj), indent=2, sort_keys=True)

@@ -73,6 +73,22 @@ def test_series_properties_and_validation():
         LoadSeries(samples_kw=np.zeros(4), sample_rate_hz=0.0)
 
 
+@pytest.mark.parametrize(
+    "rate, t0, field",
+    [
+        (np.inf, 0.0, "sample_rate_hz"),
+        (np.nan, 0.0, "sample_rate_hz"),
+        (-np.inf, 0.0, "sample_rate_hz"),
+        (100.0, np.nan, "t0_s"),
+        (100.0, np.inf, "t0_s"),
+        (100.0, -np.inf, "t0_s"),
+    ],
+)
+def test_series_rejects_non_finite_fields(rate, t0, field):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        LoadSeries(samples_kw=np.ones(4), sample_rate_hz=rate, t0_s=t0)
+
+
 # --- synthesize -------------------------------------------------------------
 
 
