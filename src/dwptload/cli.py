@@ -30,7 +30,6 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import __version__
 from .composition import SweepColumn, SweepConfig, default_sweep_config, run_sweep
@@ -352,6 +351,16 @@ def _analytic_lines(rc: RunConfig, scenario: Scenario):
 
 
 def cmd_psd(rc: RunConfig) -> int:
+    if not rc.analytic and rc.psd_method == "welch":
+        # Reject a bad window name now, not after the whole horizon has been
+        # generated and synthesized.  Whether scipy knows a name does not
+        # depend on the length, and two samples stay small for any segment.
+        from scipy.signal import get_window
+
+        try:
+            get_window(rc.psd_window, 2)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     spec = _resolved_traffic(rc, _default_psd_traffic)
     scenario = generate(rc.er, spec, rc.seed)
     meta = run_metadata(rc)
@@ -456,6 +465,10 @@ def _draw_valid(rng: np.random.Generator, cfg: ErConfig) -> EvParams:
 
 
 def _suite_parseval(rc: RunConfig, tol: float) -> tuple[bool, str]:
+    # Imported here, not at module level: scipy.integrate costs ~0.75 s and
+    # ~50 MB at start-up, and only this suite and `fs-oracle` use it.
+    from scipy.integrate import quad
+
     rng = np.random.default_rng(rc.seed)
     worst = 0.0
     for _ in range(20):
@@ -546,6 +559,8 @@ def _suite_composition_sign(rc: RunConfig, tol: float) -> tuple[bool, str]:
 
 
 def _suite_fs_oracle(rc: RunConfig, tol: float) -> tuple[bool, str]:
+    from scipy.integrate import quad  # local for start-up, as in `parseval`
+
     rng = np.random.default_rng(rc.seed + 4)
     period = rc.er.period_m
     omega = 2 * np.pi / period

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import ClassVar, Optional, Sequence, Union
 
 import numpy as np
-from scipy import optimize
 
 from .roadway import ErConfig, EvParams, _require_class_id, _require_finite
 from .spectrum import fs_dc, fs_harmonic, harmonic_count_for_dc
@@ -351,6 +350,10 @@ def composition_boundary(cfg: ErConfig, l_a: float) -> Optional[float]:
     sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
     if sign_change.size == 0:
         return None
+    # Imported here, not at module level: scipy.optimize costs ~0.6 s and
+    # ~50 MB at start-up, and only this refinement uses it.
+    from scipy import optimize
+
     i = sign_change[0]
     return float(
         optimize.bisect(margin, grid[i], grid[i + 1], xtol=1e-9, maxiter=200)

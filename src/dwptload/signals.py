@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy import signal as sps
 
 from .fleet import FleetModel, demand_bounds
 from .roadway import ErConfig, _pulse_at, _require_finite
@@ -34,6 +33,15 @@ class LoadSeries:
     t0_s: float = 0.0
 
     def __post_init__(self) -> None:
+        x = self.samples_kw
+        if not isinstance(x, np.ndarray):
+            raise ValueError(f"samples_kw must be an ndarray, got {type(x).__name__}")
+        if x.ndim != 1 or x.dtype.kind not in "fiu":
+            raise ValueError(f"samples_kw must be 1-D and real, got {x.ndim}-D {x.dtype}")
+        finite = np.isfinite(x)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(f"samples_kw must be finite, got {x[i]} at index {i}")
         _require_finite(self, "sample_rate_hz", "t0_s")
         if not self.sample_rate_hz > 0:
             raise ValueError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
@@ -179,6 +187,10 @@ def estimate_psd(
     segments, 50% overlap) resolve the per-speed fundamentals of typical
     highway scenarios while smoothing finite-length scatter.
     """
+    # Imported here, not at module level: scipy.signal costs ~1.3 s and ~75 MB
+    # at start-up, and only the sampled PSD needs it.
+    from scipy import signal as sps
+
     fs = series.sample_rate_hz
     x = series.samples_kw
     if method == "periodogram":

@@ -180,19 +180,68 @@ def test_traffic_duration_must_equal_run_duration(tmp_path, capsys, command):
     assert not list(tmp_path.glob("*.csv"))
 
 
-def test_version_runs_as_module():
+def run_child(*args):
+    """Run a fresh interpreter that imports this checkout's package."""
     # The child does not inherit pytest's `pythonpath`: hand it the directory
     # the package was imported from.
     src = str(Path(dwptload.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "dwptload.cli", "--version"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_version_runs_as_module():
+    proc = run_child("-m", "dwptload.cli", "--version")
     assert proc.returncode == 0
     assert proc.stdout.strip() == dwptload.__version__
+
+
+# Runs in a fresh interpreter, with an output directory, a config and a
+# trajectory CSV as arguments, and prints the scipy modules loaded after the
+# scipy-free subcommands, then after a sampled `psd`.
+SCIPY_PROBE = """
+import json, sys
+
+import dwptload
+from dwptload import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+out, config, csv = sys.argv[1:]
+try:
+    cli.main(["--version"])
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+for argv in (
+    ["spectrum"],
+    ["simulate", "--duration-s", "5"],
+    ["psd", "--analytic", "--config", config],
+    ["ingest", csv],
+):
+    assert cli.main([*argv, "--out", out]) == 0, argv
+free = scipy_modules()
+assert cli.main(["psd", "--duration-s", "10", "--sample-rate-hz", "200", "--out", out]) == 0
+print(json.dumps({"free": free, "psd": scipy_modules()}))
+"""
+
+
+def test_scipy_free_subcommands_load_no_scipy(tmp_path):
+    # scipy.signal and scipy.stats each cost ~1 s and ~70 MB at start-up, so
+    # only the functions that call scipy import it.  `psd --analytic` ignores
+    # the window, even one that the sampled `psd` would reject.
+    config = write_config(tmp_path, {"duration_s": 10.0, "psd_window": "bogus"})
+    csv = tmp_path / "traffic.csv"
+    csv.write_text(GOOD_CSV)
+    proc = run_child("-c", SCIPY_PROBE, str(tmp_path), config, str(csv))
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded["free"] == []
+    assert "scipy.signal" in loaded["psd"]  # the probe can see a scipy import
 
 
 # --- spectrum ---------------------------------------------------------------
@@ -306,6 +355,17 @@ def test_psd_finds_both_fundamentals(tmp_path):
     _, header, rows = read_meta_csv(tmp_path / "psd.csv")
     assert header == "freq_hz,psd_kw2_per_hz"
     assert len(rows) > 100
+
+
+def test_psd_rejects_bad_window_before_generating(tmp_path, capsys, monkeypatch):
+    def generate(*args):
+        raise AssertionError("generated traffic before checking the window")
+
+    monkeypatch.setattr("dwptload.cli.generate", generate)
+    cfg = write_config(tmp_path, {"psd_window": "bogus"})
+    assert main(["psd", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "config error: Invalid window name 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "psd.csv").exists()
 
 
 def test_psd_analytic_mode(tmp_path):

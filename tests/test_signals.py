@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,21 @@ def test_series_properties_and_validation():
 def test_series_rejects_non_finite_fields(rate, t0, field):
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         LoadSeries(samples_kw=np.ones(4), sample_rate_hz=rate, t0_s=t0)
+
+
+@pytest.mark.parametrize(
+    "samples, message",
+    [
+        (np.array([1.0, np.nan, 3.0, 4.0] * 100), "finite, got nan at index 1"),
+        (np.array([0.0, 0.0, -np.inf]), "finite, got -inf at index 2"),
+        (np.ones((3, 4)), "1-D and real, got 2-D float64"),
+        (np.array([1.0 + 0j]), "1-D and real, got 1-D complex128"),
+        ([1.0, 2.0], "an ndarray, got list"),
+    ],
+)
+def test_series_rejects_bad_samples(samples, message):
+    with pytest.raises(ValueError, match=f"^samples_kw must be {re.escape(message)}$"):
+        LoadSeries(samples_kw=samples, sample_rate_hz=10.0)
 
 
 # --- synthesize -------------------------------------------------------------
