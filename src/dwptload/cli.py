@@ -43,7 +43,15 @@ from .fleet import (
     q_ratio,
 )
 from .roadway import INDOT, ErConfig, EvParams, _require_finite, coil_pulse, constant_regime
-from .signals import detect_peaks, empirical_thc, estimate_psd, monte_carlo_psd, synthesize
+from .signals import (
+    _welch_segments,
+    _window,
+    detect_peaks,
+    empirical_thc,
+    estimate_psd,
+    monte_carlo_psd,
+    synthesize,
+)
 from .spectrum import (
     default_harmonic_count,
     fs_coefficients,
@@ -352,13 +360,15 @@ def _analytic_lines(rc: RunConfig, scenario: Scenario):
 
 def cmd_psd(rc: RunConfig) -> int:
     if not rc.analytic and rc.psd_method == "welch":
-        # Reject a bad window name now, not after the whole horizon has been
-        # generated and synthesized.  Whether scipy knows a name does not
-        # depend on the length, and two samples stay small for any segment.
-        from scipy.signal import get_window
-
+        # Reject Welch settings that cannot work now, not after the whole
+        # horizon has been generated and synthesized: the series will have
+        # round(duration_s * sample_rate_hz) samples.  Whether a window name
+        # is known does not depend on the length, and two samples stay small
+        # for any segment.
+        n = int(round(rc.duration_s * rc.sample_rate_hz))
         try:
-            get_window(rc.psd_window, 2)
+            _welch_segments(n, rc.sample_rate_hz, rc.segment_s, rc.overlap_frac)
+            _window(rc.psd_window, 2)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     spec = _resolved_traffic(rc, _default_psd_traffic)

@@ -31,6 +31,8 @@ holds the slot.
 
 from __future__ import annotations
 
+import importlib.util
+import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -209,6 +211,89 @@ def truck_count_schedules(
     return out
 
 
+#: Bits per Sobol coordinate, as in scipy's ``qmc.Sobol`` by default.
+_SOBOL_BITS = 30
+
+
+def _sobol_directions(d: int) -> np.ndarray:
+    """Unscrambled direction numbers of a ``d``-dimensional Sobol sequence,
+    as the ``(d, 30)`` ``uint32`` array that scipy's ``qmc.Sobol`` builds.
+
+    The primitive polynomials and initial numbers are the first ``d`` rows
+    of the Joe-Kuo table that scipy installs as
+    ``stats/_sobol_direction_numbers.npz``.  ``find_spec`` locates it
+    without importing any scipy module.  Each row is extended by the
+    Bratley-Fox recurrence, one bit column at a time for all dimensions.
+    """
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    path = os.path.join(scipy_dir, "stats", "_sobol_direction_numbers.npz")
+    with np.load(path) as table:
+        poly, vinit = table["poly"], table["vinit"]
+    if d > len(poly):
+        raise ValueError(f"Maximum supported dimensionality is {len(poly)}.")
+    poly, vinit = poly[:d], vinit[:d]
+    degree = np.array([int(p).bit_length() - 1 for p in poly.tolist()])
+    v = np.zeros((d, _SOBOL_BITS), dtype=np.int64)
+    v[:, : vinit.shape[1]] = vinit
+    v[0] = 1
+    for j in range(_SOBOL_BITS):
+        # Past its initial numbers, row i takes v[j - deg] xor each
+        # v[j - k - 1] << (k + 1) whose polynomial coefficient is set; row 0
+        # stays all ones.
+        rows = 1 + np.flatnonzero(degree[1:] <= j)
+        if not rows.size:
+            continue
+        deg, p = degree[rows], poly[rows]
+        new = v[rows, j - deg]
+        for k in range(int(deg.max())):
+            use = (k < deg) & ((p >> np.maximum(deg - 1 - k, 0)) & 1 == 1)
+            new = np.where(use, new ^ (v[rows, j - k - 1] << (k + 1)), new)
+        v[rows, j] = new
+    return (v << np.arange(_SOBOL_BITS - 1, -1, -1)).astype(np.uint32)
+
+
+def _parity(x: np.ndarray) -> np.ndarray:
+    """Parity of the set bits of each ``uint32`` in ``x``, as 0 or 1."""
+    for s in (16, 8, 4, 2, 1):
+        x = x ^ (x >> s)
+    return x & 1
+
+
+def _scrambled_sobol(
+    directions: np.ndarray, rng: np.random.Generator, m: int
+) -> np.ndarray:
+    """The ``2**m`` points that ``qmc.Sobol(d, scramble=True, seed=rng)
+    .random_base2(m)`` returns, for ``directions`` from
+    :func:`_sobol_directions`.
+
+    As scipy does, the scramble is drawn from ``rng.spawn(1)[0]``, so
+    ``rng``'s own stream is not advanced: first a random digital shift,
+    then one lower-triangular binary matrix per dimension with a unit
+    diagonal (linear matrix scrambling).  Point ``k`` is the shift xor the
+    scrambled direction numbers of the set bits of the Gray code of ``k``.
+    """
+    d = directions.shape[0]
+    child = rng.spawn(1)[0]
+    bits = np.arange(_SOBOL_BITS, dtype=np.uint32)
+    msb_first = bits[::-1]
+    shift = child.integers(2, size=(d, _SOBOL_BITS), dtype=np.uint32)
+    shift = np.bitwise_or.reduce(shift << bits, axis=1)
+    ltm = np.tril(child.integers(2, size=(d, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    ltm[:, bits, bits] = 1
+    # Row p of each matrix as a word whose most significant bit is column 0;
+    # bit 29 - p of a scrambled number is the parity of row p and the input.
+    lms = np.bitwise_or.reduce(ltm << msb_first, axis=2)
+    scrambled = np.bitwise_or.reduce(
+        _parity(lms[:, :, None] & directions[:, None, :]) << msb_first[:, None], axis=1
+    )
+    k = np.arange(1 << m)
+    gray = k ^ (k >> 1)
+    points = np.tile(shift, (k.size, 1))
+    for b in range(m):
+        points[(gray >> b) & 1 == 1] ^= scrambled[:, b]
+    return points * (1.0 / (1 << _SOBOL_BITS))
+
+
 def run_sweep(sw: SweepConfig, seed: int) -> SweepResult:
     """Run the full windows x penetrations x columns measurement."""
     cfg = sw.cfg
@@ -232,17 +317,12 @@ def run_sweep(sw: SweepConfig, seed: int) -> SweepResult:
         )
     bounds = [demand_bounds(c.demand_dist, cfg, c.rx_len_m) for c in sw.columns]
 
-    # Imported here, not at module level: scipy.stats costs ~1.2 s and ~70 MB
-    # at start-up, and only the sweep draws from it.
-    from scipy.stats import qmc
-
     rng = np.random.default_rng(seed)
     # One scrambled Sobol stream of (phase, demand) pairs per column; row w
     # seeds window w.  Drawn in a power-of-two block to keep the net balanced.
-    pools = []
-    for _ in range(n_cols):
-        sob = qmc.Sobol(d=2 * n_max, scramble=True, seed=rng)
-        pools.append(sob.random_base2(max(1, int(np.ceil(np.log2(sw.n_windows))))))
+    directions = _sobol_directions(2 * n_max)
+    m = max(1, int(np.ceil(np.log2(sw.n_windows))))
+    pools = [_scrambled_sobol(directions, rng, m) for _ in range(n_cols)]
     fs = sw.sample_rate_hz
     n_samples = int(round((window[1] - window[0]) * fs))
     times = t0 + np.arange(n_samples) / fs

@@ -174,6 +174,70 @@ class PsdEstimate:
         return float(np.sum(self.psd_kw2_per_hz) * self.resolution_hz)
 
 
+def _window(name: str, n: int) -> np.ndarray:
+    """The ``n``-sample periodic window ``name``, as scipy's ``get_window``.
+
+    The default ``"hann"`` is computed here with the float operations of
+    scipy's ``general_cosine`` (whose first term, ``0.5 cos(0)`` added to
+    zeros, is exactly 0.5), so the array is bit-identical.  Any other name
+    goes to ``scipy.signal.get_window``, imported only then (~1.3 s and
+    ~75 MB at start-up), which also raises scipy's own error for an
+    unknown name.
+    """
+    if name != "hann":
+        from scipy.signal import get_window
+
+        return get_window(name, n)
+    if n <= 1:
+        return np.ones(n)
+    return (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
+
+
+def _welch_segments(
+    n: int, sample_rate_hz: float, segment_s: float, overlap_frac: float
+) -> tuple[int, int]:
+    """Welch segment length and overlap, in samples, for an ``n``-sample series.
+
+    Raises ``ValueError`` for settings that leave no whole segment or no
+    stride between segments.
+    """
+    nperseg = int(round(segment_s * sample_rate_hz))
+    if nperseg < 2:
+        raise ValueError(f"segment_s too short: {segment_s}")
+    if nperseg > n:
+        raise ValueError(f"segment of {nperseg} samples longer than series of {n}")
+    noverlap = int(round(overlap_frac * nperseg))
+    if noverlap >= nperseg:
+        raise ValueError(f"noverlap={noverlap} must be less than nperseg={nperseg}!")
+    return nperseg, noverlap
+
+
+def _welch(
+    x: np.ndarray, fs: float, win: np.ndarray, nperseg: int, noverlap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided Welch density of ``x``, as ``scipy.signal.welch`` with
+    ``detrend=False`` gives it: frequencies and PSD.
+
+    Segments of ``nperseg`` samples start every ``nperseg - noverlap``
+    samples, and a trailing part too short for a segment is dropped.  Each
+    segment is multiplied by ``win`` and transformed, and ``|X|^2`` is
+    averaged over the segments, scaled by ``1 / (fs sum(win^2))`` and
+    doubled in every bin but DC and, for an even ``nperseg``, Nyquist.
+    Segments are transformed a block of ``32 _BLOCK`` samples at a time,
+    so no work array holds more than one block.  Requires
+    ``noverlap < nperseg <= x.size``.
+    """
+    segments = np.lib.stride_tricks.sliding_window_view(x, nperseg)[:: nperseg - noverlap]
+    per_block = max(1, 32 * _BLOCK // nperseg)
+    power = np.zeros(nperseg // 2 + 1)
+    for a in range(0, len(segments), per_block):
+        spec = np.fft.rfft(segments[a : a + per_block] * win, axis=-1)
+        power += (spec.real**2 + spec.imag**2).sum(axis=0)
+    psd = power / (len(segments) * fs * np.sum(win * win))
+    psd[1 : None if nperseg % 2 else -1] *= 2.0
+    return np.fft.rfftfreq(nperseg, 1.0 / fs), psd
+
+
 def estimate_psd(
     series: LoadSeries,
     method: str = "welch",
@@ -185,33 +249,19 @@ def estimate_psd(
 
     Welch trades resolution for variance; the defaults (Hann, 8 s
     segments, 50% overlap) resolve the per-speed fundamentals of typical
-    highway scenarios while smoothing finite-length scatter.
+    highway scenarios while smoothing finite-length scatter.  The
+    periodogram is one boxcar segment over the whole series: it ignores
+    ``window``, ``segment_s`` and ``overlap_frac``.
     """
-    # Imported here, not at module level: scipy.signal costs ~1.3 s and ~75 MB
-    # at start-up, and only the sampled PSD needs it.
-    from scipy import signal as sps
-
     fs = series.sample_rate_hz
     x = series.samples_kw
     if method == "periodogram":
-        freqs, psd = sps.periodogram(x, fs=fs, detrend=False)
+        if x.size < 2:
+            raise ValueError(f"series of {x.size} samples too short for a periodogram")
+        freqs, psd = _welch(x, fs, np.ones(x.size), x.size, 0)
     elif method == "welch":
-        nperseg = int(round(segment_s * fs))
-        if nperseg < 2:
-            raise ValueError(f"segment_s too short: {segment_s}")
-        if nperseg > x.size:
-            raise ValueError(
-                f"segment of {nperseg} samples longer than series of {x.size}"
-            )
-        noverlap = int(round(overlap_frac * nperseg))
-        freqs, psd = sps.welch(
-            x,
-            fs=fs,
-            window=window,
-            nperseg=nperseg,
-            noverlap=noverlap,
-            detrend=False,
-        )
+        nperseg, noverlap = _welch_segments(x.size, fs, segment_s, overlap_frac)
+        freqs, psd = _welch(x, fs, _window(window, nperseg), nperseg, noverlap)
     else:
         raise ValueError(f"unknown method {method!r}")
     return PsdEstimate(

@@ -212,7 +212,7 @@ from dwptload import cli
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-out, config, csv = sys.argv[1:]
+out, config, csv, hamming = sys.argv[1:]
 try:
     cli.main(["--version"])
 except SystemExit as exc:
@@ -222,26 +222,36 @@ for argv in (
     ["simulate", "--duration-s", "5"],
     ["psd", "--analytic", "--config", config],
     ["ingest", csv],
+    ["psd", "--duration-s", "10", "--sample-rate-hz", "200"],
+    ["composition", "--trials", "2"],
 ):
     assert cli.main([*argv, "--out", out]) == 0, argv
 free = scipy_modules()
-assert cli.main(["psd", "--duration-s", "10", "--sample-rate-hz", "200", "--out", out]) == 0
-print(json.dumps({"free": free, "psd": scipy_modules()}))
+assert cli.main(["psd", "--config", hamming, "--out", out]) == 0
+print(json.dumps({"free": free, "hamming": scipy_modules()}))
 """
 
 
 def test_scipy_free_subcommands_load_no_scipy(tmp_path):
     # scipy.signal and scipy.stats each cost ~1 s and ~70 MB at start-up, so
     # only the functions that call scipy import it.  `psd --analytic` ignores
-    # the window, even one that the sampled `psd` would reject.
+    # the window, even one that the sampled `psd` would reject.  The sampled
+    # `psd` computes its default Hann window itself, and `composition` reads
+    # scipy's Sobol direction numbers without importing scipy; any other
+    # window comes from scipy.signal.
     config = write_config(tmp_path, {"duration_s": 10.0, "psd_window": "bogus"})
+    hamming = write_config(
+        tmp_path,
+        {"duration_s": 10.0, "sample_rate_hz": 200.0, "psd_window": "hamming"},
+        "hamming.json",
+    )
     csv = tmp_path / "traffic.csv"
     csv.write_text(GOOD_CSV)
-    proc = run_child("-c", SCIPY_PROBE, str(tmp_path), config, str(csv))
+    proc = run_child("-c", SCIPY_PROBE, str(tmp_path), config, str(csv), hamming)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert loaded["free"] == []
-    assert "scipy.signal" in loaded["psd"]  # the probe can see a scipy import
+    assert "scipy.signal" in loaded["hamming"]  # the probe can see a scipy import
 
 
 # --- spectrum ---------------------------------------------------------------
@@ -365,6 +375,32 @@ def test_psd_rejects_bad_window_before_generating(tmp_path, capsys, monkeypatch)
     cfg = write_config(tmp_path, {"psd_window": "bogus"})
     assert main(["psd", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "config error: Invalid window name 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "psd.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"segment_s": 700.0, "duration_s": 600.0},
+            "segment of 700000 samples longer than series of 600000",
+        ),
+        (
+            {"segment_s": 0.002, "overlap_frac": 0.99},
+            "noverlap=2 must be less than nperseg=2!",
+        ),
+    ],
+)
+def test_psd_rejects_unworkable_welch_settings_before_generating(
+    tmp_path, capsys, monkeypatch, doc, message
+):
+    def generate(*args):
+        raise AssertionError("generated traffic before checking the Welch settings")
+
+    monkeypatch.setattr("dwptload.cli.generate", generate)
+    cfg = write_config(tmp_path, doc)
+    assert main(["psd", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "psd.csv").exists()
 
 

@@ -215,6 +215,12 @@ def test_estimate_psd_argument_errors():
         estimate_psd(ser, method="welch", segment_s=30.0)  # longer than series
     with pytest.raises(ValueError):
         estimate_psd(ser, method="welch", segment_s=0.001)
+    with pytest.raises(ValueError, match="noverlap=2 must be less than nperseg=2!"):
+        estimate_psd(ser, method="welch", segment_s=0.01, overlap_frac=0.99)
+    with pytest.raises(ValueError, match="Invalid window name 'bogus'"):
+        estimate_psd(ser, method="welch", window="bogus")
+    with pytest.raises(ValueError, match="1 samples too short for a periodogram"):
+        estimate_psd(LoadSeries(np.array([5.0]), 10.0), method="periodogram")
     with pytest.raises(ValueError):
         estimate_psd(ser, method="multitaper")
 
