@@ -140,16 +140,35 @@ class RunConfig:
             raise ConfigError("n_windows and n_ref must be >= 1")
 
 
+#: Keys of the Welch estimate, which a periodogram (one boxcar segment
+#: over the whole series) does not use.
+_WELCH_KEYS = ("psd_window", "segment_s", "overlap_frac")
+
+
 def runconfig_from_dict(doc: dict) -> RunConfig:
-    """Build a RunConfig from a parsed JSON document (rules in :mod:`.schema`)."""
+    """Build a RunConfig from a parsed JSON document (rules in :mod:`.schema`).
+
+    A document with ``"psd_method": "periodogram"`` may not set a Welch
+    key: it would be ignored.
+    """
     try:
-        return from_dict(RunConfig, doc, "config")
+        rc = from_dict(RunConfig, doc, "config")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if rc.psd_method == "periodogram":
+        for key in _WELCH_KEYS:
+            if key in doc:
+                raise ConfigError(
+                    f"config.{key}: not used by psd_method 'periodogram', "
+                    "which is one boxcar segment over the whole series"
+                )
+    return rc
 
 
 def runconfig_to_dict(rc: RunConfig) -> dict:
-    """Inverse of :func:`runconfig_from_dict`, used for hashing."""
+    """Inverse of :func:`runconfig_from_dict`, used for hashing.  It holds
+    every field, so a periodogram config's document carries the Welch keys
+    at their defaults and is not read back."""
     return to_dict(rc)
 
 

@@ -68,6 +68,11 @@ class LoadSeries:
 #: most this many samples, so it stays in cache however long the window.
 _BLOCK = 8192
 
+#: Complex elements in each work array of a Monte Carlo tile (512 KiB):
+#: :func:`monte_carlo_psd` takes ``_MC_TILE // n_evs`` trials at a time.
+#: At least 2, so that no tile is a one-element array (see there).
+_MC_TILE = 2**15
+
 
 def _sample_spans(
     cfg: ErConfig,
@@ -442,6 +447,48 @@ class EnsemblePsd:
     trials: int
 
 
+def _tile_powers(
+    model: FleetModel,
+    point: list,
+    cls: np.ndarray,
+    u: np.ndarray,
+    demands: list,
+    used: list[int],
+    out: np.ndarray,
+) -> None:
+    """Write |c_m|^2 of each trial of one Monte Carlo tile into ``out[m]``.
+    A function of its own, so that a tile's work arrays are freed before
+    the next tile's are built.
+
+    ``cls`` and ``u`` are the tile's (trials, n_evs) classes and phases.
+    A continuous class g takes its next demands from ``demands[g]``,
+    starting at ``used[g]``, which is advanced past them.
+    """
+    cfg = model.cfg
+    flat_cls = cls.ravel()
+    members = []  # (class, flat indices into the tile, rows or None)
+    for g, c in enumerate(model.classes):
+        idx = np.flatnonzero(flat_cls == g)
+        if not idx.size:
+            continue
+        rows = None
+        if point[g] is None:
+            mine = demands[g][used[g] : used[g] + idx.size]
+            used[g] += idx.size
+            rows = _stepped_rows(cfg, c.rx_len_m, mine, len(out) - 1)
+        members.append((g, idx, rows))
+    z = np.exp(-2j * np.pi * u)
+    zk = np.ones_like(z)
+    coeff = np.empty(u.size, dtype=complex)
+    per_trial = coeff.reshape(u.shape)
+    for k, line in enumerate(out):
+        for g, idx, rows in members:
+            coeff[idx] = point[g][k] if rows is None else next(rows)
+        per_trial *= zk
+        line[:] = np.abs(per_trial.sum(axis=1)) ** 2
+        zk *= z
+
+
 def monte_carlo_psd(
     model: FleetModel,
     trials: int,
@@ -459,13 +506,22 @@ def monte_carlo_psd(
     demands, without the coil-start phase shift.
 
     Trials are drawn in chunks of ``4_000_000 // (n_evs (m_max + 1))``.
-    Each chunk draws, in this order, the classes of all its vehicles, their
-    phases ``u``, then the demands of each present continuous class in
-    class order.  The harmonics are then taken one at a time, with
-    ``e^{-2pi i m u}`` carried as a running product of ``e^{-2pi i u}`` and
-    each continuous class's coefficients stepped from one harmonic to the
-    next by :func:`dwptload.spectrum._stepped_rows`, so every work array is
-    ``(chunk, n_evs)``: none has a harmonic axis.
+    Each chunk draws, in this order, the classes of all its vehicles (one
+    uniform each, searched in the normalized cumulative class
+    probabilities as ``Generator.choice`` does), their phases ``u``, then
+    the demands of each present continuous class in class order.  The
+    classes are kept as small ints, the phases and demands as drawn.
+
+    The harmonics are then taken over tiles of ``_MC_TILE // n_evs`` trials
+    (at least one), one harmonic at a time: ``e^{-2pi i m u}`` is carried
+    as a running product of ``e^{-2pi i u}``, and each continuous class's
+    coefficients are stepped from one harmonic to the next by
+    :func:`dwptload.spectrum._stepped_rows` on the tile's slice of its
+    demands.  Every complex work array is ``(tile, n_evs)``, about
+    ``_MC_TILE`` elements, whatever the chunk.  Each tile writes its
+    trials' |c_m|^2 into a ``(m_max + 1, chunk)`` buffer that is summed
+    once per chunk; every operation on a trial is elementwise or a sum
+    over that trial's vehicles, so the lines do not depend on the tile.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
@@ -475,7 +531,8 @@ def monte_carlo_psd(
     cfg = model.cfg
     n = model.n_evs
     g_count = len(model.classes)
-    probs = np.array([c.prob for c in model.classes])
+    cdf = np.array([c.prob for c in model.classes]).cumsum()
+    cdf /= cdf[-1]
     bounds = [demand_bounds(c.demand_dist, cfg, c.rx_len_m) for c in model.classes]
     # Coil-start-phase coefficients of each point-demand class, c_0..c_m_max.
     point = [
@@ -486,37 +543,40 @@ def monte_carlo_psd(
     # The (m_max + 1) divisor no longer bounds memory; it stays so that the
     # draw stream (classes, u, demands per chunk) is unchanged for a seed.
     chunk = max(1, min(trials, 4_000_000 // (n * (m_max + 1))))
+    tile = max(1, _MC_TILE // n)
+    power = np.empty((m_max + 1, chunk))
     p_sum = np.zeros(m_max + 1)
     p_sumsq = np.zeros(m_max + 1)
     done = 0
     while done < trials:
         t_here = min(chunk, trials - done)
-        cls = rng.choice(g_count, p=probs, size=(t_here, n)).ravel()
+        # Class g is the number of cdf entries at or below the uniform.
+        r = rng.random((t_here, n))
+        cls = np.zeros((t_here, n), dtype=np.min_scalar_type(g_count))
+        for edge in cdf[:-1]:
+            cls += r >= edge
+        del r
         u = rng.random((t_here, n))
-        members = []  # (class, flat indices into the chunk, rows or None)
+        demands = [None] * g_count
         for g in range(g_count):
-            idx = np.flatnonzero(cls == g)
-            if not idx.size:
-                continue
-            lo, hi = bounds[g]
-            rows = None
             if point[g] is None:
-                demands = rng.uniform(lo, hi, size=idx.size)
-                rows = _stepped_rows(cfg, model.classes[g].rx_len_m, demands, m_max)
-            members.append((g, idx, rows))
-        z = np.exp(-2j * np.pi * u)
-        del cls, u
-        zk = np.ones_like(z)
-        coeff = np.empty(t_here * n, dtype=complex)
-        per_trial = coeff.reshape(t_here, n)
+                size = np.count_nonzero(cls == g)
+                if size:
+                    demands[g] = rng.uniform(*bounds[g], size=size)
+        used = [0] * g_count  # demands of each class taken by earlier tiles
+        t0 = 0
+        while t0 < t_here:
+            # numpy multiplies a one-element complex array without the fused
+            # multiply-add it uses on longer ones: a lone last element (one
+            # trial of one vehicle) joins the tile before it.
+            t1 = t_here if (t_here - t0 - tile) * n <= 1 else t0 + tile
+            _tile_powers(model, point, cls[t0:t1], u[t0:t1], demands, used, power[:, t0:t1])
+            t0 = t1
+        del cls, u, demands  # before the next chunk draws its own
         for k in range(m_max + 1):
-            for g, idx, rows in members:
-                coeff[idx] = point[g][k] if rows is None else next(rows)
-            per_trial *= zk
-            power = np.abs(per_trial.sum(axis=1)) ** 2
-            p_sum[k] += power.sum()
-            p_sumsq[k] += (power * power).sum()
-            zk *= z
+            row = power[k, :t_here]
+            p_sum[k] += row.sum()
+            p_sumsq[k] += (row * row).sum()
         done += t_here
     mean = p_sum / trials
     var = np.maximum(p_sumsq - trials * mean * mean, 0.0) / (trials - 1)

@@ -8,7 +8,8 @@ coil-start-phase coefficients by the DFT of a densely sampled period,
 synthesis by one ``np.mod`` pulse call per vehicle over its whole span
 or by masked ``load_at_time`` calls per vehicle and block, the
 composition sweep by one scenario per row, the Monte Carlo ensemble
-on dense (trials, vehicles, harmonics) arrays, traffic classes by
+on dense (trials, vehicles, harmonics) arrays or on chunk-wide (trials,
+vehicles) arrays, traffic classes by
 ``Generator.choice``, the checks, trajectory CSV and JSON document of
 a scenario's vehicles by one ``EvParams`` per vehicle, and JSON text by
 ``json.dumps`` of the whole document.  The package is
@@ -57,6 +58,7 @@ from dwptload.composition import matched_counts, truck_count_schedules
 from dwptload.roadway import _pulse_samples
 from dwptload.signals import _BLOCK, _thc
 from dwptload.schema import to_dict
+from dwptload.spectrum import _stepped_rows
 from dwptload.traffic import CSV_FIELDS, covering_entry_time, max_covering_periods
 
 
@@ -441,6 +443,62 @@ def dense_monte_carlo_psd(
         power = np.abs(agg) ** 2
         p_sum += power.sum(axis=0)
         p_sumsq += (power * power).sum(axis=0)
+        done += t_here
+    mean = p_sum / trials
+    var = np.maximum(p_sumsq - trials * mean * mean, 0.0) / (trials - 1)
+    return EnsemblePsd(mean, np.sqrt(var / trials), model.fundamental_hz, trials)
+
+
+def chunked_monte_carlo_psd(
+    model: FleetModel, trials: int, seed: int, m_max: int = 5
+) -> EnsemblePsd:
+    """Monte Carlo line powers with every work array as wide as a draw
+    chunk: classes by ``Generator.choice``, chunk-wide int64 index arrays
+    per class, and the harmonics stepped on (chunk, vehicles) arrays.
+    Draws the same random numbers in the same order as
+    :func:`dwptload.monte_carlo_psd` and performs the same floating-point
+    operations on every trial, so its lines are equal bit for bit."""
+    rng = np.random.default_rng(seed)
+    cfg = model.cfg
+    n = model.n_evs
+    g_count = len(model.classes)
+    probs = np.array([c.prob for c in model.classes])
+    bounds = [demand_bounds(c.demand_dist, cfg, c.rx_len_m) for c in model.classes]
+    point = [
+        period_coefficients(cfg, c.rx_len_m, hi, m_max) if hi == lo else None
+        for c, (lo, hi) in zip(model.classes, bounds)
+    ]
+    chunk = max(1, min(trials, 4_000_000 // (n * (m_max + 1))))
+    p_sum = np.zeros(m_max + 1)
+    p_sumsq = np.zeros(m_max + 1)
+    done = 0
+    while done < trials:
+        t_here = min(chunk, trials - done)
+        cls = rng.choice(g_count, p=probs, size=(t_here, n)).ravel()
+        u = rng.random((t_here, n))
+        members = []  # (class, flat indices into the chunk, rows or None)
+        for g in range(g_count):
+            idx = np.flatnonzero(cls == g)
+            if not idx.size:
+                continue
+            lo, hi = bounds[g]
+            rows = None
+            if point[g] is None:
+                demands = rng.uniform(lo, hi, size=idx.size)
+                rows = _stepped_rows(cfg, model.classes[g].rx_len_m, demands, m_max)
+            members.append((g, idx, rows))
+        z = np.exp(-2j * np.pi * u)
+        zk = np.ones_like(z)
+        coeff = np.empty(t_here * n, dtype=complex)
+        per_trial = coeff.reshape(t_here, n)
+        for k in range(m_max + 1):
+            for g, idx, rows in members:
+                coeff[idx] = point[g][k] if rows is None else next(rows)
+            per_trial *= zk
+            power = np.abs(per_trial.sum(axis=1)) ** 2
+            p_sum[k] += power.sum()
+            p_sumsq[k] += (power * power).sum()
+            zk *= z
         done += t_here
     mean = p_sum / trials
     var = np.maximum(p_sumsq - trials * mean * mean, 0.0) / (trials - 1)

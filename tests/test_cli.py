@@ -404,6 +404,28 @@ def test_psd_rejects_unworkable_welch_settings_before_generating(
     assert not (tmp_path / "psd.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"psd_window": "bogus", "segment_s": 1000.0}, "psd_window"),
+        ({"segment_s": 8.0}, "segment_s"),
+        ({"overlap_frac": 0.0}, "overlap_frac"),
+    ],
+)
+def test_periodogram_rejects_welch_keys(tmp_path, capsys, doc, key):
+    cfg = write_config(tmp_path, {"psd_method": "periodogram", **doc})
+    assert main(["psd", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config.{key}: not used by psd_method 'periodogram'")
+    assert not (tmp_path / "psd.csv").exists()
+
+
+def test_periodogram_config_runs(tmp_path):
+    cfg = write_config(tmp_path, {"psd_method": "periodogram", "duration_s": 10.0})
+    assert main(["psd", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+    assert json.loads((tmp_path / "peaks.json").read_text())["mode"] == "periodogram"
+
+
 def test_psd_analytic_mode(tmp_path):
     args = ["psd", "--analytic", "--out", str(tmp_path), "--seed", "3", "--duration-s", "20"]
     assert main(args) == EXIT_OK

@@ -1,19 +1,24 @@
 """The per-harmonic Monte Carlo ensemble and the class draw of ``generate``
 against their oracles, and the ensemble against the analytic spectrum.
 
-``monte_carlo_psd`` takes the harmonics one at a time on (chunk,
-vehicles) arrays, stepping each class's coefficients from one harmonic to
-the next, and ``generate`` draws each class by searching the cumulative
-class probabilities; ``tests/oracles.py`` keeps the dense (chunk,
-vehicles, harmonics) ensemble of ``fs_harmonic_grid`` coefficients and the
-``Generator.choice`` draw they replaced.  On generated fleets and traffic
-the two routes must draw the same numbers and agree to rounding, the
-stepped coefficients must agree with ``fs_harmonic_grid`` to a rounding
-bound, and the ensemble's lines must sit within a few standard errors of
-``analytic_psd``.
+``monte_carlo_psd`` takes the harmonics one at a time on (tile, vehicles)
+arrays of a bounded size, stepping each class's coefficients from one
+harmonic to the next, and ``generate`` draws each class by searching the
+cumulative class probabilities; ``tests/oracles.py`` keeps the dense
+(chunk, vehicles, harmonics) ensemble of ``fs_harmonic_grid``
+coefficients, the chunk-wide (chunk, vehicles) ensemble the tiles
+replaced, and the ``Generator.choice`` draw.  On generated fleets and
+traffic the routes must draw the same numbers: the tiled and chunk-wide
+ensembles must agree bit for bit, the dense one to rounding.  The stepped
+coefficients must agree with ``fs_harmonic_grid`` to a rounding bound, the
+ensemble's lines must sit within a few standard errors of
+``analytic_psd``, and its traced memory must not grow with the trials.
 """
 
 from __future__ import annotations
+
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,8 +42,9 @@ from dwptload import (
     mixture_moments,
     monte_carlo_psd,
 )
+from dwptload import signals
 from dwptload.spectrum import _stepped_rows
-from oracles import choice_generate, dense_monte_carlo_psd
+from oracles import choice_generate, chunked_monte_carlo_psd, dense_monte_carlo_psd
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 UNIT = st.floats(0.0, 1.0)
@@ -55,13 +61,16 @@ def geometries(draw) -> ErConfig:
     return ErConfig(tx, gap, alpha, segment_len_m=100.0 * (tx + gap))
 
 
+DEMAND_KINDS = ("max", "range", "explicit", "point")
+
+
 @st.composite
-def demand_classes(draw, cfg: ErConfig):
+def demand_classes(draw, cfg: ErConfig, kinds=DEMAND_KINDS):
     """(rx_len_m, demand) with a receiver from well below the gap up to
     just under the coil, and a full, ranged, explicit or point demand."""
     rx = cfg.tx_len_m * draw(st.floats(0.01, 0.995))
     full = cfg.power_density_kw_per_m * rx
-    kind = draw(st.sampled_from(["max", "range", "explicit", "point"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "max":
         return rx, MaxDemand()
     if kind == "range":
@@ -87,10 +96,10 @@ def class_probs(draw, n: int) -> list[float]:
 
 
 @st.composite
-def fleets(draw, max_evs: int = 60) -> FleetModel:
+def fleets(draw, max_evs: int = 60, demand_kinds=DEMAND_KINDS) -> FleetModel:
     cfg = draw(geometries())
     n = draw(st.integers(1, 4))
-    kinds = [draw(demand_classes(cfg)) for _ in range(n)]
+    kinds = [draw(demand_classes(cfg, demand_kinds)) for _ in range(n)]
     probs = class_probs(draw, n)
     classes = tuple(EvClass(rx, p, d) for (rx, d), p in zip(kinds, probs))
     return FleetModel(cfg, classes, draw(st.integers(1, max_evs)), 24.6)
@@ -139,6 +148,71 @@ def test_monte_carlo_matches_dense_oracle(model, trials, seed, m_max):
         monte_carlo_psd(model, trials, seed, m_max),
         dense_monte_carlo_psd(model, trials, seed, m_max),
     )
+
+
+#: The benchmark's ensemble fleet: 45 vehicles, a fifth of them trucks at
+#: full demand and the rest sedans on their whole demand range.
+MODEL_IO = FleetModel(
+    INDOT,
+    (EvClass(1.83, 0.2, MaxDemand(), "truck"), EvClass(1.2, 0.8, UniformOnRange(), "sedan")),
+    45,
+    24.6,
+)
+
+
+#: One vehicle of ``CHUNKED``'s classes.
+ONE_EV = FleetModel(INDOT, CHUNKED.classes, 1, 24.6)
+
+
+@st.composite
+def tiled_fleets(draw) -> FleetModel:
+    """Up to 300 vehicles, with point demands only, continuous demands
+    only (a demand range) or any mixture."""
+    kinds = draw(st.sampled_from([DEMAND_KINDS, ("max", "point"), ("range",)]))
+    return draw(fleets(max_evs=300, demand_kinds=kinds))
+
+
+@SETTINGS
+@given(
+    model=tiled_fleets(),
+    trials=st.integers(100, 2500),
+    seed=st.integers(0, 2**32 - 1),
+    m_max=st.integers(0, 12),
+    tile_elems=st.just(signals._MC_TILE) | st.integers(2, 4096),
+)
+@example(model=MODEL_IO, trials=10_000, seed=3, m_max=8, tile_elems=signals._MC_TILE)
+# Draw chunks of 100 trials in tiles of 16: a remainder in both.
+@example(model=CHUNKED, trials=250, seed=7, m_max=19, tile_elems=2**15)
+# Two trials of one vehicle per tile, so most tiles lack a class, and a
+# lone last trial that joins the tile before it (taken alone, it changes
+# the lines at this seed).
+@example(model=ONE_EV, trials=101, seed=6, m_max=5, tile_elems=2)
+def test_tiled_monte_carlo_matches_chunked_oracle_bit_for_bit(
+    model, trials, seed, m_max, tile_elems
+):
+    with mock.patch.object(signals, "_MC_TILE", tile_elems):
+        got = monte_carlo_psd(model, trials, seed, m_max)
+    want = chunked_monte_carlo_psd(model, trials, seed, m_max)
+    assert np.array_equal(got.line_powers_kw2, want.line_powers_kw2)
+    assert np.array_equal(got.stderr_kw2, want.stderr_kw2)
+
+
+def traced_peak(trials: int) -> int:
+    tracemalloc.start()
+    try:
+        monte_carlo_psd(MODEL_IO, trials, 3, 8)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_monte_carlo_memory_is_bounded_by_the_tile():
+    # The chunk-wide route peaked at ~49 MB here (10,000 trials); the tiles
+    # keep the chunk's draws (~7 MB) and ~3 MB of tile work arrays.
+    peak = traced_peak(10_000)
+    assert peak < 16 * 2**20
+    # Four whole chunks instead of one: no chunk's arrays outlive it.
+    assert traced_peak(40_000) <= 1.01 * peak
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
