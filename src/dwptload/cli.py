@@ -201,14 +201,32 @@ _FLAG_FIELDS = (
 )
 
 
+#: Sampling keys of `simulate` and `psd`, which `composition` does not
+#: read: its sweep samples windows of a fixed length at a fixed rate.
+_SAMPLING_KEYS = ("sample_rate_hz", "duration_s")
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge flag overrides into the config file on top of defaults."""
+    """Merge flag overrides into the config file on top of defaults.
+
+    A `composition` document may not set a sampling key: it would be
+    ignored.
+    """
     doc = _load_config(getattr(args, "config", None))
     for field in _FLAG_FIELDS:
         value = getattr(args, field, None)
         if value is not None:
             doc[field] = value
-    return runconfig_from_dict(doc)
+    rc = runconfig_from_dict(doc)
+    if getattr(args, "command", None) == "composition":
+        for key in _SAMPLING_KEYS:
+            if key in doc:
+                raise ConfigError(
+                    f"config.{key}: not used by composition, whose sweep samples "
+                    f"fixed {SweepConfig.window_s:g} s windows at "
+                    f"{SweepConfig.sample_rate_hz:g} Hz"
+                )
+    return rc
 
 
 # --- output plumbing ------------------------------------------------------

@@ -48,8 +48,8 @@ from .fleet import (
     class_moments,
     demand_bounds,
 )
-from .roadway import ErConfig, EvParams, _pulse_at, _require_finite
-from .signals import _BLOCK, _sample_spans, _thc
+from .roadway import ErConfig, EvParams, _pulse_at_times, _require_finite
+from .signals import _BLOCK, _phasor, _sample_spans, _thc
 from .spectrum import fs_dc
 from .traffic import covering_entry_time, max_covering_periods
 
@@ -295,7 +295,15 @@ def _scrambled_sobol(
 
 
 def run_sweep(sw: SweepConfig, seed: int) -> SweepResult:
-    """Run the full windows x penetrations x columns measurement."""
+    """Run the full windows x penetrations x columns measurement.
+
+    Every cell samples the same window, so the window's times and the
+    projection phasor of each fundamental (:func:`dwptload.signals._phasor`)
+    are built once per call.  Each slot's pulse is evaluated in place by
+    :func:`dwptload.roadway._pulse_at_times`, ``_BLOCK`` samples at a
+    time, into two work rows that serve every slot, and added from there
+    into the penetration rows that hold the slot.
+    """
     cfg = sw.cfg
     alpha = cfg.power_density_kw_per_m
     t0 = sw.window_start_s
@@ -326,6 +334,8 @@ def run_sweep(sw: SweepConfig, seed: int) -> SweepResult:
     fs = sw.sample_rate_hz
     n_samples = int(round((window[1] - window[0]) * fs))
     times = t0 + np.arange(n_samples) / fs
+    phasors = [_phasor(n_samples, fs, f0) for f0 in (f_truck, f_sedan)]
+    work, scratch = np.empty(min(n_samples, _BLOCK)), np.empty(min(n_samples, _BLOCK))
     thc = np.empty((n_thetas, n_cols, sw.n_windows))
     for w in range(sw.n_windows):
         for j, col in enumerate(sw.columns):
@@ -371,11 +381,13 @@ def run_sweep(sw: SweepConfig, seed: int) -> SweepResult:
             for (ev, holders), lo, hi in zip(slots, j0.tolist(), j1.tolist()):
                 for a in range(lo, hi, _BLOCK):
                     b = min(a + _BLOCK, hi)
-                    x = ev.speed_mps * (times[a:b] - ev.entry_time_s)
-                    load = _pulse_at(cfg, ev.rx_len_m, ev.peak_demand_kw, x)
+                    load = _pulse_at_times(
+                        cfg, ev.rx_len_m, ev.peak_demand_kw, ev.speed_mps,
+                        ev.entry_time_s, times[a:b], work[: b - a], scratch[: b - a],
+                    )
                     for i in holders:
                         rows[i, a:b] += load
-            thc[:, j, w] = _thc(rows, fs, (f_truck, f_sedan), sw.m_max)
+            thc[:, j, w] = _thc(rows, phasors, sw.m_max)
     return SweepResult(
         thetas=sw.thetas,
         columns=sw.columns,

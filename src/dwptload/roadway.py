@@ -198,9 +198,15 @@ def constant_regime(cfg: ErConfig, ev: EvParams) -> bool:
 
 
 def _pulse_samples(
-    cfg: ErConfig, rx_len_m: float, demand_kw: float, xm: np.ndarray
+    cfg: ErConfig,
+    rx_len_m: float,
+    demand_kw: float,
+    xm: np.ndarray,
+    out: np.ndarray,
+    scratch: np.ndarray,
 ) -> np.ndarray:
-    """Clipped-trapezoid pulse evaluated at positions within one period.
+    """Clipped-trapezoid pulse evaluated at positions within one period,
+    written into ``out`` and returned.
 
     ``xm`` must lie in [0, period].  The overlap ramps up from the coil
     start and down to the end of the span ``tx_len + rx_len``; it never
@@ -208,27 +214,58 @@ def _pulse_samples(
     not longer than the gap) and the converter caps it at the demand.  A
     demand at or below the minimum-overlap power makes the clip return the
     demand everywhere, which is the constant-load regime.
+
+    ``out`` and ``scratch`` are float arrays of ``xm``'s shape, and ``out``
+    may be ``xm`` itself.  Each step is one ufunc call into them, so a
+    caller that reuses its buffers allocates nothing here.
     """
     alpha = cfg.power_density_kw_per_m
     span = cfg.tx_len_m + rx_len_m
-    return np.clip(
-        alpha * np.minimum(xm, span - xm),
-        alpha * max(rx_len_m - cfg.gap_m, 0.0),
-        demand_kw,
-    )
+    np.subtract(span, xm, out=scratch)
+    np.minimum(xm, scratch, out=out)
+    np.multiply(out, alpha, out=out)
+    return np.clip(out, alpha * max(rx_len_m - cfg.gap_m, 0.0), demand_kw, out=out)
 
 
 def _pulse_at(
-    cfg: ErConfig, rx_len_m: float, demand_kw: float, x: np.ndarray
+    cfg: ErConfig,
+    rx_len_m: float,
+    demand_kw: float,
+    x: np.ndarray,
+    out: np.ndarray,
+    scratch: np.ndarray,
 ) -> np.ndarray:
-    """The periodic pulse at segment positions ``x``, with no on-segment mask.
+    """The periodic pulse at segment positions ``x``, with no on-segment
+    mask, written into ``out`` (which may be ``x``) and returned.
 
     The in-period position comes from the phase in periods and may round
     up to a whole period, where the continuous, periodic pulse takes its
     value at 0.
     """
-    u = x / cfg.period_m
-    return _pulse_samples(cfg, rx_len_m, demand_kw, (u - np.floor(u)) * cfg.period_m)
+    period = cfg.period_m
+    np.divide(x, period, out=out)
+    np.floor(out, out=scratch)
+    np.subtract(out, scratch, out=out)
+    np.multiply(out, period, out=out)
+    return _pulse_samples(cfg, rx_len_m, demand_kw, out, out, scratch)
+
+
+def _pulse_at_times(
+    cfg: ErConfig,
+    rx_len_m: float,
+    demand_kw: float,
+    speed_mps: float,
+    entry_time_s: float,
+    t: np.ndarray,
+    out: np.ndarray,
+    scratch: np.ndarray,
+) -> np.ndarray:
+    """:func:`_pulse_at` of a vehicle at times ``t``, from its position
+    ``speed * (t - entry)``: the kernel of the sampled path, which fills
+    ``out`` with no allocation."""
+    np.subtract(t, entry_time_s, out=out)
+    np.multiply(out, speed_mps, out=out)
+    return _pulse_at(cfg, rx_len_m, demand_kw, out, out, scratch)
 
 
 def coil_pulse(cfg: ErConfig, ev: EvParams, x) -> np.ndarray | float:
@@ -246,7 +283,9 @@ def coil_pulse(cfg: ErConfig, ev: EvParams, x) -> np.ndarray | float:
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0) or np.any(xa >= cfg.period_m):
         raise ValueError(f"position must be in [0, {cfg.period_m}), got {x}")
-    out = _pulse_samples(cfg, ev.rx_len_m, ev.peak_demand_kw, xa)
+    out = _pulse_samples(
+        cfg, ev.rx_len_m, ev.peak_demand_kw, xa, np.empty_like(xa), np.empty_like(xa)
+    )
     return out if np.ndim(x) else float(out)
 
 
@@ -259,10 +298,10 @@ def load_at_position(cfg: ErConfig, ev: EvParams, scheme: ControlScheme, x) -> n
     ev.validate_against(cfg)
     xa = np.asarray(x, dtype=float)
     on = (xa >= 0) & (xa < cfg.energized_len_m)
+    demand = ev.max_demand_kw(cfg) if isinstance(scheme, Scaling) else ev.peak_demand_kw
+    vals = _pulse_at(cfg, ev.rx_len_m, demand, xa, np.empty_like(xa), np.empty_like(xa))
     if isinstance(scheme, Scaling):
-        vals = scheme.scale_factor * _pulse_at(cfg, ev.rx_len_m, ev.max_demand_kw(cfg), xa)
-    else:
-        vals = _pulse_at(cfg, ev.rx_len_m, ev.peak_demand_kw, xa)
+        vals = scheme.scale_factor * vals
     out = np.where(on, vals, 0.0)
     return out if np.ndim(x) else float(out)
 

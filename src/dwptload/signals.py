@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .fleet import FleetModel, demand_bounds
-from .roadway import ErConfig, _pulse_at, _require_finite
+from .roadway import ErConfig, _pulse_at_times, _require_finite
 from .spectrum import _stepped_rows, fs_harmonic_grid
 from .traffic import Scenario
 
@@ -63,10 +63,15 @@ class LoadSeries:
         return float(np.mean(self.samples_kw)) if self.n_samples else 0.0
 
 
-#: Samples per block of an output grid.  Every work array of the sampled
-#: path (a block's times, one vehicle's positions and pulse there) has at
-#: most this many samples, so it stays in cache however long the window.
-_BLOCK = 8192
+#: Samples per block of an output grid (256 KiB of floats).  Every work
+#: array of the sampled path (a block's times and the two work rows that
+#: one vehicle's pulse is evaluated in) has at most this many samples, so
+#: none grows with the window.
+_BLOCK = 2**15
+
+#: Samples of the series that :func:`_welch` transforms at a time (2 MiB
+#: of floats per work array).
+_WELCH_BLOCK = 2**18
 
 #: Complex elements in each work array of a Monte Carlo tile (512 KiB):
 #: :func:`monte_carlo_psd` takes ``_MC_TILE // n_evs`` trials at a time.
@@ -127,9 +132,11 @@ def synthesize(
     The grid is filled in blocks of ``_BLOCK`` samples.  Each block's
     times are computed once, and the vehicles that are on the segment
     during the block add their load there in table order, each only over
-    its exact on-segment samples (:func:`_sample_spans`).  So no sample
-    is masked, and beyond the output array no work array grows with the
-    window.
+    its exact on-segment samples (:func:`_sample_spans`).  A vehicle's
+    pulse is evaluated in place by
+    :func:`dwptload.roadway._pulse_at_times` into two work rows of one
+    block that serve every vehicle and block.  So no sample is masked,
+    and beyond the output array no work array grows with the window.
     """
     if not (np.isfinite(sample_rate_hz) and sample_rate_hz > 0):
         raise ValueError(f"sample_rate_hz must be finite and > 0, got {sample_rate_hz}")
@@ -149,13 +156,16 @@ def synthesize(
     speed, entry = evs.speed_mps.tolist(), evs.entry_time_s.tolist()
     rx, demand = evs.rx_len_m.tolist(), evs.peak_demand_kw.tolist()
     total = np.zeros(n)
+    row, scratch = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
     for a in range(0, n, _BLOCK):
         b = min(a + _BLOCK, n)
         t = t0 + np.arange(a, b) / sample_rate_hz
         for i in np.flatnonzero(on & (j0 < b) & (j1 > a)).tolist():
             lo, hi = max(int(j0[i]), a), min(int(j1[i]), b)
-            x = speed[i] * (t[lo - a : hi - a] - entry[i])
-            total[lo:hi] += _pulse_at(cfg, rx[i], demand[i], x)
+            total[lo:hi] += _pulse_at_times(
+                cfg, rx[i], demand[i], speed[i], entry[i], t[lo - a : hi - a],
+                row[: hi - lo], scratch[: hi - lo],
+            )
     return LoadSeries(samples_kw=total, sample_rate_hz=sample_rate_hz, t0_s=t0)
 
 
@@ -228,12 +238,12 @@ def _welch(
     segment is multiplied by ``win`` and transformed, and ``|X|^2`` is
     averaged over the segments, scaled by ``1 / (fs sum(win^2))`` and
     doubled in every bin but DC and, for an even ``nperseg``, Nyquist.
-    Segments are transformed a block of ``32 _BLOCK`` samples at a time,
-    so no work array holds more than one block.  Requires
+    Segments are transformed ``_WELCH_BLOCK`` samples at a time, so no
+    work array holds more than that many.  Requires
     ``noverlap < nperseg <= x.size``.
     """
     segments = np.lib.stride_tricks.sliding_window_view(x, nperseg)[:: nperseg - noverlap]
-    per_block = max(1, 32 * _BLOCK // nperseg)
+    per_block = max(1, _WELCH_BLOCK // nperseg)
     power = np.zeros(nperseg // 2 + 1)
     for a in range(0, len(segments), per_block):
         spec = np.fft.rfft(segments[a : a + per_block] * win, axis=-1)
@@ -349,27 +359,33 @@ def harmonic_line_powers(
     projecting, which suppresses spectral leakage from the DC term and
     from the line itself.
     """
-    return _line_powers(series.samples_kw, series.sample_rate_hz, fundamental_hz, m_max)
+    z = _phasor(series.n_samples, series.sample_rate_hz, fundamental_hz)
+    return _line_powers(series.samples_kw, z, m_max)
 
 
-def _line_powers(
-    rows: np.ndarray, sample_rate_hz: float, fundamental_hz: float, m_max: int
-) -> np.ndarray:
-    """:func:`harmonic_line_powers` of each series along the last axis of
-    ``rows``, all sampled at ``sample_rate_hz`` from one start time: the
-    powers have shape ``rows.shape[:-1] + (m_max,)``, and the exponential
-    is built once for all of them."""
-    if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
+def _phasor(n: int, sample_rate_hz: float, fundamental_hz: float) -> np.ndarray:
+    """``exp(-2 pi i f0 t)`` over the first whole number of fundamental
+    periods of an ``n``-sample series at ``sample_rate_hz``: the phasor
+    that :func:`_line_powers` projects onto, whose length is the trimmed
+    length."""
     fs = sample_rate_hz
-    n = rows.shape[-1]
     n_cycles = int(np.floor(n / fs * fundamental_hz + 1e-12))
     if n_cycles < 1:
         raise ValueError("series shorter than one fundamental period")
     n_trim = min(n, int(round(n_cycles / fundamental_hz * fs)))
     t = np.arange(n_trim) / fs
+    return np.exp(-2j * np.pi * fundamental_hz * t)
+
+
+def _line_powers(rows: np.ndarray, z: np.ndarray, m_max: int) -> np.ndarray:
+    """:func:`harmonic_line_powers` of each series along the last axis of
+    ``rows``, all sampled from one start time on the grid of the
+    :func:`_phasor` ``z``: the powers have shape
+    ``rows.shape[:-1] + (m_max,)``."""
+    if m_max < 1:
+        raise ValueError(f"m_max must be >= 1, got {m_max}")
+    n_trim = z.size
     x = rows[..., :n_trim]
-    z = np.exp(-2j * np.pi * fundamental_hz * t)
     powers = np.empty(rows.shape[:-1] + (m_max,))
     zm = np.ones_like(z)
     for i in range(m_max):
@@ -381,17 +397,15 @@ def _line_powers(
     return powers
 
 
-def _thc(
-    rows: np.ndarray, sample_rate_hz: float, fundamentals: Sequence[float], m_max: int
-) -> np.ndarray:
+def _thc(rows: np.ndarray, phasors: Sequence[np.ndarray], m_max: int) -> np.ndarray:
     """:func:`empirical_thc` (series route) of each series along the last
-    axis of ``rows``, in percent, with shape ``rows.shape[:-1]``."""
+    axis of ``rows``, in percent, with shape ``rows.shape[:-1]``: one
+    :func:`_phasor` per fundamental, built by the caller so that a sweep
+    builds each once for all its cells."""
     dc = rows.mean(axis=-1)
     if not np.all(dc):
         raise ValueError("series has zero mean; THC undefined")
-    total = sum(
-        _line_powers(rows, sample_rate_hz, f0, m_max).sum(axis=-1) for f0 in fundamentals
-    )
+    total = sum(_line_powers(rows, z, m_max).sum(axis=-1) for z in phasors)
     return 100.0 * np.sqrt(2.0 * total) / dc
 
 
@@ -410,7 +424,9 @@ def empirical_thc(
     if isinstance(source, LoadSeries):
         if not source.n_samples:
             raise ValueError("series has zero mean; THC undefined")
-        return float(_thc(source.samples_kw, source.sample_rate_hz, fundamentals, m_max))
+        n, fs = source.n_samples, source.sample_rate_hz
+        phasors = [_phasor(n, fs, f0) for f0 in fundamentals]
+        return float(_thc(source.samples_kw, phasors, m_max))
     dc = source.series_mean_kw
     if dc == 0:
         raise ValueError("underlying series has zero mean; THC undefined")

@@ -3,8 +3,8 @@
 Everything here recomputes quantities from first principles -- geometric
 coil overlap, composite quadrature, exact piecewise integration -- or by
 the slower formulations the package used before: the pulse by branch
-selection, uniform-demand moments by adaptive quadrature,
-coil-start-phase coefficients by the DFT of a densely sampled period,
+selection or as one expression of new arrays, uniform-demand moments
+by adaptive quadrature, coil-start-phase coefficients by the DFT of a densely sampled period,
 synthesis by one ``np.mod`` pulse call per vehicle over its whole span
 or by masked ``load_at_time`` calls per vehicle and block, the
 composition sweep by one scenario per row, the Monte Carlo ensemble
@@ -55,8 +55,7 @@ from dwptload import (
     sample_demand,
 )
 from dwptload.composition import matched_counts, truck_count_schedules
-from dwptload.roadway import _pulse_samples
-from dwptload.signals import _BLOCK, _thc
+from dwptload.signals import _BLOCK, _phasor, _thc
 from dwptload.schema import to_dict
 from dwptload.spectrum import _stepped_rows
 from dwptload.traffic import CSV_FIELDS, covering_entry_time, max_covering_periods
@@ -245,6 +244,30 @@ def period_coefficients_fft(
     return np.fft.rfft(select_pulse(cfg, ev, x))[: m_max + 1] / n_samples
 
 
+def pulse_expression(
+    cfg: ErConfig, rx_len_m: float, demand_kw: float, xm: np.ndarray
+) -> np.ndarray:
+    """The clipped-trapezoid pulse at in-period positions ``xm``, written
+    as one expression whose every step makes a new array, as the package
+    wrote it before it evaluated the pulse in place."""
+    alpha = cfg.power_density_kw_per_m
+    span = cfg.tx_len_m + rx_len_m
+    return np.clip(
+        alpha * np.minimum(xm, span - xm),
+        alpha * max(rx_len_m - cfg.gap_m, 0.0),
+        demand_kw,
+    )
+
+
+def pulse_at_expression(
+    cfg: ErConfig, rx_len_m: float, demand_kw: float, x: np.ndarray
+) -> np.ndarray:
+    """:func:`pulse_expression` at segment positions ``x``, with the
+    in-period position taken from the phase in periods."""
+    u = x / cfg.period_m
+    return pulse_expression(cfg, rx_len_m, demand_kw, (u - np.floor(u)) * cfg.period_m)
+
+
 def mod_load_at_time(cfg: ErConfig, ev: EvParams, t: np.ndarray) -> np.ndarray:
     """Clipping load at times ``t``, with the in-period position taken by
     the float ``np.mod`` of the position, as the package once did."""
@@ -252,7 +275,7 @@ def mod_load_at_time(cfg: ErConfig, ev: EvParams, t: np.ndarray) -> np.ndarray:
     x = ev.speed_mps * (np.asarray(t, dtype=float) - ev.entry_time_s)
     on = (x >= 0) & (x < cfg.energized_len_m)
     xm = np.where(on, np.mod(x, cfg.period_m), 0.0)
-    return np.where(on, _pulse_samples(cfg, ev.rx_len_m, ev.peak_demand_kw, xm), 0.0)
+    return np.where(on, pulse_expression(cfg, ev.rx_len_m, ev.peak_demand_kw, xm), 0.0)
 
 
 def padded_span(
@@ -332,7 +355,9 @@ def blocked_sweep(sw: SweepConfig, seed: int) -> np.ndarray:
     thc = np.empty((len(sw.thetas), len(sw.columns), sw.n_windows))
     for w, j, rows in per_row_series(sw, seed, blocked_synthesize):
         stacked = np.stack([series.samples_kw for series in rows])
-        thc[:, j, w] = _thc(stacked, sw.sample_rate_hz, fundamentals, sw.m_max)
+        fs, n = sw.sample_rate_hz, stacked.shape[-1]
+        phasors = [_phasor(n, fs, f0) for f0 in fundamentals]
+        thc[:, j, w] = _thc(stacked, phasors, sw.m_max)
     return thc
 
 

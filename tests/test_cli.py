@@ -465,6 +465,22 @@ def test_composition_table(tmp_path):
         assert 0.5 < float(cells[1]) < 40.0
 
 
+@pytest.mark.parametrize(
+    "doc, key", [({"sample_rate_hz": 2000.0}, "sample_rate_hz"), ({"duration_s": 300.0}, "duration_s")]
+)
+def test_composition_rejects_sampling_keys(tmp_path, capsys, doc, key):
+    # The sweep samples fixed 60 s windows at 500 Hz.  Earlier builds
+    # accepted these keys and wrote the default table under another hash.
+    cfg = write_config(tmp_path, doc)
+    args = ["composition", "--config", cfg, "--out", str(tmp_path), "--trials", "2"]
+    assert main(args) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: config.{key}: not used by composition, "
+        "whose sweep samples fixed 60 s windows at 500 Hz\n"
+    )
+    assert not (tmp_path / "thc_table.csv").exists()
+
+
 # --- validate and ingest ----------------------------------------------------
 
 

@@ -106,6 +106,10 @@ def small_configs(draw) -> dict:
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(small_configs(), st.sampled_from(["simulate", "psd", "spectrum", "composition"]))
 def test_random_configs_exit_with_a_documented_code(doc, command):
+    if command == "composition":
+        # The sweep samples windows of its own and refuses these keys
+        # (tests/test_cli.py); without them the sweep runs.
+        doc = {k: v for k, v in doc.items() if k not in ("sample_rate_hz", "duration_s")}
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(doc), encoding="utf-8")

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dwptload import (
     INDOT,
@@ -17,7 +19,8 @@ from dwptload import (
     load_at_position,
     load_at_time,
 )
-from oracles import draw_periodic_ev, overlap_load
+from dwptload.roadway import _pulse_at, _pulse_at_times, _pulse_samples
+from oracles import draw_periodic_ev, overlap_load, pulse_at_expression, pulse_expression
 
 ALPHA = INDOT.power_density_kw_per_m
 
@@ -325,3 +328,105 @@ def test_load_periodic_in_time_while_on_segment():
     a = load_at_time(INDOT, vehicle, Clipping(), t)
     b = load_at_time(INDOT, vehicle, Clipping(), t + period)
     np.testing.assert_allclose(a, b, rtol=0, atol=1e-6)
+
+
+# --- the in-place pulse kernel ---------------------------------------------
+
+
+def below_whole_periods(period: float, ks) -> list[float]:
+    """Positions just below ``k`` whole periods whose phase ``x / period``
+    rounds up to ``k``, so that the in-period position is 0, not ~period."""
+    found = []
+    for k in ks:
+        x = k * period
+        for _ in range(4):
+            x = float(np.nextafter(x, -np.inf))
+            if x / period == k:
+                found.append(x)
+    return found
+
+
+@st.composite
+def kernel_cases(draw):
+    """Random geometry, a receiver shorter or longer than the gap, a demand
+    in the constant regime, at full power or in between, and positions on,
+    next to and just below whole periods, or anywhere."""
+    tx = draw(st.floats(0.5, 6.0))
+    gap = draw(st.floats(0.05, 3.0))
+    cfg = ErConfig(tx, gap, draw(st.floats(1.0, 500.0)), 100 * (tx + gap))
+    if gap < tx and draw(st.booleans()):
+        rx = draw(st.floats(gap, tx, exclude_min=True, exclude_max=True))
+    else:
+        rx = min(gap, tx) * draw(st.floats(0.01, 0.99))
+    alpha = cfg.power_density_kw_per_m
+    floor_kw = alpha * max(rx - gap, 0.0)
+    kind = draw(st.sampled_from(["constant", "full", "between"]))
+    share = draw(st.floats(0.0, 1.0))
+    demand = {
+        "constant": floor_kw * share,
+        "full": alpha * rx,
+        "between": floor_kw + (alpha * rx - floor_kw) * share,
+    }[kind]
+    period = cfg.period_m
+    ks = st.integers(-3, 80)
+    position = st.one_of(
+        st.floats(-3 * period, 80 * period),
+        ks.map(lambda k: k * period),
+        st.tuples(ks, st.integers(-3, 3)).map(
+            lambda kd: float(kd[0] * period + kd[1] * np.spacing(kd[0] * period))
+        ),
+    )
+    x = draw(st.lists(position, min_size=1, max_size=40))
+    x += below_whole_periods(period, draw(st.lists(ks, max_size=4)))
+    return cfg, rx, demand, np.array(x), draw(st.integers(0, 5))
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kernel_cases(), st.floats(0.5, 45.0), st.floats(0.0, 500.0))
+def test_in_place_pulse_kernel_matches_oracle_expression(case, speed, entry):
+    cfg, rx, demand, x, spare = case
+    n = x.size
+    # Buffers longer than the slice the kernel fills: the rest stays put.
+    out, scratch = np.full(n + spare, -7.0), np.full(n + spare, -7.0)
+
+    got = _pulse_at(cfg, rx, demand, x, out[:n], scratch[:n])
+    assert np.shares_memory(got, out)
+    assert_same_bits(got, pulse_at_expression(cfg, rx, demand, x))
+    assert np.all(out[n:] == -7.0)
+
+    # In place over the positions themselves.
+    buf = np.concatenate([x, np.full(spare, -7.0)])
+    assert_same_bits(
+        _pulse_at(cfg, rx, demand, buf[:n], buf[:n], scratch[:n]),
+        pulse_at_expression(cfg, rx, demand, x),
+    )
+    assert np.all(buf[n:] == -7.0)
+
+    u = x / cfg.period_m
+    xm = (u - np.floor(u)) * cfg.period_m
+    assert_same_bits(
+        _pulse_samples(cfg, rx, demand, xm, out[:n], scratch[:n]),
+        pulse_expression(cfg, rx, demand, xm),
+    )
+
+    t = entry + x / speed
+    assert_same_bits(
+        _pulse_at_times(cfg, rx, demand, speed, entry, t, out[:n], scratch[:n]),
+        pulse_at_expression(cfg, rx, demand, speed * (t - entry)),
+    )
+    assert np.all(out[n:] == -7.0) and np.all(scratch[n:] == -7.0)
+
+
+def test_positions_rounding_up_to_a_whole_period_take_the_pulse_at_zero():
+    period = INDOT.period_m
+    x = np.array(below_whole_periods(period, range(1, 400)))
+    assert x.size > 0
+    assert np.all(x < np.round(x / period) * period)
+    at_zero = coil_pulse(INDOT, ev(0.5, 30.0), 0.0)
+    got = _pulse_at(INDOT, 0.5, 30.0, x, np.empty_like(x), np.empty_like(x))
+    assert np.all(got == at_zero)

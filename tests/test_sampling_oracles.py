@@ -3,8 +3,10 @@
 ``synthesize`` fills the output grid block by block, computing each
 block's times once and adding each vehicle only over its exact
 on-segment samples; it takes the in-period position from the phase in
-periods.  ``run_sweep`` samples each vehicle slot once, on the window's
-one time array, and adds it into every penetration row that holds it.
+periods.  The cases put windows and spans on the edges of ``_BLOCK``,
+the grid block the package uses.  ``run_sweep`` samples each vehicle
+slot once, on the window's one time array, and adds it into every
+penetration row that holds it.
 ``tests/oracles.py`` keeps the formulations they replaced: one ``np.mod``
 pulse call per vehicle over its whole span, masked ``load_at_time`` calls
 per vehicle and block, and one validated scenario per sweep row.  The
@@ -233,6 +235,23 @@ def test_slot_shared_sweep_matches_per_row_oracle(columns, thetas, n_ref, window
         m_max=6,
     )
     assert_sweeps_agree(sw, seed)
+
+
+def test_sweep_over_several_blocks_matches_per_row_oracle():
+    # 70 s at 500 Hz is more than one block, so a slot on the segment for
+    # the whole window is sampled in two blocks.
+    sw = SweepConfig(
+        cfg=INDOT,
+        columns=(SweepColumn(1.2, UniformOnRange()), SweepColumn(1.7, MaxDemand())),
+        thetas=(0.0377, 0.1775),
+        n_ref=6,
+        n_windows=2,
+        window_s=70.0,
+        sample_rate_hz=500.0,
+        m_max=6,
+    )
+    assert _BLOCK < 70.0 * 500.0 < 2 * _BLOCK
+    assert_sweeps_agree(sw, seed=5)
 
 
 def test_heavy_sedan_column_matches_per_row_oracle():

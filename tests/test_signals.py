@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,6 +208,22 @@ def test_welch_preserves_total_power():
     msq = float(np.mean(ser.samples_kw**2))
     psd = estimate_psd(ser, method="welch")
     assert psd.integrated_power() == pytest.approx(msq, rel=0.01)
+
+
+@pytest.mark.parametrize("duration_s, bound_mib", [(150.0, 4.1), (600.0, 6.0)])
+def test_welch_memory_is_bounded_by_its_block(duration_s, bound_mib):
+    # Welch transforms 2**18 samples of segments at a time (8 s Hann
+    # segments at 1 kHz: 32 of them), whatever the grid block of synthesis.
+    x = np.random.default_rng(0).normal(100.0, 10.0, int(duration_s * 1000))
+    ser = LoadSeries(x, 1000.0)
+    estimate_psd(ser)  # warm numpy's FFT plan cache outside the trace
+    tracemalloc.start()
+    try:
+        estimate_psd(ser)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2**20
 
 
 def test_estimate_psd_argument_errors():
