@@ -27,41 +27,18 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__
 from .composition import SweepColumn, SweepConfig, default_sweep_config, run_sweep
-from .fleet import (
-    EvClass,
-    FleetModel,
-    MaxDemand,
-    UniformExplicit,
-    analytic_psd,
-    composition_condition,
-    q_ratio,
-)
-from .roadway import INDOT, ErConfig, EvParams, _require_finite, coil_pulse, constant_regime
-from .signals import (
-    _welch_segments,
-    _window,
-    detect_peaks,
-    empirical_thc,
-    estimate_psd,
-    monte_carlo_psd,
-    synthesize,
-)
+from .fleet import EvClass, FleetModel, MaxDemand, UniformExplicit, analytic_psd
+from .invariants import CHECKS
+from .roadway import INDOT, ErConfig, EvParams, _require_finite, constant_regime
+from .signals import MIN_TRIALS, _welch_segments, _window, detect_peaks, estimate_psd, synthesize
 from .spectrum import (
-    default_harmonic_count,
-    fs_coefficients,
-    fs_dc,
-    fs_harmonic,
-    fs_harmonic_grid,
-    harmonic_bound,
-    harmonic_ratio_clipping,
-    harmonic_ratio_scaling,
-    thc_single,
+    default_harmonic_count, fs_coefficients, harmonic_bound, harmonic_ratio_clipping, thc_single
 )
 from .schema import dumps, from_dict, members, to_dict
 from .traffic import IngestError, Scenario, TrafficClass, TrafficSpec, generate, ingest
@@ -77,7 +54,7 @@ class ConfigError(ValueError):
 
 
 class ValidationFailure(Exception):
-    """A validate suite found a violated invariant."""
+    """A run found nothing to analyse."""
 
 
 # --- run configuration ----------------------------------------------------
@@ -189,43 +166,39 @@ def _load_config(path: Optional[str]) -> dict:
     return doc
 
 
-_FLAG_FIELDS = (
-    "seed",
-    "out_dir",
-    "sample_rate_hz",
-    "duration_s",
-    "trials",
-    "harmonics",
-    "analytic",
-    "n_windows",
-)
-
-
-#: Sampling keys of `simulate` and `psd`, which `composition` does not
-#: read: its sweep samples windows of a fixed length at a fixed rate.
-_SAMPLING_KEYS = ("sample_rate_hz", "duration_s")
+#: The config keys each subcommand reads, besides `seed` and `out_dir`,
+#: which all take (`--seed`, `--out`).  A document that sets any other
+#: key is refused: it would be ignored.
+SUBCOMMAND_KEYS: dict[str, frozenset[str]] = {
+    command: frozenset(f"seed out_dir er {keys}".split())
+    for command, keys in {
+        "simulate": "traffic sample_rate_hz duration_s",
+        "spectrum": "harmonics rx_len_m demand_kw speed_mps",
+        "psd": "traffic sample_rate_hz duration_s psd_method segment_s overlap_frac "
+        "psd_window harmonics analytic",
+        "composition": "thetas sweep_columns n_windows n_ref",
+        "validate": "trials",
+        "ingest": "",
+    }.items()
+}
+_NOT_READ_BECAUSE = {
+    "composition": f", whose sweep samples fixed {SweepConfig.window_s:g} s windows "
+    f"at {SweepConfig.sample_rate_hz:g} Hz",
+}
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge flag overrides into the config file on top of defaults.
-
-    A `composition` document may not set a sampling key: it would be
-    ignored.
-    """
+    """Merge flag overrides (each flag sets the config key of its name) into
+    the config file on top of defaults.  A document may set only the keys
+    its subcommand reads (:data:`SUBCOMMAND_KEYS`)."""
     doc = _load_config(getattr(args, "config", None))
-    for field in _FLAG_FIELDS:
-        value = getattr(args, field, None)
-        if value is not None:
-            doc[field] = value
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    doc.update((k, v) for k, v in vars(args).items() if k in fields and v is not None)
     rc = runconfig_from_dict(doc)
-    if getattr(args, "command", None) == "composition":
-        for key in _SAMPLING_KEYS:
-            if key in doc:
-                raise ConfigError(
-                    f"config.{key}: not used by composition, whose sweep samples "
-                    f"fixed {SweepConfig.window_s:g} s windows at "
-                    f"{SweepConfig.sample_rate_hz:g} Hz"
-                )
+    for key in doc:
+        if key not in SUBCOMMAND_KEYS[args.command]:
+            why = _NOT_READ_BECAUSE.get(args.command, "")
+            raise ConfigError(f"config.{key}: not used by {args.command}{why}")
     return rc
 
 
@@ -499,169 +472,26 @@ def cmd_composition(rc: RunConfig) -> int:
     return EXIT_OK
 
 
-# --- validate suites ------------------------------------------------------
-
-
-def _draw_valid(rng: np.random.Generator, cfg: ErConfig) -> EvParams:
-    """Random receiver and demand inside the oscillating-load regime."""
-    alpha = cfg.power_density_kw_per_m
-    rx = rng.uniform(0.2, min(3.5, cfg.tx_len_m - 0.05))
-    lo = max(0.0, alpha * (rx - cfg.gap_m))
-    demand = lo + (alpha * rx - lo) * rng.uniform(0.05, 1.0)
-    return EvParams(rx, demand, 24.6)
-
-
-def _suite_parseval(rc: RunConfig, tol: float) -> tuple[bool, str]:
-    # Imported here, not at module level: scipy.integrate costs ~0.75 s and
-    # ~50 MB at start-up, and only this suite and `fs-oracle` use it.
-    from scipy.integrate import quad
-
-    rng = np.random.default_rng(rc.seed)
-    worst = 0.0
-    for _ in range(20):
-        ev = _draw_valid(rng, rc.er)
-        period = rc.er.period_m
-        kinks = sorted(
-            {
-                0.0,
-                max(0.0, ev.rx_len_m - rc.er.gap_m),
-                ev.peak_demand_kw / rc.er.power_density_kw_per_m,
-                min(period, ev.rx_len_m + rc.er.tx_len_m - ev.peak_demand_kw / rc.er.power_density_kw_per_m),
-                period,
-            }
-        )
-        mean_sq = sum(
-            quad(lambda y: coil_pulse(rc.er, ev, y) ** 2, a, b, limit=200)[0]
-            for a, b in zip(kinks, kinks[1:])
-        ) / period
-        m = np.arange(0, 1001)
-        cm = fs_harmonic_grid(rc.er, ev.rx_len_m, np.array([ev.peak_demand_kw]), m)[0]
-        line_sum = cm[0] ** 2 + 2 * np.sum(cm[1:] ** 2)
-        worst = max(worst, abs(mean_sq - line_sum) / mean_sq)
-    return worst < tol, f"max rel err {worst:.3e} (tol {tol:g})"
-
-
-def _suite_bound(rc: RunConfig, tol: float) -> tuple[bool, str]:
-    rng = np.random.default_rng(rc.seed + 1)
-    m = np.arange(1, 101)
-    bound = harmonic_bound(rc.er, m) * (1 + tol)
-    worst = 0.0
-    for _ in range(200):
-        ev = _draw_valid(rng, rc.er)
-        cm = fs_harmonic_grid(rc.er, ev.rx_len_m, np.array([ev.peak_demand_kw]), m)[0]
-        worst = max(worst, float(np.max(np.abs(cm) / bound)))
-    return worst <= 1.0, f"max |c_m|/bound {worst:.6f}"
-
-
-def _suite_clipping_vs_scaling(rc: RunConfig, tol: float) -> tuple[bool, str]:
-    if not rc.er.tx_len_m > rc.er.period_m / 2:
-        return True, "skipped: coil shorter than half the period"
-    alpha = rc.er.power_density_kw_per_m
-    worst = -np.inf
-    for rx in np.linspace(0.2, min(3.5, rc.er.tx_len_m - 0.05), 100):
-        lo = max(0.0, alpha * (rx - rc.er.gap_m))
-        hi = alpha * rx
-        for u in np.linspace(0.01, 0.999, 100):
-            ev = EvParams(rx, lo + u * (hi - lo), 24.6)
-            r_clip = harmonic_ratio_clipping(rc.er, ev)
-            r_scale = harmonic_ratio_scaling(rc.er, ev)
-            worst = max(worst, r_clip - r_scale)
-    return worst <= tol, f"max clip-minus-scale ratio {worst:.3e}"
-
-
-def _suite_ensemble_mc(rc: RunConfig, tol: float) -> tuple[bool, str]:
-    model = FleetModel(
-        cfg=rc.er,
-        classes=(EvClass(1.83, 1.0, MaxDemand()),),
-        n_evs=45,
-        speed_mps=24.6,
-    )
-    trials = max(100, rc.trials)
-    mc = monte_carlo_psd(model, trials=trials, seed=rc.seed + 2, m_max=5)
-    ana = analytic_psd(model, 5)
-    expected = (ana.dc_power_sq,) + ana.harmonic_powers
-    worst_z = 0.0
-    for m in range(6):
-        se = mc.stderr_kw2[m]
-        err = abs(mc.line_powers_kw2[m] - expected[m])
-        if se > 0:
-            worst_z = max(worst_z, err / se)
-        elif err > tol * expected[m]:
-            return False, f"m={m}: deterministic line off by {err:.3e}"
-    return worst_z <= 3.0, f"max |z| {worst_z:.2f} over m=0..5 ({trials} trials)"
-
-
-def _suite_composition_sign(rc: RunConfig, tol: float) -> tuple[bool, str]:
-    rng = np.random.default_rng(rc.seed + 3)
-    bad = 0
-    for _ in range(200):
-        l_a = rng.uniform(1.0, 1.83)
-        l_b = rng.uniform(0.3, l_a - 0.05)
-        t2 = rng.uniform(0.02, 0.4)
-        t1 = rng.uniform(t2 + 0.01, 0.6)
-        q = q_ratio(rc.er, l_a, l_b, theta1=t1, theta2=t2, n2=45)
-        if (q < 1.0 - tol) != composition_condition(rc.er, l_a, l_b):
-            bad += 1
-    return bad == 0, f"{bad}/200 sign disagreements"
-
-
-def _suite_fs_oracle(rc: RunConfig, tol: float) -> tuple[bool, str]:
-    from scipy.integrate import quad  # local for start-up, as in `parseval`
-
-    rng = np.random.default_rng(rc.seed + 4)
-    period = rc.er.period_m
-    omega = 2 * np.pi / period
-    worst = 0.0
-    for _ in range(5):
-        ev = _draw_valid(rng, rc.er)
-        kinks = [
-            max(0.0, ev.rx_len_m - rc.er.gap_m),
-            ev.peak_demand_kw / rc.er.power_density_kw_per_m,
-            min(period, ev.rx_len_m + rc.er.tx_len_m - ev.peak_demand_kw / rc.er.power_density_kw_per_m),
-        ]
-        ms = np.arange(0, 21)
-        closed = fs_harmonic_grid(rc.er, ev.rx_len_m, np.array([ev.peak_demand_kw]), ms)[0]
-        scale = np.max(np.abs(closed))
-        center = (ev.rx_len_m + rc.er.tx_len_m) / 2  # pulse symmetry axis
-        for m in ms:
-            val = quad(
-                lambda y, m=m: coil_pulse(rc.er, ev, y) * np.cos(m * omega * (y - center)),
-                0.0,
-                period,
-                points=kinks,
-                limit=200,
-            )[0] / period
-            worst = max(worst, abs(val - closed[m]) / scale)
-    return worst < tol, f"max rel err {worst:.3e} (tol {tol:g})"
-
-
-_SUITES: tuple[tuple[str, Callable, float], ...] = (
-    ("parseval", _suite_parseval, 1e-6),
-    ("harmonic-bound", _suite_bound, 1e-12),
-    ("clipping-vs-scaling", _suite_clipping_vs_scaling, 1e-12),
-    ("ensemble-mc", _suite_ensemble_mc, 1e-6),
-    ("composition-sign", _suite_composition_sign, 1e-9),
-    ("fs-oracle", _suite_fs_oracle, 1e-8),
-)
-
-
 def cmd_validate(rc: RunConfig, self_test: bool = False) -> int:
+    if rc.trials < MIN_TRIALS:
+        raise ConfigError(f"trials must be >= {MIN_TRIALS} for validate, got {rc.trials}")
     meta = run_metadata(rc)
-    results = []
-    failed = []
-    for name, suite, tol in _SUITES:
-        if self_test and name == "parseval":
-            tol = 0.0  # deliberately unsatisfiable, to prove failures surface
-        ok, detail = suite(rc, tol)
-        results.append({"suite": name, "passed": bool(ok), "detail": detail})
+    results, failed = [], []
+    for i, (name, check) in enumerate(CHECKS.items()):
+        # --self-test: no truncated line sum meets Parseval exactly.
+        bound = 0.0 if self_test and name == "parseval" else check.bound
+        n = check.n or rc.trials
+        worst = check.run(rc.er, np.random.default_rng(rc.seed + i), n)
+        if worst is None:
+            ok, detail = True, "skipped: coil not longer than half the period"
+        else:
+            ok = bool(worst <= bound)
+            detail = f"{check.measure} {worst:.6g} (bound {bound!r}, n={n})"
+        results.append({"suite": name, "passed": ok, "detail": detail})
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         if not ok:
             failed.append(name)
-    _write_json(
-        Path(rc.out_dir) / "validate.json",
-        meta,
-        {"results": results, "passed": not failed},
-    )
+    _write_json(Path(rc.out_dir, "validate.json"), meta, {"results": results, "passed": not failed})
     if failed:
         print(f"validate: FAILED suites: {', '.join(failed)}", file=sys.stderr)
         return EXIT_VALIDATION

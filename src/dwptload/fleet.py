@@ -333,31 +333,33 @@ def composition_boundary(cfg: ErConfig, l_a: float) -> Optional[float]:
     """Short-receiver length where the composition verdict flips, if any.
 
     Scans (0, l_a) for a sign change of the criterion margin and refines it
-    by bisection to 1e-6 m.  Returns None when the verdict never flips
-    (which is the case for l_a below the ratio-curve peak).
+    by bisection to 1e-9 m, in the steps of ``scipy.optimize.bisect`` with
+    ``xtol=1e-9``.  Returns None when the verdict never flips (which
+    is the case for l_a below the ratio-curve peak).
     """
     if not 0 < l_a < cfg.period_m:
         raise ValueError(f"need 0 < l_a < period, got {l_a}")
     d_per = cfg.period_m
     s_a = np.sin(np.pi * l_a / d_per) ** 2
 
-    def margin(l_b: float) -> float:
+    def margin(l_b):
         return l_a * np.sin(np.pi * l_b / d_per) ** 2 - l_b * s_a
 
     # The margin vanishes trivially at both endpoints; scan the interior.
     grid = np.linspace(1e-9 * l_a, l_a * (1 - 1e-9), 4097)
-    vals = np.array([margin(x) for x in grid])
-    sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
+    sign_change = np.nonzero(np.diff(np.sign(margin(grid))) != 0)[0]
     if sign_change.size == 0:
         return None
-    # Imported here, not at module level: scipy.optimize costs ~0.6 s and
-    # ~50 MB at start-up, and only this refinement uses it.
-    from scipy import optimize
-
     i = sign_change[0]
-    return float(
-        optimize.bisect(margin, grid[i], grid[i + 1], xtol=1e-9, maxiter=200)
-    )
+    lo, step, f_lo = grid[i], grid[i + 1] - grid[i], margin(grid[i])
+    while True:
+        step *= 0.5
+        mid = lo + step
+        f_mid = margin(mid)
+        if f_mid * f_lo >= 0:
+            lo = mid
+        if f_mid == 0 or step < 1e-9 + 4 * np.finfo(float).eps * abs(mid):
+            return float(mid)
 
 
 def q_ratio(

@@ -505,10 +505,14 @@ def _tile_powers(
         zk *= z
 
 
+#: Fewest trials :func:`monte_carlo_psd` averages.
+MIN_TRIALS = 100
+
+
 def monte_carlo_psd(
     model: FleetModel,
     trials: int,
-    seed: int,
+    seed: int | np.random.Generator,
     m_max: int = 5,
 ) -> EnsemblePsd:
     """Ensemble-average the aggregate line powers over random entry phases.
@@ -539,8 +543,8 @@ def monte_carlo_psd(
     once per chunk; every operation on a trial is elementwise or a sum
     over that trial's vehicles, so the lines do not depend on the tile.
     """
-    if trials < 100:
-        raise ValueError(f"trials must be >= 100, got {trials}")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"trials must be >= {MIN_TRIALS}, got {trials}")
     if m_max < 0:
         raise ValueError(f"m_max must be >= 0, got {m_max}")
     rng = np.random.default_rng(seed)

@@ -1,7 +1,8 @@
 """Independent numerical oracles used across the test suite.
 
 Everything here recomputes quantities from first principles -- geometric
-coil overlap, composite quadrature, exact piecewise integration -- or by
+coil overlap; composite quadrature and exact piecewise integration,
+which ``dwptload.invariants`` holds and this module re-exports -- or by
 the slower formulations the package used before: the pulse by branch
 selection or as one expression of new arrays, uniform-demand moments
 by adaptive quadrature, coil-start-phase coefficients by the DFT of a densely sampled period,
@@ -44,7 +45,6 @@ from dwptload import (
     TrafficClass,
     TrafficSpec,
     VehicleTable,
-    coil_pulse,
     constant_regime,
     demand_bounds,
     empirical_thc,
@@ -55,77 +55,11 @@ from dwptload import (
     sample_demand,
 )
 from dwptload.composition import matched_counts, truck_count_schedules
+from dwptload.invariants import fourier_coeffs_quadrature, mean_square_exact, pulse_kinks
 from dwptload.signals import _BLOCK, _phasor, _thc
 from dwptload.schema import to_dict
 from dwptload.spectrum import _stepped_rows
 from dwptload.traffic import CSV_FIELDS, covering_entry_time, max_covering_periods
-
-
-def pulse_kinks(cfg: ErConfig, ev: EvParams) -> np.ndarray:
-    """Breakpoints of the clipped-trapezoid pulse within [0, period]."""
-    d_per = cfg.period_m
-    ramp = ev.peak_demand_kw / cfg.power_density_kw_per_m
-    pts = {
-        0.0,
-        d_per,
-        max(0.0, ev.rx_len_m - cfg.gap_m),
-        ramp,
-        ev.rx_len_m + cfg.tx_len_m - ramp,
-    }
-    if ev.rx_len_m < cfg.gap_m:
-        # Short receivers: the trailing ramp hits zero before the period ends.
-        pts.add(min(ev.rx_len_m + cfg.tx_len_m, d_per))
-    return np.array(sorted(p for p in pts if 0.0 <= p <= d_per))
-
-
-def fourier_coeffs_quadrature(
-    cfg: ErConfig, ev: EvParams, m_max: int, order: int = 12
-) -> np.ndarray:
-    """Coefficients c_0..c_m_max by kink-aligned composite Gauss-Legendre.
-
-    Integrates the sampled pulse against cosines centered on the pulse's
-    symmetry axis, with panels no wider than one wavelength of the highest
-    harmonic so the rule stays in its spectral-accuracy regime.
-    """
-    d_per = cfg.period_m
-    center = (ev.rx_len_m + cfg.tx_len_m) / 2.0
-    omega = 2.0 * np.pi / d_per
-    gx, gw = np.polynomial.legendre.leggauss(order)
-    nodes, weights = [], []
-    kinks = pulse_kinks(cfg, ev)
-    for a, b in zip(kinks[:-1], kinks[1:]):
-        if b - a <= 1e-12 * d_per:
-            continue
-        n_panels = max(1, int(np.ceil((b - a) * max(m_max, 1) / d_per)))
-        edges = np.linspace(a, b, n_panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * np.diff(edges)
-        nodes.append((mid[:, None] + half[:, None] * gx).ravel())
-        weights.append((half[:, None] * np.broadcast_to(gw, (n_panels, order))).ravel())
-    y = np.concatenate(nodes)
-    w = np.concatenate(weights)
-    g = coil_pulse(cfg, ev, y)
-    m = np.arange(m_max + 1)
-    cosines = np.cos(np.outer(m, omega * (y - center)))
-    return cosines @ (w * g) / d_per
-
-
-def mean_square_exact(cfg: ErConfig, ev: EvParams) -> float:
-    """Exact mean of the squared pulse over one period.
-
-    The pulse is piecewise linear, so its square is piecewise quadratic
-    and Simpson's rule on each piece is exact.
-    """
-    d_per = cfg.period_m
-    kinks = pulse_kinks(cfg, ev)
-    total = 0.0
-    for a, b in zip(kinks[:-1], kinks[1:]):
-        if b <= a:
-            continue
-        x = np.mod(np.array([a, 0.5 * (a + b), b]), d_per)
-        ya, ym, yb = np.asarray(coil_pulse(cfg, ev, x)) ** 2
-        total += (b - a) / 6.0 * (ya + 4.0 * ym + yb)
-    return total / d_per
 
 
 def overlap_load(cfg: ErConfig, ev: EvParams, x) -> np.ndarray:
@@ -146,23 +80,6 @@ def overlap_load(cfg: ErConfig, ev: EvParams, x) -> np.ndarray:
     xa = np.asarray(x, dtype=float)
     overlap = coil_len(xa) - coil_len(xa - ev.rx_len_m)
     return np.minimum(ev.peak_demand_kw, cfg.power_density_kw_per_m * overlap)
-
-
-def draw_periodic_ev(
-    rng: np.random.Generator,
-    cfg: ErConfig,
-    speed_mps: float = 24.6,
-    rx_lo: float = 0.2,
-    rx_hi: float | None = None,
-) -> EvParams:
-    """Random receiver/demand pair in the ripple-producing regime."""
-    if rx_hi is None:
-        rx_hi = cfg.tx_len_m - 0.05
-    rx = rng.uniform(rx_lo, rx_hi)
-    lo = max(0.0, cfg.power_density_kw_per_m * (rx - cfg.gap_m))
-    hi = cfg.power_density_kw_per_m * rx
-    demand = lo + (hi - lo) * rng.uniform(0.05, 1.0)
-    return EvParams(rx_len_m=rx, peak_demand_kw=demand, speed_mps=speed_mps)
 
 
 def select_pulse(cfg: ErConfig, ev: EvParams, xm: np.ndarray) -> np.ndarray:

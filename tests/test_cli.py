@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
@@ -18,12 +19,14 @@ from dwptload.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     ConfigError,
+    SUBCOMMAND_KEYS,
     RunConfig,
     main,
     run_metadata,
     runconfig_from_dict,
     runconfig_to_dict,
 )
+from dwptload.invariants import CHECKS
 
 GOOD_CSV = "entry_time_s,speed_mps,rx_len_m,peak_demand_kw\n0.0,24.6,1.83,200.0\n1.5,29.0,1.2,90.0\n"
 
@@ -224,6 +227,7 @@ for argv in (
     ["ingest", csv],
     ["psd", "--duration-s", "10", "--sample-rate-hz", "200"],
     ["composition", "--trials", "2"],
+    ["validate", "--trials", "100"],
 ):
     assert cli.main([*argv, "--out", out]) == 0, argv
 free = scipy_modules()
@@ -237,8 +241,8 @@ def test_scipy_free_subcommands_load_no_scipy(tmp_path):
     # only the functions that call scipy import it.  `psd --analytic` ignores
     # the window, even one that the sampled `psd` would reject.  The sampled
     # `psd` computes its default Hann window itself, and `composition` reads
-    # scipy's Sobol direction numbers without importing scipy; any other
-    # window comes from scipy.signal.
+    # scipy's Sobol direction numbers without importing scipy; `validate`'s
+    # oracles are numpy code.  Any other window comes from scipy.signal.
     config = write_config(tmp_path, {"duration_s": 10.0, "psd_window": "bogus"})
     hamming = write_config(
         tmp_path,
@@ -481,6 +485,32 @@ def test_composition_rejects_sampling_keys(tmp_path, capsys, doc, key):
     assert not (tmp_path / "thc_table.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command, doc, key",
+    [
+        (["composition"], {"segment_s": 4.0, "psd_method": "welch", "harmonics": 3}, "segment_s"),
+        (["spectrum"], {"segment_s": 4.0}, "segment_s"),
+        (["validate"], {"thetas": [0.1], "n_ref": 3}, "thetas"),
+        (["psd"], {"trials": 200}, "trials"),
+        (["ingest", "traffic.csv"], {"duration_s": 5.0}, "duration_s"),
+    ],
+)
+def test_subcommands_reject_keys_they_do_not_read(tmp_path, capsys, command, doc, key):
+    # Earlier builds accepted these and wrote their default outputs under
+    # another config hash.
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main([*command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config.{key}: not used by {command[0]}")
+    assert not out.exists()
+
+
+def test_every_run_config_key_is_read_by_some_subcommand():
+    read = set().union(*SUBCOMMAND_KEYS.values())
+    assert read == {f.name for f in dataclasses.fields(RunConfig)}
+
+
 # --- validate and ingest ----------------------------------------------------
 
 
@@ -491,6 +521,31 @@ def test_validate_suites_pass(tmp_path):
     assert doc["passed"] is True
     assert len(doc["results"]) == 6
     assert all(r["passed"] for r in doc["results"])
+
+
+@pytest.mark.parametrize(
+    "er",
+    [
+        # Earlier builds drew 1.83 m receivers here, longer than the coil.
+        {"tx_len_m": 0.5, "gap_m": 0.3, "power_density_kw_per_m": 100.0, "segment_len_m": 80.0},
+        {"tx_len_m": 6.0, "gap_m": 1.0, "power_density_kw_per_m": 100.0, "segment_len_m": 4000.0},
+    ],
+)
+def test_validate_runs_on_any_roadway(tmp_path, capsys, er):
+    cfg = write_config(tmp_path, {"er": er})
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:6]] == [f"PASS {name}" for name in CHECKS]
+    assert json.loads((tmp_path / "validate.json").read_text())["passed"] is True
+
+
+def test_validate_rejects_too_few_trials(tmp_path, capsys):
+    # Earlier builds ran 100 trials instead, and said nothing.
+    assert main(["validate", "--trials", "5", "--out", str(tmp_path)]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "config error: trials must be >= 100 for validate, got 5\n"
+    assert not (tmp_path / "validate.json").exists()
 
 
 def test_validate_self_test_reports_failure(tmp_path):

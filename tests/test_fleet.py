@@ -414,18 +414,3 @@ def test_ratio_verdict_matches_full_thc_comparison(l_b):
     thc1 = _mean_matched_thc(1.83, l_b, theta1, n1)
     thc2 = _mean_matched_thc(1.83, l_b, theta2, n2)
     assert (q < 1.0) == (thc1 < thc2)
-
-
-def test_ratio_below_one_iff_condition_holds():
-    """For any mean-matched pair with theta1 > theta2 the first-harmonic
-    ratio verdict is equivalent to the length criterion."""
-    rng = np.random.default_rng(63)
-    for _ in range(300):
-        l_a = rng.uniform(0.8, 3.6)
-        l_b = rng.uniform(0.2, l_a - 0.1)
-        theta2 = rng.uniform(0.0, 0.5)
-        theta1 = rng.uniform(theta2 + 0.01, 1.0)
-        n2 = rng.uniform(1.0, 100.0)
-        q = q_ratio(INDOT, l_a, l_b, theta1=theta1, theta2=theta2, n2=n2)
-        if abs(q - 1.0) > 1e-9:
-            assert (q < 1.0) == composition_condition(INDOT, l_a, l_b)

@@ -19,8 +19,9 @@ from dwptload import (
     load_at_position,
     load_at_time,
 )
+from dwptload.invariants import draw_vehicle
 from dwptload.roadway import _pulse_at, _pulse_at_times, _pulse_samples
-from oracles import draw_periodic_ev, overlap_load, pulse_at_expression, pulse_expression
+from oracles import overlap_load, pulse_at_expression, pulse_expression
 
 ALPHA = INDOT.power_density_kw_per_m
 
@@ -175,7 +176,7 @@ def test_pulse_min_max_and_continuity():
     x = np.linspace(0.0, INDOT.period_m, 20001, endpoint=False)
     dx = x[1] - x[0]
     for _ in range(25):
-        vehicle = draw_periodic_ev(rng, INDOT)
+        vehicle = draw_vehicle(rng, INDOT)
         g = coil_pulse(INDOT, vehicle, x)
         lo = max(0.0, ALPHA * (vehicle.rx_len_m - INDOT.gap_m))
         assert np.min(g) == pytest.approx(lo, abs=ALPHA * dx)
@@ -189,7 +190,7 @@ def test_pulse_min_max_and_continuity():
 def test_pulse_even_symmetry_about_plateau_center():
     rng = np.random.default_rng(11)
     for _ in range(20):
-        vehicle = draw_periodic_ev(rng, INDOT)
+        vehicle = draw_vehicle(rng, INDOT)
         center = (vehicle.rx_len_m + INDOT.tx_len_m) / 2.0
         delta = np.linspace(0.0, min(center, INDOT.period_m - center) - 1e-9, 300)
         left = coil_pulse(INDOT, vehicle, center - delta)
@@ -216,7 +217,7 @@ def test_pulse_matches_geometric_overlap_oracle():
     rng = np.random.default_rng(42)
     xm = np.linspace(0.0, INDOT.period_m, 977, endpoint=False)
     for _ in range(40):
-        vehicle = draw_periodic_ev(rng, INDOT)
+        vehicle = draw_vehicle(rng, INDOT)
         got = coil_pulse(INDOT, vehicle, xm)
         want = overlap_load(INDOT, vehicle, 10 * INDOT.period_m + xm)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
@@ -268,7 +269,7 @@ def test_load_reduces_to_pulse_within_one_period():
     rng = np.random.default_rng(3)
     xm = np.linspace(0.0, INDOT.period_m, 501, endpoint=False)
     for _ in range(10):
-        vehicle = draw_periodic_ev(rng, INDOT)
+        vehicle = draw_vehicle(rng, INDOT)
         got = load_at_position(INDOT, vehicle, Clipping(), 7 * INDOT.period_m + xm)
         np.testing.assert_allclose(got, coil_pulse(INDOT, vehicle, xm), atol=1e-9)
 
@@ -287,7 +288,7 @@ def test_clipping_never_exceeds_demand_or_available_power():
     rng = np.random.default_rng(19)
     x = np.linspace(0.0, 2 * INDOT.period_m, 2000)
     for _ in range(25):
-        vehicle = draw_periodic_ev(rng, INDOT)
+        vehicle = draw_vehicle(rng, INDOT)
         clipped = load_at_position(INDOT, vehicle, Clipping(), x)
         available = load_at_position(INDOT, max_ev(vehicle.rx_len_m), Clipping(), x)
         assert np.all(clipped <= vehicle.peak_demand_kw + 1e-9)

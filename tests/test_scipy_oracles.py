@@ -1,4 +1,5 @@
-"""The numpy Welch PSD, Hann window and scrambled Sobol draw against scipy.
+"""The numpy Welch PSD, Hann window, scrambled Sobol draw and composition
+boundary against scipy.
 
 ``estimate_psd`` and ``run_sweep`` import nothing from scipy: Welch and
 the periodogram (one boxcar segment) go through ``signals._welch``, the default window through
@@ -6,7 +7,9 @@ the periodogram (one boxcar segment) go through ``signals._welch``, the default 
 ``composition._scrambled_sobol``.  scipy stays installed and is their
 oracle here.  The window and the Sobol points must be bit-identical to
 scipy's; the PSD, whose sums run in another order, must agree to 1e-12
-of its peak bin, on exactly equal frequencies.
+of its peak bin, on exactly equal frequencies.  ``composition_boundary``
+bisects as ``scipy.optimize.bisect`` does, and its root must agree with
+scipy's to 1e-9 m.
 """
 
 from __future__ import annotations
@@ -15,9 +18,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 from scipy import signal as sps
 from scipy.stats import qmc
 
+from dwptload import INDOT, ErConfig, composition_boundary
 from dwptload.composition import _scrambled_sobol, _sobol_directions
 from dwptload.signals import LoadSeries, _welch, _window, estimate_psd
 
@@ -102,3 +107,34 @@ def test_scrambled_sobol_is_bit_identical_to_qmc(d, m, seed):
 def test_sobol_dimension_limit_is_scipys():
     with pytest.raises(ValueError, match=f"dimensionality is {qmc.Sobol.MAXDIM}"):
         _sobol_directions(qmc.Sobol.MAXDIM + 1)
+
+
+def scipy_boundary(cfg: ErConfig, l_a: float):
+    """The scan of scalar margins refined by ``scipy.optimize.bisect``."""
+    d_per = cfg.period_m
+    s_a = np.sin(np.pi * l_a / d_per) ** 2
+
+    def margin(l_b):
+        return l_a * np.sin(np.pi * l_b / d_per) ** 2 - l_b * s_a
+
+    grid = np.linspace(1e-9 * l_a, l_a * (1 - 1e-9), 4097)
+    change = np.flatnonzero(np.diff(np.sign([margin(x) for x in grid])))
+    if change.size == 0:
+        return None
+    return optimize.bisect(margin, *grid[change[0] : change[0] + 2], xtol=1e-9, maxiter=200)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    cfg=st.just(INDOT)
+    | st.builds(ErConfig, st.floats(0.5, 5.0), st.floats(0.1, 3.0), st.just(100.0), st.just(1e3)),
+    frac=st.floats(1e-6, 1.0, exclude_max=True),
+)
+@example(cfg=INDOT, frac=1.83 / INDOT.period_m)  # a root
+@example(cfg=INDOT, frac=1.5 / INDOT.period_m)  # no root
+def test_composition_boundary_matches_scipy_bisect(cfg, frac):
+    l_a = frac * cfg.period_m
+    ours, theirs = composition_boundary(cfg, l_a), scipy_boundary(cfg, l_a)
+    assert (ours is None) == (theirs is None)
+    if ours is not None:
+        assert abs(ours - theirs) <= 1e-9

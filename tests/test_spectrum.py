@@ -1,4 +1,10 @@
-"""Closed-form Fourier coefficients, THC, bounds, and scheme comparison."""
+"""Closed-form Fourier coefficients, THC, bounds, and scheme comparison.
+
+The identities checked on random draws (closed form against quadrature,
+the envelope, clipping against scaling, Parseval) are in
+:mod:`dwptload.invariants`; ``tests/test_invariants.py`` runs them on
+random geometry.
+"""
 
 from __future__ import annotations
 
@@ -22,7 +28,7 @@ from dwptload import (
     harmonic_ratio_scaling,
     thc_single,
 )
-from oracles import draw_periodic_ev, fourier_coeffs_quadrature, mean_square_exact
+from dwptload.invariants import draw_vehicle
 
 ALPHA = INDOT.power_density_kw_per_m
 D = INDOT.period_m
@@ -65,7 +71,7 @@ def test_dc_matches_waveform_mean():
     rng = np.random.default_rng(5)
     x = (np.arange(200_000) + 0.5) * (D / 200_000)
     for _ in range(10):
-        vehicle = draw_periodic_ev(rng, INDOT)
+        vehicle = draw_vehicle(rng, INDOT)
         mean = float(np.mean(coil_pulse(INDOT, vehicle, x)))
         assert fs_dc(INDOT, vehicle) == pytest.approx(mean, rel=1e-10)
 
@@ -73,7 +79,7 @@ def test_dc_matches_waveform_mean():
 def test_dc_bounded_by_full_demand_value():
     rng = np.random.default_rng(6)
     for _ in range(50):
-        vehicle = draw_periodic_ev(rng, INDOT)
+        vehicle = draw_vehicle(rng, INDOT)
         cap = ALPHA * vehicle.rx_len_m * INDOT.tx_len_m / D
         assert 0.0 < fs_dc(INDOT, vehicle) <= cap * (1 + 1e-12)
 
@@ -107,19 +113,6 @@ def test_harmonics_vanish_approaching_constant_threshold():
     assert np.max(np.abs(cm)) < 1e-5
 
 
-def test_closed_form_against_quadrature_oracle():
-    """Coefficients m = 0..50 vs kink-aligned Gauss-Legendre integration."""
-    rng = np.random.default_rng(23)
-    m = np.arange(0, 51)
-    for _ in range(10):
-        vehicle = draw_periodic_ev(rng, INDOT)
-        closed = fs_harmonic(INDOT, vehicle, m)
-        numeric = fourier_coeffs_quadrature(INDOT, vehicle, 50)
-        err = np.linalg.norm(closed - numeric) / np.linalg.norm(numeric)
-        assert err < 1e-8
-        np.testing.assert_allclose(closed, numeric, rtol=1e-7, atol=1e-9)
-
-
 def test_coefficient_grid_matches_scalar_path():
     demands = np.array([110.0, 150.0, 200.0])
     m = np.arange(0, 12)
@@ -136,7 +129,7 @@ def test_first_harmonic_dominates_the_rest():
     rng = np.random.default_rng(31)
     m = np.arange(1, 101)
     for _ in range(60):
-        vehicle = draw_periodic_ev(rng, INDOT)
+        vehicle = draw_vehicle(rng, INDOT)
         cm = np.abs(fs_harmonic(INDOT, vehicle, m))
         assert cm[0] >= np.max(cm[1:]) - 1e-12
 
@@ -202,15 +195,6 @@ def test_envelope_value_and_quartering():
         harmonic_bound(INDOT, 0)
 
 
-def test_envelope_caps_all_coefficients():
-    rng = np.random.default_rng(91)
-    m = np.arange(1, 101)
-    cap = harmonic_bound(INDOT, m)
-    for _ in range(100):
-        vehicle = draw_periodic_ev(rng, INDOT)
-        assert np.all(np.abs(fs_harmonic(INDOT, vehicle, m)) <= cap * (1 + 1e-12))
-
-
 # --- clipping vs scaling ---------------------------------------------------
 
 
@@ -260,14 +244,6 @@ def test_clipping_wins_outright_at_constant_threshold():
     assert cmp.clipping_wins
 
 
-def test_clipping_never_worse_for_random_vehicles():
-    rng = np.random.default_rng(101)
-    for _ in range(1000):
-        vehicle = draw_periodic_ev(rng, INDOT)
-        cmp = compare_schemes(INDOT, vehicle)
-        assert cmp.clipping_ratio <= cmp.scaling_ratio + 1e-12
-
-
 def test_comparison_flagged_when_coil_shorter_than_half_period():
     wide_gap = ErConfig(
         tx_len_m=2.0, gap_m=2.5, power_density_kw_per_m=100.0, segment_len_m=45.0
@@ -275,20 +251,3 @@ def test_comparison_flagged_when_coil_shorter_than_half_period():
     cmp = compare_schemes(wide_gap, EvParams(1.5, 150.0, 20.0))
     assert not cmp.lemma_applies
     assert cmp.clipping_ratio >= 0.0 and cmp.scaling_ratio >= 0.0
-
-
-# --- Parseval --------------------------------------------------------------
-
-
-def test_truncated_power_matches_exact_mean_square():
-    """c0^2 + 2 sum c_m^2 (m <= 1000) vs exact piecewise integration."""
-    rng = np.random.default_rng(77)
-    m = np.arange(0, 1001)
-    for _ in range(10):
-        vehicle = draw_periodic_ev(rng, INDOT)
-        cm = fs_harmonic_grid(
-            INDOT, vehicle.rx_len_m, np.array([vehicle.peak_demand_kw]), m
-        )[0]
-        series_power = cm[0] ** 2 + 2.0 * np.sum(cm[1:] ** 2)
-        exact = mean_square_exact(INDOT, vehicle)
-        assert series_power == pytest.approx(exact, rel=1e-6)
