@@ -33,12 +33,13 @@ import numpy as np
 
 from . import __version__
 from .composition import SweepColumn, SweepConfig, default_sweep_config, run_sweep
-from .fleet import EvClass, FleetModel, MaxDemand, UniformExplicit, analytic_psd
+from .fleet import MaxDemand
 from .invariants import CHECKS
 from .roadway import INDOT, ErConfig, EvParams, _require_finite, constant_regime
 from .signals import MIN_TRIALS, _welch_segments, _window, detect_peaks, estimate_psd, synthesize
 from .spectrum import (
-    default_harmonic_count, fs_coefficients, harmonic_bound, harmonic_ratio_clipping, thc_single
+    default_harmonic_count, fs_coefficients, fs_harmonic_grid, harmonic_bound,
+    harmonic_count_for_dc, harmonic_ratio_clipping, thc_single,
 )
 from .schema import dumps, from_dict, members, to_dict
 from .traffic import IngestError, Scenario, TrafficClass, TrafficSpec, generate, ingest
@@ -334,37 +335,25 @@ def cmd_spectrum(rc: RunConfig) -> int:
     return EXIT_OK
 
 
-def _speed_groups(scenario: Scenario) -> dict[float, list[EvParams]]:
-    groups: dict[float, list[EvParams]] = {}
-    for ev in scenario.evs:
-        groups.setdefault(ev.speed_mps, []).append(ev)
-    return groups
-
-
 def _analytic_lines(rc: RunConfig, scenario: Scenario):
-    """Per-speed-group line spectra for the vehicles actually generated."""
-    lines = []
-    fundamentals = []
-    for speed, evs in sorted(_speed_groups(scenario).items()):
-        classes: dict[tuple[float, float], int] = {}
-        for ev in evs:
-            key = (ev.rx_len_m, ev.peak_demand_kw)
-            classes[key] = classes.get(key, 0) + 1
-        model = FleetModel(
-            cfg=rc.er,
-            classes=tuple(
-                # Point-mass demand at whatever each vehicle actually drew.
-                EvClass(rx, count / len(evs), UniformExplicit(demand, demand))
-                for (rx, demand), count in sorted(classes.items())
-            ),
-            n_evs=len(evs),
-            speed_mps=speed,
-        )
-        psd = analytic_psd(model, rc.harmonics or None)
-        fundamentals.append(psd.fundamental_hz)
-        lines.append((0.0, psd.dc_power_sq, speed))
-        for m, power in enumerate(psd.harmonic_powers, start=1):
-            lines.append((m * psd.fundamental_hz, power, speed))
+    """Per-speed-group line spectra for the vehicles actually generated:
+    the DC line ``(sum c_0)^2`` and the line ``sum c_m^2`` at each harmonic
+    up to ``rc.harmonics`` or else :func:`harmonic_count_for_dc` of the
+    group's mean c_0, with one :func:`fs_harmonic_grid` call per receiver
+    length and order.  The scenario has validated every vehicle."""
+    cfg, evs = rc.er, scenario.evs
+    lines, fundamentals = [], []
+    for speed in sorted(set(evs.speed_mps.tolist())):
+        group = evs.speed_mps == speed
+        rx, demand = evs.rx_len_m[group], evs.peak_demand_kw[group]
+        receivers = [(r, demand[rx == r]) for r in np.unique(rx).tolist()]
+        dc = sum(float(fs_harmonic_grid(cfg, r, d, 0).sum()) for r, d in receivers)
+        m = np.arange(1, (rc.harmonics or harmonic_count_for_dc(cfg, dc / rx.size)) + 1)
+        powers = sum((fs_harmonic_grid(cfg, r, d, m) ** 2).sum(axis=0) for r, d in receivers)
+        f0 = speed / cfg.period_m
+        fundamentals.append(f0)
+        lines.append((0.0, dc * dc, speed))
+        lines.extend((k * f0, p, speed) for k, p in zip(m.tolist(), powers.tolist()))
     return fundamentals, lines
 
 

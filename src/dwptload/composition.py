@@ -24,13 +24,13 @@ Variance control, so small trends survive a finite window budget:
 
 Because the rows of a window share their vehicle slots, each slot's
 truck waveform and sedan waveform is sampled at most once per (window,
-column), from the window's one time array and only over the slot's
-exact on-segment samples, and added into every penetration row that
-holds the slot.
+column), only over the slot's exact on-segment samples, and added into
+every penetration row that holds the slot.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import os
 from dataclasses import dataclass, field
@@ -48,8 +48,8 @@ from .fleet import (
     class_moments,
     demand_bounds,
 )
-from .roadway import ErConfig, EvParams, _pulse_at_times, _require_finite
-from .signals import _BLOCK, _phasor, _sample_spans, _thc
+from .roadway import ErConfig, EvParams, _require_finite
+from .signals import _add_pulses, _phasor, _thc
 from .spectrum import fs_dc
 from .traffic import covering_entry_time, max_covering_periods
 
@@ -215,9 +215,11 @@ def truck_count_schedules(
 _SOBOL_BITS = 30
 
 
+@functools.cache
 def _sobol_directions(d: int) -> np.ndarray:
     """Unscrambled direction numbers of a ``d``-dimensional Sobol sequence,
-    as the ``(d, 30)`` ``uint32`` array that scipy's ``qmc.Sobol`` builds.
+    as the ``(d, 30)`` ``uint32`` array that scipy's ``qmc.Sobol`` builds,
+    read-only and computed once per ``d``.
 
     The primitive polynomials and initial numbers are the first ``d`` rows
     of the Joe-Kuo table that scipy installs as
@@ -249,7 +251,9 @@ def _sobol_directions(d: int) -> np.ndarray:
             use = (k < deg) & ((p >> np.maximum(deg - 1 - k, 0)) & 1 == 1)
             new = np.where(use, new ^ (v[rows, j - k - 1] << (k + 1)), new)
         v[rows, j] = new
-    return (v << np.arange(_SOBOL_BITS - 1, -1, -1)).astype(np.uint32)
+    directions = (v << np.arange(_SOBOL_BITS - 1, -1, -1)).astype(np.uint32)
+    directions.flags.writeable = False
+    return directions
 
 
 def _parity(x: np.ndarray) -> np.ndarray:
@@ -297,12 +301,13 @@ def _scrambled_sobol(
 def run_sweep(sw: SweepConfig, seed: int) -> SweepResult:
     """Run the full windows x penetrations x columns measurement.
 
-    Every cell samples the same window, so the window's times and the
-    projection phasor of each fundamental (:func:`dwptload.signals._phasor`)
-    are built once per call.  Each slot's pulse is evaluated in place by
-    :func:`dwptload.roadway._pulse_at_times`, ``_BLOCK`` samples at a
-    time, into two work rows that serve every slot, and added from there
-    into the penetration rows that hold the slot.
+    Every cell samples the same window, so the projection phasor of each
+    fundamental (:func:`dwptload.signals._phasor`) is built once per call.
+    The slots of a (window, column) are added into the penetration rows
+    that hold them by the accumulator of
+    :func:`dwptload.signals.synthesize`.  :func:`matched_counts` has
+    validated the truck and the column against the roadway, and each
+    slot's demand lies within the column's bounds.
     """
     cfg = sw.cfg
     alpha = cfg.power_density_kw_per_m
@@ -333,9 +338,7 @@ def run_sweep(sw: SweepConfig, seed: int) -> SweepResult:
     pools = [_scrambled_sobol(directions, rng, m) for _ in range(n_cols)]
     fs = sw.sample_rate_hz
     n_samples = int(round((window[1] - window[0]) * fs))
-    times = t0 + np.arange(n_samples) / fs
     phasors = [_phasor(n_samples, fs, f0) for f0 in (f_truck, f_sedan)]
-    work, scratch = np.empty(min(n_samples, _BLOCK)), np.empty(min(n_samples, _BLOCK))
     thc = np.empty((n_thetas, n_cols, sw.n_windows))
     for w in range(sw.n_windows):
         for j, col in enumerate(sw.columns):
@@ -349,44 +352,24 @@ def run_sweep(sw: SweepConfig, seed: int) -> SweepResult:
             # [n_max - n_sedans[i], n_max): each slot's waveform is sampled
             # once and added to every row that holds it, trucks first, each
             # kind in slot order, as a per-row sum would add them.
-            slots = []
+            slots = []  # (speed, entry, rx, demand, rows holding the slot)
             for s in range(int(n_trucks.max())):
                 k = int(u_k[s] * (k_truck + 1))
-                entry = covering_entry_time(
-                    cfg, sw.truck_speed_mps, window, u_phase[s], k
-                )
-                ev = EvParams(
-                    sw.truck_rx_len_m, truck_demand, sw.truck_speed_mps, entry, "truck"
-                )
-                ev.validate_against(cfg)
-                slots.append((ev, np.flatnonzero(n_trucks > s)))
+                entry = covering_entry_time(cfg, sw.truck_speed_mps, window, u_phase[s], k)
+                slots.append((
+                    sw.truck_speed_mps, entry, sw.truck_rx_len_m, truck_demand,
+                    np.flatnonzero(n_trucks > s),
+                ))
             for s in range(n_max - int(n_sedans.max()), n_max):
                 k = int(u_k[s] * (k_sedan + 1))
-                entry = covering_entry_time(
-                    cfg, sw.sedan_speed_mps, window, u_phase[s], k
-                )
-                demand = lo + (hi - lo) * u_demand[s]
-                ev = EvParams(col.rx_len_m, demand, sw.sedan_speed_mps, entry, "sedan")
-                ev.validate_against(cfg)
-                slots.append((ev, np.flatnonzero(n_sedans >= n_max - s)))
-            j0, j1 = _sample_spans(
-                cfg,
-                [ev.speed_mps for ev, _ in slots],
-                [ev.entry_time_s for ev, _ in slots],
-                t0,
-                fs,
-                n_samples,
-            )
+                entry = covering_entry_time(cfg, sw.sedan_speed_mps, window, u_phase[s], k)
+                slots.append((
+                    sw.sedan_speed_mps, entry, col.rx_len_m, lo + (hi - lo) * u_demand[s],
+                    np.flatnonzero(n_sedans >= n_max - s),
+                ))
+            *vehicles, holders = zip(*slots)
             rows = np.zeros((n_thetas, n_samples))
-            for (ev, holders), lo, hi in zip(slots, j0.tolist(), j1.tolist()):
-                for a in range(lo, hi, _BLOCK):
-                    b = min(a + _BLOCK, hi)
-                    load = _pulse_at_times(
-                        cfg, ev.rx_len_m, ev.peak_demand_kw, ev.speed_mps,
-                        ev.entry_time_s, times[a:b], work[: b - a], scratch[: b - a],
-                    )
-                    for i in holders:
-                        rows[i, a:b] += load
+            _add_pulses(cfg, rows, holders, t0, fs, vehicles)
             thc[:, j, w] = _thc(rows, phasors, sw.m_max)
     return SweepResult(
         thetas=sw.thetas,

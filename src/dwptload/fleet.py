@@ -18,7 +18,7 @@ from typing import ClassVar, Optional, Sequence, Union
 import numpy as np
 
 from .roadway import ErConfig, EvParams, _require_class_id, _require_finite
-from .spectrum import fs_dc, fs_harmonic, harmonic_count_for_dc
+from .spectrum import fs_harmonic_grid, harmonic_count_for_dc
 
 
 @dataclass(frozen=True)
@@ -144,15 +144,12 @@ class FleetModel:
         )
 
 
-def _ev_at(cfg: ErConfig, rx_len_m: float, demand_kw: float) -> EvParams:
-    return EvParams(rx_len_m=rx_len_m, peak_demand_kw=demand_kw, speed_mps=1.0)
-
-
 def _ripple_moments(
-    cfg: ErConfig, rx_len_m: float, mid: float, half: float, m: int
-) -> tuple[float, float]:
-    """(mean c_0, mean c_m^2) for ramp width ``a = p / alpha`` uniform on
-    [mid - half, mid + half], inside the ripple range.
+    cfg: ErConfig, rx_len_m: float, mid: float, half: float, m: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """(mean c_0, mean c_m^2 for each m of the int array ``m``) for ramp
+    width ``a = p / alpha`` uniform on [mid - half, mid + half], inside the
+    ripple range.
 
     There ``c_0 = alpha a (L - a) / D`` with ``L = tx_len + rx_len``, a
     quadratic in ``a``, and for m >= 1 ``c_m = K (cos(k (a - L/2)) - C)``
@@ -168,67 +165,72 @@ def _ripple_moments(
     s = mid - span / 2.0
     q = mid * (span - mid) - half * half / 3.0
     var = 4.0 * half * half * (s * s / 3.0 + half * half / 45.0)
-    e_c0 = alpha / d_per * q
-    if m == 0:
-        return e_c0, (alpha / d_per) ** 2 * (q * q + var)
-    big_k = alpha * d_per / (2.0 * (m * np.pi) ** 2)
-    k = 2.0 * np.pi * m / d_per
-    c = np.cos(np.pi * m * span / d_per)
+    e_cm2 = np.full(m.shape, (alpha / d_per) ** 2 * (q * q + var))
+    h = m > 0
+    mh = m[h]
+    big_k = alpha * d_per / (2.0 * (mh * np.pi) ** 2)
+    k = 2.0 * np.pi * mh / d_per
+    c = np.cos(np.pi * mh * span / d_per)
     mean_cos = np.cos(k * s) * np.sinc(k * half / np.pi)
     mean_cos2 = 0.5 + 0.5 * np.cos(2.0 * k * s) * np.sinc(2.0 * k * half / np.pi)
     var_cos = mean_cos2 - mean_cos**2
     # Rounding can leave a vanishing variance slightly negative.
-    return e_c0, big_k * big_k * float((mean_cos - c) ** 2 + max(var_cos, 0.0))
+    e_cm2[h] = big_k * big_k * ((mean_cos - c) ** 2 + np.maximum(var_cos, 0.0))
+    return alpha / d_per * q, e_cm2
 
 
-def class_moments(model: FleetModel, class_index: int, m: int) -> tuple[float, float]:
+def class_moments(model: FleetModel, class_index: int, m) -> tuple[float, np.ndarray | float]:
     """(E[c_0 | class], E[c_m^2 | class]) over the class demand distribution.
 
-    Point-mass (full-demand) classes evaluate the coefficients directly.
-    For uniform demands the ramp width ``a = p / alpha`` is uniform too;
-    below the constant-load threshold ``a = rx_len - gap`` the load is the
-    demand itself (c_0 = p, no harmonics), and above it both moments are
-    elementary integrals (see :func:`_ripple_moments`).
+    ``m`` is an int, for which E[c_m^2] is a float, or an int array, for
+    which it is an array of ``m``'s shape.  Point-mass (full-demand)
+    classes evaluate the coefficients directly.  For uniform demands the
+    ramp width ``a = p / alpha`` is uniform too; below the constant-load
+    threshold ``a = rx_len - gap`` the load is the demand itself (c_0 = p,
+    no harmonics), and above it both moments are elementary integrals (see
+    :func:`_ripple_moments`).
     """
-    if m < 0:
+    ma = np.asarray(m)
+    if np.any(ma < 0):
         raise ValueError(f"m must be >= 0, got {m}")
     c = model.classes[class_index]
     cfg = model.cfg
     lo, hi = demand_bounds(c.demand_dist, cfg, c.rx_len_m)
     if hi == lo:
-        ev = _ev_at(cfg, c.rx_len_m, hi)
-        cm = fs_harmonic(cfg, ev, m)
-        return fs_dc(cfg, ev), cm * cm
-    alpha = cfg.power_density_kw_per_m
-    a_lo, a_hi = lo / alpha, hi / alpha
-    a_th = min(max(c.rx_len_m - cfg.gap_m, a_lo), a_hi)
-    e_c0 = e_cm2 = 0.0
-    if a_th > a_lo:
-        # Constant-load part: c_0 = p = alpha a, c_m = 0 for m >= 1.
-        mid, half = (a_lo + a_th) / 2.0, (a_th - a_lo) / 2.0
-        w = (a_th - a_lo) / (a_hi - a_lo)
-        e_c0 += w * alpha * mid
-        if m == 0:
-            e_cm2 += w * alpha * alpha * (mid * mid + half * half / 3.0)
-    if a_hi > a_th:
-        w = (a_hi - a_th) / (a_hi - a_lo)
-        mid, half = (a_th + a_hi) / 2.0, (a_hi - a_th) / 2.0
-        r0, r2 = _ripple_moments(cfg, c.rx_len_m, mid, half, m)
-        e_c0 += w * r0
-        e_cm2 += w * r2
-    return e_c0, e_cm2
+        # FleetModel has validated the class against the roadway.
+        e_c0 = float(fs_harmonic_grid(cfg, c.rx_len_m, hi, 0))
+        cm = fs_harmonic_grid(cfg, c.rx_len_m, hi, ma)
+        e_cm2 = cm * cm
+    else:
+        alpha = cfg.power_density_kw_per_m
+        a_lo, a_hi = lo / alpha, hi / alpha
+        a_th = min(max(c.rx_len_m - cfg.gap_m, a_lo), a_hi)
+        e_c0 = e_cm2 = 0.0
+        if a_th > a_lo:
+            # Constant-load part: c_0 = p = alpha a, c_m = 0 for m >= 1.
+            mid, half = (a_lo + a_th) / 2.0, (a_th - a_lo) / 2.0
+            w = (a_th - a_lo) / (a_hi - a_lo)
+            e_c0 += w * alpha * mid
+            e_cm2 = np.where(ma == 0, w * alpha * alpha * (mid * mid + half * half / 3.0), 0.0)
+        if a_hi > a_th:
+            w = (a_hi - a_th) / (a_hi - a_lo)
+            mid, half = (a_th + a_hi) / 2.0, (a_hi - a_th) / 2.0
+            r0, r2 = _ripple_moments(cfg, c.rx_len_m, mid, half, ma)
+            e_c0 += w * r0
+            e_cm2 = e_cm2 + w * r2
+    return e_c0, e_cm2 if ma.ndim else float(e_cm2)
 
 
-def mixture_moments(model: FleetModel, m: int) -> tuple[float, float]:
-    """(E[c_0], E[c_m^2]) over both class membership and demand."""
-    e0 = 0.0
-    e2 = 0.0
+def mixture_moments(model: FleetModel, m) -> tuple[float, np.ndarray | float]:
+    """(E[c_0], E[c_m^2]) over both class membership and demand, for an
+    int ``m`` or an int array of them (see :func:`class_moments`)."""
+    e0 = e2 = 0.0
     for g, c in enumerate(model.classes):
         if c.prob == 0:
             continue
         m0, m2 = class_moments(model, g, m)
         e0 += c.prob * m0
-        e2 += c.prob * m2
+        e2 = e2 + c.prob * m2
     return e0, e2
 
 
@@ -265,6 +267,15 @@ class PsdModel:
         return out if np.ndim(tau) else float(out)
 
 
+def _harmonic_moments(model: FleetModel, n_harmonics: int | None) -> tuple[float, np.ndarray]:
+    """(E[c_0], E[c_m^2] for m = 1..M), with M from :func:`harmonic_count_for_dc`
+    unless ``n_harmonics`` gives it."""
+    if n_harmonics is None:
+        e0, _ = mixture_moments(model, 0)
+        n_harmonics = harmonic_count_for_dc(model.cfg, e0)
+    return mixture_moments(model, np.arange(1, n_harmonics + 1))
+
+
 def analytic_psd(model: FleetModel, n_harmonics: int | None = None) -> PsdModel:
     """Line spectrum of the aggregate load under uniform random entry times.
 
@@ -272,17 +283,12 @@ def analytic_psd(model: FleetModel, n_harmonics: int | None = None) -> PsdModel:
     makes the aggregate wide-sense stationary: the DC line carries
     ``N^2 (E[c_0])^2`` and the line at each harmonic carries ``N E[c_m^2]``.
     """
-    e0, _ = mixture_moments(model, 0)
-    if n_harmonics is None:
-        n_harmonics = harmonic_count_for_dc(model.cfg, e0)
-    if n_harmonics < 1:
+    if n_harmonics is not None and n_harmonics < 1:
         raise ValueError(f"n_harmonics must be >= 1, got {n_harmonics}")
-    powers = tuple(
-        model.n_evs * mixture_moments(model, m)[1] for m in range(1, n_harmonics + 1)
-    )
+    e0, e2 = _harmonic_moments(model, n_harmonics)
     return PsdModel(
         dc_power_sq=(model.n_evs * e0) ** 2,
-        harmonic_powers=powers,
+        harmonic_powers=tuple((model.n_evs * e2).tolist()),
         fundamental_hz=model.fundamental_hz,
         n_evs=model.n_evs,
     )
@@ -294,13 +300,10 @@ def thc_total(model: FleetModel, n_harmonics: int | None = None) -> float:
     Equals ``100 sqrt(2 sum_m E[c_m^2] / (N (E[c_0])^2))``; for a fixed
     mixture it decays as ``1/sqrt(N)``.
     """
-    e0, _ = mixture_moments(model, 0)
+    e0, e2 = _harmonic_moments(model, n_harmonics)
     if e0 <= 0:
         raise ValueError("aggregate mean load is zero; THC undefined")
-    if n_harmonics is None:
-        n_harmonics = harmonic_count_for_dc(model.cfg, e0)
-    total = sum(mixture_moments(model, m)[1] for m in range(1, n_harmonics + 1))
-    return 100.0 * float(np.sqrt(2.0 * total / (model.n_evs * e0 * e0)))
+    return 100.0 * float(np.sqrt(2.0 * e2.sum() / (model.n_evs * e0 * e0)))
 
 
 # --- Fleet-composition analysis (long vs short receivers) -----------------
@@ -388,17 +391,14 @@ def q_ratio(
             raise ValueError(f"theta must be in [0, 1], got {theta}")
     if not n2 > 0:
         raise ValueError(f"n2 must be > 0, got {n2}")
+    if not l_a < cfg.tx_len_m:
+        raise ValueError(f"rx_len_m must be < tx_len_m ({cfg.tx_len_m}), got {l_a}")
     alpha = cfg.power_density_kw_per_m
-
-    def dc_of(l: float) -> float:
-        return fs_dc(cfg, _ev_at(cfg, l, alpha * l))
-
-    def h1_of(l: float) -> float:
-        c1 = fs_harmonic(cfg, _ev_at(cfg, l, alpha * l), 1)
-        return c1 * c1
-
-    c0_a, c0_b = dc_of(l_a), dc_of(l_b)
-    h_a, h_b = h1_of(l_a), h1_of(l_b)
+    # c_0 and c_1 of each receiver at full demand.
+    (c0_a, c1_a), (c0_b, c1_b) = (
+        fs_harmonic_grid(cfg, l, alpha * l, np.arange(2)).tolist() for l in (l_a, l_b)
+    )
+    h_a, h_b = c1_a * c1_a, c1_b * c1_b
     if n1 is None:
         mean1 = theta1 * c0_a + (1 - theta1) * c0_b
         mean2 = theta2 * c0_a + (1 - theta2) * c0_b

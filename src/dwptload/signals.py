@@ -98,23 +98,61 @@ def _sample_spans(
     with the float operations that sampling uses, so the ranges are exact.
     A vehicle that is never on the segment gets ``j0 == j1``.
     """
-    speed = np.asarray(speed_mps, dtype=float)
-    entry = np.asarray(entry_time_s, dtype=float)
 
     def first(bound: float) -> np.ndarray:
         """The least k in [0, n] with ``x_k >= bound``, or n if there is none."""
-        lo = np.zeros(speed.shape, dtype=np.int64)
-        hi = np.full(speed.shape, n, dtype=np.int64)
+        lo = np.zeros(speed_mps.shape, dtype=np.int64)
+        hi = np.full(speed_mps.shape, n, dtype=np.int64)
         while True:
             open_ = lo < hi
             if not open_.any():
                 return lo
             mid = (lo + hi) // 2
-            below = speed * ((t0 + mid / sample_rate_hz) - entry) < bound
+            below = speed_mps * ((t0 + mid / sample_rate_hz) - entry_time_s) < bound
             lo = np.where(open_ & below, mid + 1, lo)
             hi = np.where(open_ & ~below, mid, hi)
 
     return first(0.0), first(cfg.energized_len_m)
+
+
+def _add_pulses(
+    cfg: ErConfig,
+    rows: np.ndarray,
+    holders: Sequence[Sequence[int]],
+    t0: float,
+    sample_rate_hz: float,
+    vehicles: Sequence[Sequence[float]],
+) -> None:
+    """Add vehicle i of ``vehicles``, the columns (speed, entry time,
+    receiver length, demand), into each row ``rows[r]`` with r in
+    ``holders[i]``, over its exact on-segment samples (:func:`_sample_spans`)
+    of the grid ``t0 + k / sample_rate_hz``, k < ``rows.shape[1]``.
+
+    The grid is taken in blocks of ``_BLOCK`` samples.  Each block's times
+    are computed once, and the vehicles on the segment during the block add
+    their load there in vehicle order, so each sample receives its vehicles
+    in that order.  A vehicle's pulse is evaluated in place by
+    :func:`dwptload.roadway._pulse_at_times` into two work rows of one
+    block that serve every vehicle and block, so no sample is masked, and
+    beyond ``rows`` no work array grows with the grid.
+    """
+    n = rows.shape[1]
+    speed, entry, rx, demand = (np.asarray(v, dtype=float) for v in vehicles)
+    j0, j1 = _sample_spans(cfg, speed, entry, t0, sample_rate_hz, n)
+    on = j1 > j0
+    speed, entry, rx, demand = speed.tolist(), entry.tolist(), rx.tolist(), demand.tolist()
+    work, scratch = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
+    for a in range(0, n, _BLOCK):
+        b = min(a + _BLOCK, n)
+        t = t0 + np.arange(a, b) / sample_rate_hz
+        for i in np.flatnonzero(on & (j0 < b) & (j1 > a)).tolist():
+            lo, hi = max(int(j0[i]), a), min(int(j1[i]), b)
+            load = _pulse_at_times(
+                cfg, rx[i], demand[i], speed[i], entry[i], t[lo - a : hi - a],
+                work[: hi - lo], scratch[: hi - lo],
+            )
+            for r in holders[i]:
+                rows[r, lo:hi] += load
 
 
 def synthesize(
@@ -127,16 +165,8 @@ def synthesize(
     The window defaults to the whole scenario horizon.  Choose a sample
     rate comfortably above twice the highest harmonic you intend to read
     off the result; the clipped waveforms have spectral content rolling
-    off only quadratically.
-
-    The grid is filled in blocks of ``_BLOCK`` samples.  Each block's
-    times are computed once, and the vehicles that are on the segment
-    during the block add their load there in table order, each only over
-    its exact on-segment samples (:func:`_sample_spans`).  A vehicle's
-    pulse is evaluated in place by
-    :func:`dwptload.roadway._pulse_at_times` into two work rows of one
-    block that serve every vehicle and block.  So no sample is masked,
-    and beyond the output array no work array grows with the window.
+    off only quadratically.  The vehicles add their load in table order,
+    each only over its exact on-segment samples (:func:`_add_pulses`).
     """
     if not (np.isfinite(sample_rate_hz) and sample_rate_hz > 0):
         raise ValueError(f"sample_rate_hz must be finite and > 0, got {sample_rate_hz}")
@@ -148,25 +178,11 @@ def synthesize(
             f"bad window {window}: need 0 <= t0 < t1 and a finite number of "
             f"samples at {sample_rate_hz} Hz"
         )
-    n = int(round((t1 - t0) * sample_rate_hz))
-    cfg = scenario.cfg
     evs = scenario.evs
-    j0, j1 = _sample_spans(cfg, evs.speed_mps, evs.entry_time_s, t0, sample_rate_hz, n)
-    on = j1 > j0
-    speed, entry = evs.speed_mps.tolist(), evs.entry_time_s.tolist()
-    rx, demand = evs.rx_len_m.tolist(), evs.peak_demand_kw.tolist()
-    total = np.zeros(n)
-    row, scratch = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
-    for a in range(0, n, _BLOCK):
-        b = min(a + _BLOCK, n)
-        t = t0 + np.arange(a, b) / sample_rate_hz
-        for i in np.flatnonzero(on & (j0 < b) & (j1 > a)).tolist():
-            lo, hi = max(int(j0[i]), a), min(int(j1[i]), b)
-            total[lo:hi] += _pulse_at_times(
-                cfg, rx[i], demand[i], speed[i], entry[i], t[lo - a : hi - a],
-                row[: hi - lo], scratch[: hi - lo],
-            )
-    return LoadSeries(samples_kw=total, sample_rate_hz=sample_rate_hz, t0_s=t0)
+    total = np.zeros((1, int(round((t1 - t0) * sample_rate_hz))))
+    vehicles = (evs.speed_mps, evs.entry_time_s, evs.rx_len_m, evs.peak_demand_kw)
+    _add_pulses(scenario.cfg, total, [(0,)] * len(evs), t0, sample_rate_hz, vehicles)
+    return LoadSeries(samples_kw=total[0], sample_rate_hz=sample_rate_hz, t0_s=t0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -307,11 +307,7 @@ def covering_entry_time(
     before the window opens, so its in-period phase at the window start is
     exactly ``u_phase`` (uniform phases stay uniform).
     """
-    t0, t1 = window
-    period_s = cfg.period_m / speed_mps
-    dwell = cfg.energized_len_m / speed_mps
-    width = t1 - t0
-    k_max = int(np.floor(min(t0, dwell - width) / period_s)) - 1
+    k_max = max_covering_periods(cfg, speed_mps, window)
     if k_max < 0:
         raise ValueError(
             "cannot place a covering vehicle: window too long for the "
@@ -321,7 +317,7 @@ def covering_entry_time(
         raise ValueError(f"u_phase must be in [0, 1), got {u_phase}")
     if not 0 <= k_periods <= k_max:
         raise ValueError(f"k_periods must be in [0, {k_max}], got {k_periods}")
-    return t0 - (u_phase + k_periods) * period_s
+    return window[0] - (u_phase + k_periods) * (cfg.period_m / speed_mps)
 
 
 def max_covering_periods(

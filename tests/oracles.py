@@ -8,7 +8,9 @@ selection or as one expression of new arrays, uniform-demand moments
 by adaptive quadrature, coil-start-phase coefficients by the DFT of a densely sampled period,
 synthesis by one ``np.mod`` pulse call per vehicle over its whole span
 or by masked ``load_at_time`` calls per vehicle and block, the
-composition sweep by one scenario per row, the Monte Carlo ensemble
+composition sweep by one scenario per row, the class moments by one
+scalar harmonic at a time, the lines of ``psd --analytic`` by one point
+class per distinct vehicle, the Monte Carlo ensemble
 on dense (trials, vehicles, harmonics) arrays or on chunk-wide (trials,
 vehicles) arrays, traffic classes by
 ``Generator.choice``, the checks, trajectory CSV and JSON document of
@@ -33,6 +35,7 @@ from dwptload import (
     Clipping,
     EnsemblePsd,
     ErConfig,
+    EvClass,
     EvParams,
     FleetModel,
     IngestedFile,
@@ -44,7 +47,9 @@ from dwptload import (
     Synthetic,
     TrafficClass,
     TrafficSpec,
+    UniformExplicit,
     VehicleTable,
+    analytic_psd,
     constant_regime,
     demand_bounds,
     empirical_thc,
@@ -585,3 +590,90 @@ def json_text(obj) -> str:
         return to_dict(x)
 
     return json.dumps(doc(obj), indent=2, sort_keys=True)
+
+
+def scalar_class_moments(model: FleetModel, class_index: int, m: int) -> tuple[float, float]:
+    """(E[c_0 | class], E[c_m^2 | class]) for one int m, as the package
+    computed them before the moments took an array of m: a point class
+    through ``fs_harmonic`` of one ``EvParams``, a uniform demand through
+    the same closed-form ripple integrals in scalar arithmetic."""
+    c = model.classes[class_index]
+    cfg = model.cfg
+    lo, hi = demand_bounds(c.demand_dist, cfg, c.rx_len_m)
+    if hi == lo:
+        ev = EvParams(rx_len_m=c.rx_len_m, peak_demand_kw=hi, speed_mps=1.0)
+        cm = fs_harmonic(cfg, ev, m)
+        return fs_harmonic(cfg, ev, 0), cm * cm
+    alpha = cfg.power_density_kw_per_m
+    d_per = cfg.period_m
+    span = cfg.tx_len_m + c.rx_len_m
+    a_lo, a_hi = lo / alpha, hi / alpha
+    a_th = min(max(c.rx_len_m - cfg.gap_m, a_lo), a_hi)
+    e_c0 = e_cm2 = 0.0
+    if a_th > a_lo:
+        mid, half = (a_lo + a_th) / 2.0, (a_th - a_lo) / 2.0
+        w = (a_th - a_lo) / (a_hi - a_lo)
+        e_c0 += w * alpha * mid
+        if m == 0:
+            e_cm2 += w * alpha * alpha * (mid * mid + half * half / 3.0)
+    if a_hi > a_th:
+        w = (a_hi - a_th) / (a_hi - a_lo)
+        mid, half = (a_th + a_hi) / 2.0, (a_hi - a_th) / 2.0
+        s = mid - span / 2.0
+        q = mid * (span - mid) - half * half / 3.0
+        var = 4.0 * half * half * (s * s / 3.0 + half * half / 45.0)
+        e_c0 += w * (alpha / d_per * q)
+        if m == 0:
+            e_cm2 += w * ((alpha / d_per) ** 2 * (q * q + var))
+        else:
+            big_k = alpha * d_per / (2.0 * (m * np.pi) ** 2)
+            k = 2.0 * np.pi * m / d_per
+            mean_cos = np.cos(k * s) * np.sinc(k * half / np.pi)
+            mean_cos2 = 0.5 + 0.5 * np.cos(2.0 * k * s) * np.sinc(2.0 * k * half / np.pi)
+            var_cos = max(mean_cos2 - mean_cos**2, 0.0)
+            c_m = np.cos(np.pi * m * span / d_per)
+            e_cm2 += w * (big_k * big_k * float((mean_cos - c_m) ** 2 + var_cos))
+    return e_c0, e_cm2
+
+
+def scalar_mixture_moments(model: FleetModel, m: int) -> tuple[float, float]:
+    """(E[c_0], E[c_m^2]) over the classes, one :func:`scalar_class_moments`
+    call per class."""
+    e0 = e2 = 0.0
+    for g, c in enumerate(model.classes):
+        if c.prob:
+            m0, m2 = scalar_class_moments(model, g, m)
+            e0 += c.prob * m0
+            e2 += c.prob * m2
+    return e0, e2
+
+
+def point_class_analytic_lines(scenario: Scenario, n_harmonics: int | None):
+    """The fundamentals and (freq_hz, line_power_kw2, speed_mps) lines of
+    ``psd --analytic``, as ``analytic_psd`` of one fleet per speed whose
+    classes are point masses at each distinct (receiver, demand) pair of
+    the scenario's vehicles, read one ``EvParams`` at a time."""
+    groups: dict[float, list[EvParams]] = {}
+    for ev in scenario.evs:
+        groups.setdefault(ev.speed_mps, []).append(ev)
+    fundamentals, lines = [], []
+    for speed, evs in sorted(groups.items()):
+        counts: dict[tuple[float, float], int] = {}
+        for ev in evs:
+            key = (ev.rx_len_m, ev.peak_demand_kw)
+            counts[key] = counts.get(key, 0) + 1
+        model = FleetModel(
+            cfg=scenario.cfg,
+            classes=tuple(
+                EvClass(rx, count / len(evs), UniformExplicit(demand, demand))
+                for (rx, demand), count in sorted(counts.items())
+            ),
+            n_evs=len(evs),
+            speed_mps=speed,
+        )
+        psd = analytic_psd(model, n_harmonics)
+        fundamentals.append(psd.fundamental_hz)
+        lines.append((0.0, psd.dc_power_sq, speed))
+        for m, power in enumerate(psd.harmonic_powers, start=1):
+            lines.append((m * psd.fundamental_hz, power, speed))
+    return fundamentals, lines

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import dwptload
+from dwptload import cli, generate
 from dwptload.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -27,6 +28,7 @@ from dwptload.cli import (
     runconfig_to_dict,
 )
 from dwptload.invariants import CHECKS
+from oracles import point_class_analytic_lines
 
 GOOD_CSV = "entry_time_s,speed_mps,rx_len_m,peak_demand_kw\n0.0,24.6,1.83,200.0\n1.5,29.0,1.2,90.0\n"
 
@@ -444,6 +446,49 @@ def test_psd_analytic_mode(tmp_path):
     assert all(float(r[1]) > 0 for r in dc_rows)
     truck_lines = [float(r[0]) for r in parsed if float(r[2]) == 21.7]
     assert any(abs(f - 21.7 / 4.57) < 1e-9 for f in truck_lines)
+
+
+#: A short corridor at three speeds, one class with demands uniform on the
+#: ripple range, so that nearly every vehicle has a demand of its own.
+MIXED_CORRIDOR = {
+    "duration_s": 30.0,
+    "traffic": {
+        "rate_evps": 2.0,
+        "duration_s": 30.0,
+        "classes": [
+            {"rx_len_m": 1.83, "prob": 0.2, "speed_mps": 21.7, "demand": {"kind": "max"}},
+            {"rx_len_m": 1.2, "prob": 0.5, "speed_mps": 29.0, "demand": {"kind": "uniform_range"}},
+            {"rx_len_m": 1.7, "prob": 0.3, "speed_mps": 26.8, "demand": {"kind": "max"}},
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("doc", [{}, MIXED_CORRIDOR], ids=["default", "mixed-demand"])
+@pytest.mark.parametrize("harmonics", [None, 12])
+def test_psd_analytic_matches_point_class_oracle(tmp_path, doc, harmonics):
+    doc = {**doc, "seed": 5, "analytic": True, "harmonics": harmonics}
+    assert main(["psd", "--config", write_config(tmp_path, doc), "--out", str(tmp_path)]) == EXIT_OK
+    rc = runconfig_from_dict(doc)
+    scenario = generate(rc.er, rc.traffic or cli._default_psd_traffic(rc), rc.seed)
+    fundamentals, lines = point_class_analytic_lines(scenario, harmonics)
+    cli._write_csv(tmp_path / "oracle.csv", {}, ("freq_hz", "line_power_kw2", "speed_mps"), lines)
+    _, header, rows = read_meta_csv(tmp_path / "psd.csv")
+    assert [header, *rows] == (tmp_path / "oracle.csv").read_text().splitlines()
+    assert json.loads((tmp_path / "peaks.json").read_text())["fundamentals_hz"] == fundamentals
+
+
+def test_psd_analytic_builds_no_evparams_per_vehicle(tmp_path, evparams_built):
+    built, n_evs = [], []
+    for duration in (20.0, 200.0):
+        rc = RunConfig(duration_s=duration)
+        n_evs.append(len(generate(rc.er, cli._default_psd_traffic(rc), rc.seed).evs))
+        before = len(evparams_built)
+        args = ["psd", "--analytic", "--duration-s", str(duration), "--out", str(tmp_path)]
+        assert main(args) == EXIT_OK
+        built.append(len(evparams_built) - before)
+    assert n_evs[1] > 5 * n_evs[0]
+    assert built[0] == built[1]
 
 
 # --- composition ------------------------------------------------------------

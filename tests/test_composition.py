@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -141,3 +143,15 @@ def test_run_sweep_smoke():
     assert np.array_equal(res.thc_windows, again.thc_windows)
     other = run_sweep(sw, seed=4)
     assert not np.array_equal(res.thc_windows, other.thc_windows)
+
+
+def test_run_sweep_builds_no_evparams_per_slot(evparams_built):
+    built, slots = [], []
+    for n_windows, n_ref in ((1, 6), (3, 30)):
+        sw = dataclasses.replace(default_sweep_config(INDOT, n_windows), n_ref=n_ref)
+        before = len(evparams_built)
+        result = run_sweep(sw, 0)
+        built.append(len(evparams_built) - before)
+        slots.append(n_windows * result.ev_counts.max(axis=0).sum())
+    assert slots[1] > 10 * slots[0]
+    assert built[0] == built[1]

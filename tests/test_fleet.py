@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from test_ensemble_oracles import fleets
 
 from dwptload import (
     INDOT,
@@ -22,13 +24,14 @@ from dwptload import (
     fs_dc,
     fs_harmonic,
     fs_harmonic_grid,
+    harmonic_bound,
     mixture_moments,
     q_ratio,
     sample_demand,
     thc_single,
     thc_total,
 )
-from oracles import max_demand_harmonic_power
+from oracles import max_demand_harmonic_power, scalar_class_moments, scalar_mixture_moments
 
 ALPHA = INDOT.power_density_kw_per_m
 D = INDOT.period_m
@@ -144,6 +147,27 @@ def test_uniform_demand_moments_match_monte_carlo(m):
     sq = fs_harmonic_grid(INDOT, 1.83, demands, np.array([m]))[:, 0] ** 2
     se = float(np.std(sq, ddof=1) / np.sqrt(sq.size))
     assert abs(quad_val - float(np.mean(sq))) <= 3.0 * se
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(fleets())
+def test_moments_over_an_array_of_m_match_the_scalar_loop(model):
+    """One call over m = 0..40 against one scalar call per m: c_0's moments
+    are equal, and E[c_m^2] agrees to rounding of the envelope's square,
+    (alpha D / (m pi)^2)^2, where a near-cancelling moment is computed."""
+    m = np.arange(41)
+    atol = 4 * np.finfo(float).eps * harmonic_bound(model.cfg, m[1:]) ** 2
+    pairs = [(class_moments, scalar_class_moments, (model, g)) for g in range(len(model.classes))]
+    pairs.append((mixture_moments, scalar_mixture_moments, (model,)))
+    for moments, oracle, args in pairs:
+        e0, e2 = moments(*args, m)
+        want = [oracle(*args, k) for k in m.tolist()]
+        assert all(w0 == e0 for w0, _ in want)
+        assert e2.shape == m.shape and e2[0] == want[0][1]
+        assert np.all(np.abs(e2[1:] - [w2 for _, w2 in want[1:]]) <= atol)
+        # An int m gives floats, the array's elements.
+        got = moments(*args, 7)
+        assert type(got[0]) is float and type(got[1]) is float and got == (e0, e2[7])
 
 
 # --- mixture moments -------------------------------------------------------

@@ -89,16 +89,42 @@ def part_load_rougher(cfg, rx, demands, m):
     return np.where(part & (np.asarray(m) > 0), c * (1 + 1e-3), c)
 
 
-def tilted_harmonic(cfg, ev, m):
+def harmonics_only(fn, factor):
+    """``fn`` with its harmonics m >= 1 scaled by ``factor`` and c_0 kept."""
+
+    def harmonics_scaled(cfg, rx, demands, m):
+        c = fn(cfg, rx, demands, m)
+        return np.where(np.asarray(m) > 0, c * factor, c)
+
+    return harmonics_scaled
+
+
+def dc_only(fn, factor):
+    """``fn`` with c_0 scaled by ``factor`` and the harmonics kept."""
+
+    def dc_scaled(cfg, rx, demands, m):
+        c = fn(cfg, rx, demands, m)
+        return np.where(np.asarray(m) == 0, c * factor, c)
+
+    return dc_scaled
+
+
+def tilted_harmonics(cfg, rx, demands, m, grid=fleet.fs_harmonic_grid):
     """Harmonics larger by 1 % of the receiver's share of the coil.
 
     The sign check counts flips, and only draws near the boundary flip,
     so it needs a larger perturbation than the others."""
-    c = spectrum.fs_harmonic(cfg, ev, m)
-    return c * (1 + 1e-2 * ev.rx_len_m / cfg.tx_len_m)
+    return harmonics_only(grid, 1 + 1e-2 * rx / cfg.tx_len_m)(cfg, rx, demands, m)
+
+
+def rougher_ripple(*args, moments=fleet._ripple_moments):
+    """Class moments of demands on the ripple range 5 % larger."""
+    e_c0, e_cm2 = moments(*args)
+    return e_c0, e_cm2 * 1.05
 
 
 GRID = "dwptload.invariants.fs_harmonic_grid"
+FLEET_GRID = "dwptload.fleet.fs_harmonic_grid"
 
 
 @pytest.mark.parametrize(
@@ -107,11 +133,22 @@ GRID = "dwptload.invariants.fs_harmonic_grid"
         ("parseval", GRID, scaled(invariants.fs_harmonic_grid, 1 + 1e-3), 20),
         ("harmonic-bound", GRID, scaled(invariants.fs_harmonic_grid, 1 + 1e-3), 200),
         ("clipping-vs-scaling", GRID, part_load_rougher, 100),
-        # The DC line has no spread, so 1e-3 shows; the harmonics are
-        # checked in standard errors, about 1 % of a line at 1e4 trials.
-        ("ensemble-mc", "dwptload.fleet.fs_dc", scaled(fleet.fs_dc, 1 + 1e-3), 10_000),
-        ("ensemble-mc", "dwptload.fleet.fs_harmonic", scaled(fleet.fs_harmonic, 1.05), 10_000),
-        ("composition-sign", "dwptload.fleet.fs_harmonic", tilted_harmonic, 1000),
+        # The DC line of full-demand receivers has no spread, so 1e-3 shows;
+        # the harmonics are checked in standard errors, about 1 % of a line
+        # at 1e4 trials.
+        pytest.param(
+            "ensemble-mc", FLEET_GRID, dc_only(fleet.fs_harmonic_grid, 1 + 1e-3), 10_000,
+            id="ensemble-mc-point-class-dc",
+        ),
+        pytest.param(
+            "ensemble-mc", FLEET_GRID, harmonics_only(fleet.fs_harmonic_grid, 1.05), 10_000,
+            id="ensemble-mc-point-class-harmonics",
+        ),
+        pytest.param(
+            "ensemble-mc", "dwptload.fleet._ripple_moments", rougher_ripple, 10_000,
+            id="ensemble-mc-uniform-class-moments",
+        ),
+        ("composition-sign", FLEET_GRID, tilted_harmonics, 1000),
         ("fs-oracle", GRID, scaled(invariants.fs_harmonic_grid, 1 + 1e-3), 5),
     ],
 )

@@ -286,15 +286,8 @@ def test_trajectory_csv_and_ingest_json_match_the_rowwise_writers(tmp_path, sc):
     assert text == json.dumps({"meta": meta, **body}, indent=2, sort_keys=True)
 
 
-def test_trajectory_path_builds_no_evparams(tmp_path, monkeypatch):
-    built = []
-    post_init = EvParams.__post_init__
-
-    def counting(self):
-        built.append(1)
-        post_init(self)
-
-    monkeypatch.setattr(EvParams, "__post_init__", counting)
+def test_trajectory_path_builds_no_evparams(tmp_path, evparams_built):
+    built = evparams_built
     sc = generate(INDOT, TrafficSpec(10.0, 100.0, TWO_CLASS), 4)
     path = tmp_path / "t.csv"
     write_scenario_csv(sc, str(path))
