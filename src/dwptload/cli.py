@@ -2,8 +2,8 @@
 
 Subcommands cover the whole pipeline: ``simulate`` (traffic -> sampled
 load), ``spectrum`` (single-vehicle Fourier table), ``psd``
-(synthesize -> estimate -> peak detection, or the analytic line
-spectrum), ``composition`` (truck-share sweep), ``validate``
+(sampled load streamed into the PSD estimate -> peak detection, or the
+analytic line spectrum), ``composition`` (truck-share sweep), ``validate``
 (self-check suites), and ``ingest`` (trajectory CSV -> scenario JSON).
 
 Configuration is one JSON document; every flag overrides the matching
@@ -36,7 +36,7 @@ from .composition import SweepColumn, SweepConfig, default_sweep_config, run_swe
 from .fleet import MaxDemand
 from .invariants import CHECKS
 from .roadway import INDOT, ErConfig, EvParams, _require_finite, constant_regime
-from .signals import MIN_TRIALS, _welch_segments, _window, detect_peaks, estimate_psd, synthesize
+from .signals import MIN_TRIALS, _scenario_psd, _welch_segments, _window, detect_peaks, synthesize
 from .spectrum import (
     default_harmonic_count, fs_coefficients, fs_harmonic_grid, harmonic_bound,
     harmonic_count_for_dc, harmonic_ratio_clipping, thc_single,
@@ -360,7 +360,7 @@ def _analytic_lines(rc: RunConfig, scenario: Scenario):
 def cmd_psd(rc: RunConfig) -> int:
     if not rc.analytic and rc.psd_method == "welch":
         # Reject Welch settings that cannot work now, not after the whole
-        # horizon has been generated and synthesized: the series will have
+        # horizon has been generated and sampled: the series will have
         # round(duration_s * sample_rate_hz) samples.  Whether a window name
         # is known does not depend on the length, and two samples stay small
         # for any segment.
@@ -393,9 +393,9 @@ def cmd_psd(rc: RunConfig) -> int:
         print(f"psd: analytic lines for fundamentals {fundamentals}")
         return EXIT_OK
 
-    series = synthesize(scenario, rc.sample_rate_hz)
-    est = estimate_psd(
-        series,
+    est = _scenario_psd(
+        scenario,
+        rc.sample_rate_hz,
         method=rc.psd_method,
         segment_s=rc.segment_s,
         overlap_frac=rc.overlap_frac,

@@ -49,7 +49,7 @@ from .fleet import (
     demand_bounds,
 )
 from .roadway import ErConfig, EvParams, _require_finite
-from .signals import _add_pulses, _phasor, _thc
+from .signals import _add_pulses, _collect, _phasor, _thc
 from .spectrum import fs_dc
 from .traffic import covering_entry_time, max_covering_periods
 
@@ -304,8 +304,9 @@ def run_sweep(sw: SweepConfig, seed: int) -> SweepResult:
     Every cell samples the same window, so the projection phasor of each
     fundamental (:func:`dwptload.signals._phasor`) is built once per call.
     The slots of a (window, column) are added into the penetration rows
-    that hold them by the accumulator of
-    :func:`dwptload.signals.synthesize`.  :func:`matched_counts` has
+    that hold them by :func:`dwptload.signals._add_pulses`, the sampling
+    of :func:`dwptload.signals.synthesize`, whose blocks are copied into
+    one array of rows that every cell reuses.  :func:`matched_counts` has
     validated the truck and the column against the roadway, and each
     slot's demand lies within the column's bounds.
     """
@@ -340,6 +341,7 @@ def run_sweep(sw: SweepConfig, seed: int) -> SweepResult:
     n_samples = int(round((window[1] - window[0]) * fs))
     phasors = [_phasor(n_samples, fs, f0) for f0 in (f_truck, f_sedan)]
     thc = np.empty((n_thetas, n_cols, sw.n_windows))
+    rows = np.empty((n_thetas, n_samples))  # every cell fills all of it
     for w in range(sw.n_windows):
         for j, col in enumerate(sw.columns):
             lo, hi = bounds[j]
@@ -368,8 +370,7 @@ def run_sweep(sw: SweepConfig, seed: int) -> SweepResult:
                     np.flatnonzero(n_sedans >= n_max - s),
                 ))
             *vehicles, holders = zip(*slots)
-            rows = np.zeros((n_thetas, n_samples))
-            _add_pulses(cfg, rows, holders, t0, fs, vehicles)
+            _collect(rows, _add_pulses(cfg, n_thetas, n_samples, holders, t0, fs, vehicles))
             thc[:, j, w] = _thc(rows, phasors, sw.m_max)
     return SweepResult(
         thetas=sw.thetas,

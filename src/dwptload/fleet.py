@@ -269,7 +269,9 @@ class PsdModel:
 
 def _harmonic_moments(model: FleetModel, n_harmonics: int | None) -> tuple[float, np.ndarray]:
     """(E[c_0], E[c_m^2] for m = 1..M), with M from :func:`harmonic_count_for_dc`
-    unless ``n_harmonics`` gives it."""
+    unless ``n_harmonics`` gives it; a given M must be at least 1."""
+    if n_harmonics is not None and n_harmonics < 1:
+        raise ValueError(f"n_harmonics must be >= 1, got {n_harmonics}")
     if n_harmonics is None:
         e0, _ = mixture_moments(model, 0)
         n_harmonics = harmonic_count_for_dc(model.cfg, e0)
@@ -283,8 +285,6 @@ def analytic_psd(model: FleetModel, n_harmonics: int | None = None) -> PsdModel:
     makes the aggregate wide-sense stationary: the DC line carries
     ``N^2 (E[c_0])^2`` and the line at each harmonic carries ``N E[c_m^2]``.
     """
-    if n_harmonics is not None and n_harmonics < 1:
-        raise ValueError(f"n_harmonics must be >= 1, got {n_harmonics}")
     e0, e2 = _harmonic_moments(model, n_harmonics)
     return PsdModel(
         dc_power_sq=(model.n_evs * e0) ** 2,

@@ -13,8 +13,9 @@ periodic waveform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -64,13 +65,16 @@ class LoadSeries:
 
 
 #: Samples per block of an output grid (256 KiB of floats).  Every work
-#: array of the sampled path (a block's times and the two work rows that
-#: one vehicle's pulse is evaluated in) has at most this many samples, so
-#: none grows with the window.
+#: array of the sampled path (a block's times, its rows of load, the two
+#: work rows that one vehicle's pulse is evaluated in, and the segments
+#: that Welch transforms at a time, unless one segment is longer) has at
+#: most this many samples per row, so none grows with the window.
 _BLOCK = 2**15
 
-#: Samples of the series that :func:`_welch` transforms at a time (2 MiB
-#: of floats per work array).
+#: Samples of segments whose ``|X|^2`` :func:`_welch` sums in order before
+#: adding the sum into its total: the groups in which Welch summed its
+#: segments when it transformed the whole series this many samples at a
+#: time, kept so that the estimate is unchanged bit for bit.
 _WELCH_BLOCK = 2**18
 
 #: Complex elements in each work array of a Monte Carlo tile (512 KiB):
@@ -117,33 +121,42 @@ def _sample_spans(
 
 def _add_pulses(
     cfg: ErConfig,
-    rows: np.ndarray,
+    n_rows: int,
+    n: int,
     holders: Sequence[Sequence[int]],
     t0: float,
     sample_rate_hz: float,
     vehicles: Sequence[Sequence[float]],
-) -> None:
-    """Add vehicle i of ``vehicles``, the columns (speed, entry time,
-    receiver length, demand), into each row ``rows[r]`` with r in
-    ``holders[i]``, over its exact on-segment samples (:func:`_sample_spans`)
-    of the grid ``t0 + k / sample_rate_hz``, k < ``rows.shape[1]``.
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The sampled load of ``n_rows`` rows on the ``n``-sample grid
+    ``t0 + k / sample_rate_hz``, one block at a time: the only producer of
+    sampled load.
 
-    The grid is taken in blocks of ``_BLOCK`` samples.  Each block's times
-    are computed once, and the vehicles on the segment during the block add
-    their load there in vehicle order, so each sample receives its vehicles
-    in that order.  A vehicle's pulse is evaluated in place by
+    Vehicle i of ``vehicles``, the columns (speed, entry time, receiver
+    length, demand), is added into each row r in ``holders[i]`` over its
+    exact on-segment samples (:func:`_sample_spans`).  The grid is taken in
+    blocks of ``_BLOCK`` samples; each block's times are computed once, and
+    the vehicles on the segment during the block add their load there in
+    vehicle order, so each sample receives its vehicles in that order.  A
+    vehicle's pulse is evaluated in place by
     :func:`dwptload.roadway._pulse_at_times` into two work rows of one
-    block that serve every vehicle and block, so no sample is masked, and
-    beyond ``rows`` no work array grows with the grid.
+    block, so no sample is masked.
+
+    Yields ``(a, block)`` for each finished block: ``block`` is the
+    ``(n_rows, b - a)`` load on samples ``[a, b)``.  It is a view of one
+    buffer that every block reuses, so a caller copies or consumes it
+    before taking the next; no work array grows with the grid.
     """
-    n = rows.shape[1]
     speed, entry, rx, demand = (np.asarray(v, dtype=float) for v in vehicles)
     j0, j1 = _sample_spans(cfg, speed, entry, t0, sample_rate_hz, n)
     on = j1 > j0
     speed, entry, rx, demand = speed.tolist(), entry.tolist(), rx.tolist(), demand.tolist()
-    work, scratch = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
+    size = min(n, _BLOCK)
+    rows, work, scratch = np.empty((n_rows, size)), np.empty(size), np.empty(size)
     for a in range(0, n, _BLOCK):
         b = min(a + _BLOCK, n)
+        block = rows[:, : b - a]
+        block.fill(0.0)
         t = t0 + np.arange(a, b) / sample_rate_hz
         for i in np.flatnonzero(on & (j0 < b) & (j1 > a)).tolist():
             lo, hi = max(int(j0[i]), a), min(int(j1[i]), b)
@@ -152,7 +165,44 @@ def _add_pulses(
                 work[: hi - lo], scratch[: hi - lo],
             )
             for r in holders[i]:
-                rows[r, lo:hi] += load
+                block[r, lo - a : hi - a] += load
+        yield a, block
+
+
+def _collect(rows: np.ndarray, blocks: Iterator[tuple[int, np.ndarray]]) -> np.ndarray:
+    """Copy each block of :func:`_add_pulses` into its samples of ``rows``,
+    the whole grid; return ``rows``.  Nothing refers to the reused block
+    buffer once this returns."""
+    for a, block in blocks:
+        rows[:, a : a + block.shape[1]] = block
+    return rows
+
+
+def _grid(
+    scenario: Scenario, sample_rate_hz: float, window: Optional[tuple[float, float]]
+) -> tuple[float, int]:
+    """Start time and sample count of the grid that :func:`synthesize`
+    samples ``window`` on (the scenario horizon if None)."""
+    if not (np.isfinite(sample_rate_hz) and sample_rate_hz > 0):
+        raise ValueError(f"sample_rate_hz must be finite and > 0, got {sample_rate_hz}")
+    if window is None:
+        window = (0.0, scenario.duration_s)
+    t0, t1 = window
+    if not (0.0 <= t0 < t1 and np.isfinite((t1 - t0) * sample_rate_hz)):
+        raise ValueError(
+            f"bad window {window}: need 0 <= t0 < t1 and a finite number of "
+            f"samples at {sample_rate_hz} Hz"
+        )
+    return t0, int(round((t1 - t0) * sample_rate_hz))
+
+
+def _scenario_blocks(
+    scenario: Scenario, sample_rate_hz: float, t0: float, n: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """:func:`_add_pulses` of every vehicle of ``scenario`` into one row."""
+    evs = scenario.evs
+    vehicles = (evs.speed_mps, evs.entry_time_s, evs.rx_len_m, evs.peak_demand_kw)
+    return _add_pulses(scenario.cfg, 1, n, [(0,)] * len(evs), t0, sample_rate_hz, vehicles)
 
 
 def synthesize(
@@ -168,20 +218,8 @@ def synthesize(
     off only quadratically.  The vehicles add their load in table order,
     each only over its exact on-segment samples (:func:`_add_pulses`).
     """
-    if not (np.isfinite(sample_rate_hz) and sample_rate_hz > 0):
-        raise ValueError(f"sample_rate_hz must be finite and > 0, got {sample_rate_hz}")
-    if window is None:
-        window = (0.0, scenario.duration_s)
-    t0, t1 = window
-    if not (0.0 <= t0 < t1 and np.isfinite((t1 - t0) * sample_rate_hz)):
-        raise ValueError(
-            f"bad window {window}: need 0 <= t0 < t1 and a finite number of "
-            f"samples at {sample_rate_hz} Hz"
-        )
-    evs = scenario.evs
-    total = np.zeros((1, int(round((t1 - t0) * sample_rate_hz))))
-    vehicles = (evs.speed_mps, evs.entry_time_s, evs.rx_len_m, evs.peak_demand_kw)
-    _add_pulses(scenario.cfg, total, [(0,)] * len(evs), t0, sample_rate_hz, vehicles)
+    t0, n = _grid(scenario, sample_rate_hz, window)
+    total = _collect(np.empty((1, n)), _scenario_blocks(scenario, sample_rate_hz, t0, n))
     return LoadSeries(samples_kw=total[0], sample_rate_hz=sample_rate_hz, t0_s=t0)
 
 
@@ -243,28 +281,130 @@ def _welch_segments(
     return nperseg, noverlap
 
 
+def _psd_settings(
+    n: int, fs: float, method: str, segment_s: float, overlap_frac: float, window: str
+) -> tuple[np.ndarray, int, int]:
+    """Window, segment length and overlap, in samples, of ``method`` on an
+    ``n``-sample series at ``fs``: the arguments of :func:`_welch` after
+    its blocks and rate."""
+    if method == "periodogram":
+        if n < 2:
+            raise ValueError(f"series of {n} samples too short for a periodogram")
+        return np.ones(n), n, 0
+    if method == "welch":
+        nperseg, noverlap = _welch_segments(n, fs, segment_s, overlap_frac)
+        return _window(window, nperseg), nperseg, noverlap
+    raise ValueError(f"unknown method {method!r}")
+
+
+def _add_power(
+    segments: np.ndarray,
+    win: np.ndarray,
+    count: int,
+    per_group: int,
+    group: np.ndarray,
+    power: np.ndarray,
+) -> int:
+    """Add ``|X|^2`` of every row of ``segments`` times ``win`` into the
+    running sums of :func:`_welch`, which has summed ``count`` segments
+    before them; return the new count.
+
+    Welch on the whole series summed ``|X|^2`` over each group of
+    ``per_group`` consecutive segments, row after row, and added each
+    group's sum into ``power``.  Here the rows add into ``group``, the sum
+    of the current group so far, and a group that is full adds into
+    ``power``; numpy sums a 2-D array over its first axis row after row,
+    so the sums are those of the whole group bit for bit.  The rows are
+    windowed in place and then hold the squares, so ``segments`` is
+    scratch afterwards; the only new work array is the transform.
+    """
+    segments *= win
+    spec = np.fft.rfft(segments, axis=-1)
+    squares = segments.reshape(-1)[: spec.size].reshape(spec.shape)
+    np.multiply(spec.real, spec.real, out=squares)
+    np.multiply(spec.imag, spec.imag, out=spec.imag)
+    squares += spec.imag
+    i = 0
+    while i < len(squares):
+        summed = count % per_group
+        part = squares[i : i + per_group - summed]
+        if summed:
+            part[0] += group
+        np.sum(part, axis=0, out=group)
+        count += len(part)
+        i += len(part)
+        if count % per_group == 0:
+            power += group
+    return count
+
+
 def _welch(
-    x: np.ndarray, fs: float, win: np.ndarray, nperseg: int, noverlap: int
+    blocks: Iterable[np.ndarray], fs: float, win: np.ndarray, nperseg: int, noverlap: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided Welch density of ``x``, as ``scipy.signal.welch`` with
-    ``detrend=False`` gives it: frequencies and PSD.
+    """One-sided Welch density of the series that ``blocks`` gives in
+    consecutive pieces, as ``scipy.signal.welch`` with ``detrend=False``
+    gives it for the whole series: frequencies and PSD.
 
     Segments of ``nperseg`` samples start every ``nperseg - noverlap``
     samples, and a trailing part too short for a segment is dropped.  Each
     segment is multiplied by ``win`` and transformed, and ``|X|^2`` is
     averaged over the segments, scaled by ``1 / (fs sum(win^2))`` and
     doubled in every bin but DC and, for an even ``nperseg``, Nyquist.
-    Segments are transformed ``_WELCH_BLOCK`` samples at a time, so no
-    work array holds more than that many.  Requires
-    ``noverlap < nperseg <= x.size``.
+
+    The series is never held.  Each finished segment is copied into a
+    buffer of ``max(1, _BLOCK // nperseg)`` rows, which is transformed and
+    added into the running ``|X|^2`` sums whenever it is full
+    (:func:`_add_power`); between blocks only the partial segment, fewer
+    than ``nperseg`` samples, is carried.  So memory holds one sampling
+    block of segments and one segment, whatever the series.  The sums run
+    in the groups of ``_WELCH_BLOCK`` samples of segments that Welch on
+    the whole series used, so the result is that of the whole series bit
+    for bit, however it is cut.  A periodogram is one segment as long as
+    the series, so it still holds every sample.  Requires
+    ``noverlap < nperseg <=`` the number of samples.
     """
-    segments = np.lib.stride_tricks.sliding_window_view(x, nperseg)[:: nperseg - noverlap]
-    per_block = max(1, _WELCH_BLOCK // nperseg)
-    power = np.zeros(nperseg // 2 + 1)
-    for a in range(0, len(segments), per_block):
-        spec = np.fft.rfft(segments[a : a + per_block] * win, axis=-1)
-        power += (spec.real**2 + spec.imag**2).sum(axis=0)
-    psd = power / (len(segments) * fs * np.sum(win * win))
+    step = nperseg - noverlap
+    per_group = max(1, _WELCH_BLOCK // nperseg)
+    segs = np.empty((max(1, _BLOCK // nperseg), nperseg))
+    group, power = np.zeros(nperseg // 2 + 1), np.zeros(nperseg // 2 + 1)
+    count = k = have = 0  # segments summed, finished in segs, samples in segs[k]
+    carry = None  # the head of segs[k] while a full buffer is summed
+    for x in blocks:
+        i = 0  # samples of x taken
+        while i < x.size:
+            if have:  # fill segs[k] from x
+                take = min(nperseg - have, x.size - i)
+                segs[k, have : have + take] = x[i : i + take]
+                have += take
+                i += take
+                if have < nperseg:
+                    break
+                k += 1
+                # The next segment starts `step` into this one: in x if
+                # that is not before x's start, else carried from here.
+                if i >= noverlap:
+                    i, have = i - noverlap, 0
+                else:
+                    carry, have = segs[k - 1, step:].copy(), noverlap
+            else:  # whole segments of x, as many as fit in segs
+                r = min((x.size - i - nperseg) // step + 1, len(segs) - k)
+                if r <= 0:
+                    have = x.size - i
+                    segs[k, :have] = x[i:]
+                    break
+                span = x[i : i + (r - 1) * step + nperseg]
+                segs[k : k + r] = np.lib.stride_tricks.sliding_window_view(span, nperseg)[::step]
+                k += r
+                i += r * step
+            if k == len(segs):
+                count, k = _add_power(segs, win, count, per_group, group, power), 0
+            if carry is not None:
+                segs[k, :noverlap], carry = carry, None
+    if k:
+        count = _add_power(segs[:k], win, count, per_group, group, power)
+    if count % per_group:
+        power += group
+    psd = power / (count * fs * np.sum(win * win))
     psd[1 : None if nperseg % 2 else -1] *= 2.0
     return np.fft.rfftfreq(nperseg, 1.0 / fs), psd
 
@@ -282,19 +422,13 @@ def estimate_psd(
     segments, 50% overlap) resolve the per-speed fundamentals of typical
     highway scenarios while smoothing finite-length scatter.  The
     periodogram is one boxcar segment over the whole series: it ignores
-    ``window``, ``segment_s`` and ``overlap_frac``.
+    ``window``, ``segment_s`` and ``overlap_frac``.  The series goes
+    through the accumulator :func:`_welch` in blocks of ``_BLOCK``
+    samples, as sampling feeds it in :func:`_scenario_psd`.
     """
-    fs = series.sample_rate_hz
-    x = series.samples_kw
-    if method == "periodogram":
-        if x.size < 2:
-            raise ValueError(f"series of {x.size} samples too short for a periodogram")
-        freqs, psd = _welch(x, fs, np.ones(x.size), x.size, 0)
-    elif method == "welch":
-        nperseg, noverlap = _welch_segments(x.size, fs, segment_s, overlap_frac)
-        freqs, psd = _welch(x, fs, _window(window, nperseg), nperseg, noverlap)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    fs, x = series.sample_rate_hz, series.samples_kw
+    settings = _psd_settings(x.size, fs, method, segment_s, overlap_frac, window)
+    freqs, psd = _welch((x[a : a + _BLOCK] for a in range(0, x.size, _BLOCK)), fs, *settings)
     return PsdEstimate(
         freqs_hz=freqs,
         psd_kw2_per_hz=psd,
@@ -302,6 +436,41 @@ def estimate_psd(
         method=method,
         series_mean_kw=series.mean_kw,
         n_samples=x.size,
+    )
+
+
+def _scenario_psd(
+    scenario: Scenario,
+    sample_rate_hz: float,
+    method: str = "welch",
+    segment_s: float = 8.0,
+    overlap_frac: float = 0.5,
+    window: str = "hann",
+) -> PsdEstimate:
+    """:func:`estimate_psd` of :func:`synthesize` over the scenario horizon,
+    with the same frequencies and PSD bit for bit, without the series:
+    each sampled block of :func:`_add_pulses` goes straight into
+    :func:`_welch`, so memory does not grow with the horizon (but for a
+    periodogram's one segment).  ``series_mean_kw`` is the exact sum of the
+    blocks' sums over the sample count, within rounding of the series
+    mean."""
+    t0, n = _grid(scenario, sample_rate_hz, None)
+    settings = _psd_settings(n, sample_rate_hz, method, segment_s, overlap_frac, window)
+    sums = []
+
+    def samples() -> Iterator[np.ndarray]:
+        for _, block in _scenario_blocks(scenario, sample_rate_hz, t0, n):
+            sums.append(float(block[0].sum()))
+            yield block[0]
+
+    freqs, psd = _welch(samples(), sample_rate_hz, *settings)
+    return PsdEstimate(
+        freqs_hz=freqs,
+        psd_kw2_per_hz=psd,
+        resolution_hz=float(freqs[1] - freqs[0]),
+        method=method,
+        series_mean_kw=math.fsum(sums) / n,
+        n_samples=n,
     )
 
 
@@ -582,6 +751,12 @@ def monte_carlo_psd(
     tile = max(1, _MC_TILE // n)
     power = np.empty((m_max + 1, chunk))
     p_sum = np.zeros(m_max + 1)
+    # Sums of squares of the powers times `scale`, a power of two that
+    # takes their bound (n max demand)^2 (|c_m| <= c_0 <= demand) into
+    # [0.5, 1): tiny demands' squares would underflow to a zero variance.
+    # Such scaling is exact, so no other bit changes.
+    bound = (n * max(hi for _, hi in bounds)) ** 2
+    scale = math.ldexp(1.0, -max(math.frexp(bound)[1], -1021))
     p_sumsq = np.zeros(m_max + 1)
     done = 0
     while done < trials:
@@ -612,11 +787,13 @@ def monte_carlo_psd(
         for k in range(m_max + 1):
             row = power[k, :t_here]
             p_sum[k] += row.sum()
-            p_sumsq[k] += (row * row).sum()
+            scaled = row * scale
+            p_sumsq[k] += (scaled * scaled).sum()
         done += t_here
     mean = p_sum / trials
-    var = np.maximum(p_sumsq - trials * mean * mean, 0.0) / (trials - 1)
-    stderr = np.sqrt(var / trials)
+    scaled = mean * scale
+    var = np.maximum(p_sumsq - trials * scaled * scaled, 0.0) / (trials - 1)
+    stderr = np.sqrt(var / trials) / scale
     return EnsemblePsd(
         line_powers_kw2=mean,
         stderr_kw2=stderr,

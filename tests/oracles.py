@@ -7,7 +7,8 @@ the slower formulations the package used before: the pulse by branch
 selection or as one expression of new arrays, uniform-demand moments
 by adaptive quadrature, coil-start-phase coefficients by the DFT of a densely sampled period,
 synthesis by one ``np.mod`` pulse call per vehicle over its whole span
-or by masked ``load_at_time`` calls per vehicle and block, the
+or by masked ``load_at_time`` calls per vehicle and block, Welch on
+the whole series in memory, the
 composition sweep by one scenario per row, the class moments by one
 scalar harmonic at a time, the lines of ``psd --analytic`` by one point
 class per distinct vehicle, the Monte Carlo ensemble
@@ -61,7 +62,7 @@ from dwptload import (
 )
 from dwptload.composition import matched_counts, truck_count_schedules
 from dwptload.invariants import fourier_coeffs_quadrature, mean_square_exact, pulse_kinks
-from dwptload.signals import _BLOCK, _phasor, _thc
+from dwptload.signals import _BLOCK, _WELCH_BLOCK, _phasor, _thc
 from dwptload.schema import to_dict
 from dwptload.spectrum import _stepped_rows
 from dwptload.traffic import CSV_FIELDS, covering_entry_time, max_covering_periods
@@ -255,6 +256,25 @@ def blocked_synthesize(
     return LoadSeries(samples_kw=total, sample_rate_hz=sample_rate_hz, t0_s=t0)
 
 
+def in_memory_welch(
+    x: np.ndarray, fs: float, win: np.ndarray, nperseg: int, noverlap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Welch density of the whole series ``x`` held in memory, as
+    :func:`dwptload.signals._welch` computes it from blocks: segments taken
+    as a strided view of ``x``, windowed and transformed
+    ``max(1, _WELCH_BLOCK // nperseg)`` at a time, ``|X|^2`` summed per
+    group into the running sums.  The package's Welch before it streamed."""
+    segments = np.lib.stride_tricks.sliding_window_view(x, nperseg)[:: nperseg - noverlap]
+    per_block = max(1, _WELCH_BLOCK // nperseg)
+    power = np.zeros(nperseg // 2 + 1)
+    for a in range(0, len(segments), per_block):
+        spec = np.fft.rfft(segments[a : a + per_block] * win, axis=-1)
+        power += (spec.real**2 + spec.imag**2).sum(axis=0)
+    psd = power / (len(segments) * fs * np.sum(win * win))
+    psd[1 : None if nperseg % 2 else -1] *= 2.0
+    return np.fft.rfftfreq(nperseg, 1.0 / fs), psd
+
+
 def per_row_sweep(sw: SweepConfig, seed: int) -> np.ndarray:
     """Per-window THC of every sweep cell, (n_thetas, n_cols, n_windows),
     with every row built as its own validated ``Scenario``, synthesized by
@@ -368,6 +388,7 @@ def dense_monte_carlo_psd(
     probs = np.array([c.prob for c in model.classes])
     m = np.arange(m_max + 1)
     chunk = max(1, min(trials, 4_000_000 // (n * (m_max + 1))))
+    scale = square_scale(model)
     p_sum = np.zeros(m_max + 1)
     p_sumsq = np.zeros(m_max + 1)
     done = 0
@@ -389,11 +410,9 @@ def dense_monte_carlo_psd(
         agg = np.sum(coeff * np.exp(-2j * np.pi * u[:, :, None] * m), axis=1)
         power = np.abs(agg) ** 2
         p_sum += power.sum(axis=0)
-        p_sumsq += (power * power).sum(axis=0)
+        p_sumsq += ((power * scale) ** 2).sum(axis=0)
         done += t_here
-    mean = p_sum / trials
-    var = np.maximum(p_sumsq - trials * mean * mean, 0.0) / (trials - 1)
-    return EnsemblePsd(mean, np.sqrt(var / trials), model.fundamental_hz, trials)
+    return scaled_ensemble(model, trials, p_sum, p_sumsq, scale)
 
 
 def chunked_monte_carlo_psd(
@@ -416,6 +435,7 @@ def chunked_monte_carlo_psd(
         for c, (lo, hi) in zip(model.classes, bounds)
     ]
     chunk = max(1, min(trials, 4_000_000 // (n * (m_max + 1))))
+    scale = square_scale(model)
     p_sum = np.zeros(m_max + 1)
     p_sumsq = np.zeros(m_max + 1)
     done = 0
@@ -444,12 +464,29 @@ def chunked_monte_carlo_psd(
             per_trial *= zk
             power = np.abs(per_trial.sum(axis=1)) ** 2
             p_sum[k] += power.sum()
-            p_sumsq[k] += (power * power).sum()
+            p_sumsq[k] += ((power * scale) ** 2).sum()
             zk *= z
         done += t_here
+    return scaled_ensemble(model, trials, p_sum, p_sumsq, scale)
+
+
+def square_scale(model: FleetModel) -> float:
+    """``2**-e`` for the binary exponent ``e`` of the largest line power
+    a trial can have, ``(n max demand)^2``: the squares of powers times it
+    neither underflow for tiny demands nor overflow."""
+    hi = max(demand_bounds(c.demand_dist, model.cfg, c.rx_len_m)[1] for c in model.classes)
+    return 2.0 ** -math.frexp((model.n_evs * hi) ** 2)[1]
+
+
+def scaled_ensemble(
+    model: FleetModel, trials: int, p_sum: np.ndarray, p_sumsq: np.ndarray, scale: float
+) -> EnsemblePsd:
+    """Lines and standard errors from the sums of the trials' powers and
+    of the squares of the powers times ``scale``."""
     mean = p_sum / trials
-    var = np.maximum(p_sumsq - trials * mean * mean, 0.0) / (trials - 1)
-    return EnsemblePsd(mean, np.sqrt(var / trials), model.fundamental_hz, trials)
+    scaled = mean * scale
+    var = np.maximum(p_sumsq - trials * scaled * scaled, 0.0) / (trials - 1)
+    return EnsemblePsd(mean, np.sqrt(var / trials) / scale, model.fundamental_hz, trials)
 
 
 def choice_generate(cfg: ErConfig, spec: TrafficSpec, seed: int) -> tuple[EvParams, ...]:

@@ -197,6 +197,26 @@ def test_tiled_monte_carlo_matches_chunked_oracle_bit_for_bit(
     assert np.array_equal(got.stderr_kw2, want.stderr_kw2)
 
 
+def test_tiny_demands_keep_their_standard_error():
+    # One vehicle on (0, 2.1e-104] kW: its DC power varies from trial to
+    # trial, but the squares of powers of ~1e-208 kW^2 underflowed to a
+    # zero standard error.  At 2**300 times the demand nothing underflows,
+    # and the pulse (a flat demand) scales exactly, so the relative
+    # standard error must be the same.
+    tiny, big = (
+        FleetModel(INDOT, (EvClass(1.2, 1.0, UniformExplicit(0.0, hi)),), 1, 24.6)
+        for hi in (2.1e-104, 2.1e-104 * 2.0**300)
+    )
+    got, ref = monte_carlo_psd(tiny, 1000, 3, 3), monte_carlo_psd(big, 1000, 3, 3)
+    assert got.stderr_kw2[0] > 0.0
+    assert got.stderr_kw2[0] / got.line_powers_kw2[0] == pytest.approx(
+        ref.stderr_kw2[0] / ref.line_powers_kw2[0], rel=1e-12
+    )
+    want = chunked_monte_carlo_psd(tiny, 1000, 3, 3)
+    assert np.array_equal(got.stderr_kw2, want.stderr_kw2)
+    assert_ensembles_agree(got, dense_monte_carlo_psd(tiny, 1000, 3, 3))
+
+
 def traced_peak(trials: int) -> int:
     tracemalloc.start()
     try:

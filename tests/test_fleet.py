@@ -303,6 +303,18 @@ def test_mixed_fleet_thc_has_realistic_magnitude():
     assert 1.0 < thc < 15.0
 
 
+@pytest.mark.parametrize("n_harmonics", [0, -3])
+def test_thc_total_rejects_an_order_below_one(n_harmonics):
+    with pytest.raises(ValueError, match=f"n_harmonics must be >= 1, got {n_harmonics}"):
+        thc_total(single(1.83, MaxDemand()), n_harmonics)
+
+
+@pytest.mark.parametrize("n_harmonics", [0, -3])
+def test_analytic_psd_rejects_an_order_below_one(n_harmonics):
+    with pytest.raises(ValueError, match=f"n_harmonics must be >= 1, got {n_harmonics}"):
+        analytic_psd(single(1.83, MaxDemand()), n_harmonics)
+
+
 def test_thc_undefined_for_zero_mean_fleet():
     with pytest.raises(ValueError):
         thc_total(single(1.83, UniformExplicit(0.0, 0.0)))

@@ -2,7 +2,9 @@
 boundary against scipy.
 
 ``estimate_psd`` and ``run_sweep`` import nothing from scipy: Welch and
-the periodogram (one boxcar segment) go through ``signals._welch``, the default window through
+the periodogram (one boxcar segment) go through the streaming
+accumulator ``signals._welch``, here fed the series in chunks, the
+default window through
 ``signals._window``, and the sweep's Sobol pools through
 ``composition._scrambled_sobol``.  scipy stays installed and is their
 oracle here.  The window and the Sobol points must be bit-identical to
@@ -36,6 +38,7 @@ def welch_cases(draw):
         st.one_of(st.just(0), st.just(nperseg - 1), st.integers(0, nperseg - 1))
     )
     fs = draw(st.floats(0.5, 5000.0))
+    chunk = draw(st.integers(1, n))
     # Not 8- or 16-bit integers: scipy computes their PSD in float32.
     dtype = draw(st.sampled_from(["float64", "int64", "int32"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -43,7 +46,7 @@ def welch_cases(draw):
         x = rng.normal(50.0, 20.0, n)
     else:
         x = rng.integers(0, 1000, n).astype(dtype)
-    return x, fs, nperseg, noverlap
+    return x, fs, nperseg, noverlap, chunk
 
 
 def assert_same_psd(ours, theirs):
@@ -57,12 +60,13 @@ def assert_same_psd(ours, theirs):
     case=welch_cases(),
     window=st.sampled_from(["hann", "hamming", "blackman", "boxcar"]),
 )
-@example(case=(np.arange(10.0), 100.0, 10, 9), window="hann")
-@example(case=(np.arange(11), 100.0, 11, 0), window="hann")
+@example(case=(np.arange(10.0), 100.0, 10, 9, 1), window="hann")
+@example(case=(np.arange(11), 100.0, 11, 0, 4), window="hann")
 def test_welch_matches_scipy(case, window):
-    x, fs, nperseg, noverlap = case
+    x, fs, nperseg, noverlap, chunk = case
+    chunks = (x[a : a + chunk] for a in range(0, x.size, chunk))
     assert_same_psd(
-        _welch(x, fs, _window(window, nperseg), nperseg, noverlap),
+        _welch(chunks, fs, _window(window, nperseg), nperseg, noverlap),
         sps.welch(
             x, fs=fs, window=window, nperseg=nperseg, noverlap=noverlap, detrend=False
         ),
@@ -72,7 +76,7 @@ def test_welch_matches_scipy(case, window):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(case=welch_cases())
 def test_periodogram_matches_scipy(case):
-    x, fs, _, _ = case
+    x, fs, _, _, _ = case
     est = estimate_psd(LoadSeries(x, fs), method="periodogram")
     assert_same_psd((est.freqs_hz, est.psd_kw2_per_hz), sps.periodogram(x, fs=fs, detrend=False))
 

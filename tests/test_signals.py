@@ -212,8 +212,9 @@ def test_welch_preserves_total_power():
 
 @pytest.mark.parametrize("duration_s, bound_mib", [(150.0, 4.1), (600.0, 6.0)])
 def test_welch_memory_is_bounded_by_its_block(duration_s, bound_mib):
-    # Welch transforms 2**18 samples of segments at a time (8 s Hann
-    # segments at 1 kHz: 32 of them), whatever the grid block of synthesis.
+    # Welch takes the series in sampling blocks and transforms 2**15
+    # samples of segments at a time (8 s Hann segments at 1 kHz: 4 of
+    # them), whatever the series' length.
     x = np.random.default_rng(0).normal(100.0, 10.0, int(duration_s * 1000))
     ser = LoadSeries(x, 1000.0)
     estimate_psd(ser)  # warm numpy's FFT plan cache outside the trace
