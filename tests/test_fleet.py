@@ -31,7 +31,9 @@ from dwptload import (
     thc_single,
     thc_total,
 )
-from oracles import max_demand_harmonic_power, scalar_class_moments, scalar_mixture_moments
+from oracles import (
+    max_demand_harmonic_power, scalar_class_moments, scalar_mixture_moments, uniform_moment_quad,
+)
 
 ALPHA = INDOT.power_density_kw_per_m
 D = INDOT.period_m
@@ -152,22 +154,44 @@ def test_uniform_demand_moments_match_monte_carlo(m):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(fleets())
 def test_moments_over_an_array_of_m_match_the_scalar_loop(model):
-    """One call over m = 0..40 against one scalar call per m: c_0's moments
-    are equal, and E[c_m^2] agrees to rounding of the envelope's square,
-    (alpha D / (m pi)^2)^2, where a near-cancelling moment is computed."""
-    m = np.arange(41)
-    atol = 4 * np.finfo(float).eps * harmonic_bound(model.cfg, m[1:]) ** 2
+    """One call over m = 0..64 against the closed-form oracle, one scalar
+    call per m.  Against 40-digit values of the closed form both stayed
+    within ~200 eps (alpha D / (m pi)^2)^2 of E[c_m^2] for m <= 64, and
+    within 5 eps of c_0's moments, relative.  Over 2,000 random uniform
+    classes they differed by at most 3.7 eps m (alpha D / (m pi)^2)^2 and
+    4.8 eps relative (point classes are equal); the bounds are
+    8 eps m (alpha D / (m pi)^2)^2 and 16 eps."""
+    m = np.arange(65)
+    eps = np.finfo(float).eps
+    atol = 8 * eps * m[1:] * harmonic_bound(model.cfg, m[1:]) ** 2
     pairs = [(class_moments, scalar_class_moments, (model, g)) for g in range(len(model.classes))]
     pairs.append((mixture_moments, scalar_mixture_moments, (model,)))
     for moments, oracle, args in pairs:
         e0, e2 = moments(*args, m)
         want = [oracle(*args, k) for k in m.tolist()]
-        assert all(w0 == e0 for w0, _ in want)
-        assert e2.shape == m.shape and e2[0] == want[0][1]
+        assert e2.shape == m.shape
+        assert all(abs(e0 - w0) <= 16 * eps * w0 for w0, _ in want)
+        assert abs(e2[0] - want[0][1]) <= 16 * eps * want[0][1]
         assert np.all(np.abs(e2[1:] - [w2 for _, w2 in want[1:]]) <= atol)
-        # An int m gives floats, the array's elements.
-        got = moments(*args, 7)
-        assert type(got[0]) is float and type(got[1]) is float and got == (e0, e2[7])
+        # An int m gives floats, from panels of its own.
+        got0, got7 = moments(*args, 7)
+        assert type(got0) is float and type(got7) is float
+        assert abs(got0 - e0) <= 16 * eps * e0 and abs(got7 - want[7][1]) <= atol[6]
+
+
+@pytest.mark.parametrize("hi", [6e-6, 1e-3, 1.0])
+def test_small_uniform_demand_moments_match_quadrature_oracle(hi):
+    """Moments of demands uniform on [0, hi] kW against adaptive quadrature,
+    relative to each moment, within the 1e-11 the oracle asks of scipy
+    (measured: 2e-15).  A closed form whose rounding scaled with the
+    envelope (alpha D / (m pi)^2)^2 was 25 % off at 6e-6 kW and 3.5e-5
+    off at 1e-3 kW."""
+    rx = 0.4575  # below the gap: every demand ripples
+    m = np.arange(6)
+    e0, e2 = class_moments(single(rx, UniformExplicit(0.0, hi)), 0, m)
+    assert e0 == pytest.approx(uniform_moment_quad(INDOT, rx, 0.0, hi, 0, squared=False), rel=1e-11)
+    want = [uniform_moment_quad(INDOT, rx, 0.0, hi, k, squared=True) for k in m.tolist()]
+    np.testing.assert_allclose(e2, want, rtol=1e-11, atol=0)
 
 
 # --- mixture moments -------------------------------------------------------

@@ -82,11 +82,16 @@ def scaled(fn, factor):
     return lambda *args: fn(*args) * factor
 
 
-def part_load_rougher(cfg, rx, demands, m):
-    """Harmonics 1e-3 larger below full demand: clipping rougher than scaling."""
-    c = spectrum.fs_harmonic_grid(cfg, rx, demands, m)
-    part = np.asarray(demands)[..., None] < cfg.power_density_kw_per_m * rx
-    return np.where(part & (np.asarray(m) > 0), c * (1 + 1e-3), c)
+def load_scaled(fn, factor, part_load):
+    """``fn`` of a 1-D ``m`` with its harmonics m >= 1 scaled by ``factor``
+    at demands below full power (``part_load``) or at full power (not)."""
+
+    def harmonics_scaled(cfg, rx, demands, m):
+        c = fn(cfg, rx, demands, m)
+        part = np.asarray(demands)[..., None] < cfg.power_density_kw_per_m * rx
+        return np.where((part == part_load) & (np.asarray(m) > 0), c * factor, c)
+
+    return harmonics_scaled
 
 
 def harmonics_only(fn, factor):
@@ -117,12 +122,6 @@ def tilted_harmonics(cfg, rx, demands, m, grid=fleet.fs_harmonic_grid):
     return harmonics_only(grid, 1 + 1e-2 * rx / cfg.tx_len_m)(cfg, rx, demands, m)
 
 
-def rougher_ripple(*args, moments=fleet._ripple_moments):
-    """Class moments of demands on the ripple range 5 % larger."""
-    e_c0, e_cm2 = moments(*args)
-    return e_c0, e_cm2 * 1.05
-
-
 GRID = "dwptload.invariants.fs_harmonic_grid"
 FLEET_GRID = "dwptload.fleet.fs_harmonic_grid"
 
@@ -132,7 +131,8 @@ FLEET_GRID = "dwptload.fleet.fs_harmonic_grid"
     [
         ("parseval", GRID, scaled(invariants.fs_harmonic_grid, 1 + 1e-3), 20),
         ("harmonic-bound", GRID, scaled(invariants.fs_harmonic_grid, 1 + 1e-3), 200),
-        ("clipping-vs-scaling", GRID, part_load_rougher, 100),
+        # Clipping rougher than scaling.
+        ("clipping-vs-scaling", GRID, load_scaled(spectrum.fs_harmonic_grid, 1 + 1e-3, True), 100),
         # The DC line of full-demand receivers has no spread, so 1e-3 shows;
         # the harmonics are checked in standard errors, about 1 % of a line
         # at 1e4 trials.
@@ -141,12 +141,14 @@ FLEET_GRID = "dwptload.fleet.fs_harmonic_grid"
             id="ensemble-mc-point-class-dc",
         ),
         pytest.param(
-            "ensemble-mc", FLEET_GRID, harmonics_only(fleet.fs_harmonic_grid, 1.05), 10_000,
+            "ensemble-mc", FLEET_GRID, load_scaled(fleet.fs_harmonic_grid, 1.05, False), 10_000,
             id="ensemble-mc-point-class-harmonics",
         ),
+        # Every node of a uniform demand's moments lies below full demand,
+        # so its E[c_m^2] are 5 % larger; the full-demand class is kept.
         pytest.param(
-            "ensemble-mc", "dwptload.fleet._ripple_moments", rougher_ripple, 10_000,
-            id="ensemble-mc-uniform-class-moments",
+            "ensemble-mc", FLEET_GRID, load_scaled(fleet.fs_harmonic_grid, 1.05**0.5, True),
+            10_000, id="ensemble-mc-uniform-class-moments",
         ),
         ("composition-sign", FLEET_GRID, tilted_harmonics, 1000),
         ("fs-oracle", GRID, scaled(invariants.fs_harmonic_grid, 1 + 1e-3), 5),
@@ -157,3 +159,12 @@ def test_check_reports_a_perturbed_model(monkeypatch, name, target, fake, n):
     assert check.run(INDOT, np.random.default_rng(0), n) <= check.bound
     monkeypatch.setattr(target, fake)
     assert not check.run(INDOT, np.random.default_rng(0), n) <= check.bound
+
+
+def test_ensemble_bound_is_the_sidak_quantile():
+    # 11 lines of the two fleets have a spread; a family-wise false alarm
+    # of 1e-3 leaves each two-sided |z| a rate of 1 - (1 - 1e-3)^(1/11).
+    from scipy.stats import norm
+
+    per_line = 1.0 - (1.0 - 1e-3) ** (1.0 / 11.0)
+    assert CHECKS["ensemble-mc"].bound == pytest.approx(norm.isf(per_line / 2.0), abs=0.005)
