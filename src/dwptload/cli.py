@@ -22,12 +22,14 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -36,7 +38,9 @@ from .composition import SweepColumn, SweepConfig, default_sweep_config, run_swe
 from .fleet import MaxDemand
 from .invariants import CHECKS
 from .roadway import INDOT, ErConfig, EvParams, _require_finite, constant_regime
-from .signals import MIN_TRIALS, _scenario_psd, _welch_segments, _window, detect_peaks, synthesize
+from .signals import (
+    MIN_TRIALS, _grid, _scenario_blocks, _scenario_psd, _welch_segments, _window, detect_peaks,
+)
 from .spectrum import (
     default_harmonic_count, fs_coefficients, fs_harmonic_grid, harmonic_bound,
     harmonic_count_for_dc, harmonic_ratio_clipping, thc_single,
@@ -215,12 +219,16 @@ def run_metadata(rc: RunConfig) -> dict:
     }
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, text: str, more: Iterable[str] = ()) -> None:
+    """Write ``text``, then each chunk of ``more``, to a temporary file
+    beside ``path``, then move it there: ``path`` is the whole text or
+    untouched."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
             f.write(text)
+            f.writelines(more)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -228,12 +236,25 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _write_csv(path: Path, meta: dict, header: Sequence[str], rows) -> None:
-    lines = [f"# {k}={v}" for k, v in meta.items()]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(cell) for cell in row))
-    _write_atomic(path, "\n".join(lines) + "\n")
+#: Rows of a CSV body formatted into one string and written at a time.
+_CSV_ROWS = 2**13
+
+
+def _write_csv(path: Path, meta: dict, header: Sequence[str], rows: Iterable) -> None:
+    """``rows`` under the metadata and the header, one line each, formatted
+    ``_CSV_ROWS`` at a time: the first batch goes out with the header, and
+    the rest batch by batch, so a generator of rows is never held whole.
+    A file of at most ``_CSV_ROWS`` rows thus reaches :func:`_write_atomic`
+    as one text, which ``bench/tracer.py`` counts as the bytes written."""
+    head = "".join(f"# {k}={v}\n" for k, v in meta.items()) + ",".join(header) + "\n"
+    rows_left = iter(rows)
+
+    def batches() -> Iterator[str]:
+        while lines := [",".join(map(_fmt, row)) for row in islice(rows_left, _CSV_ROWS)]:
+            yield "\n".join(lines) + "\n"
+
+    body = batches()
+    _write_atomic(path, head + next(body, ""), body)
 
 
 def _fmt(cell) -> str:
@@ -281,22 +302,34 @@ def _resolved_traffic(rc: RunConfig, fallback) -> TrafficSpec:
     return rc.traffic
 
 
+def _series_rows(
+    scenario: Scenario, sample_rate_hz: float, t0: float, n: int, sums: list[float]
+) -> Iterator[tuple[float, float]]:
+    """The (time, load) rows of :func:`synthesize`'s series on the
+    ``n``-sample grid from ``t0``, bit for bit, from one sampled block at a
+    time; appends each block's sum of load to ``sums``."""
+    for a, block in _scenario_blocks(scenario, sample_rate_hz, t0, n):
+        load = block[0]
+        sums.append(float(load.sum()))
+        times = t0 + np.arange(a, a + load.size) / sample_rate_hz
+        yield from zip(times.tolist(), load.tolist())
+
+
 def cmd_simulate(rc: RunConfig) -> int:
     spec = _resolved_traffic(rc, _default_simulate_traffic)
     scenario = generate(rc.er, spec, rc.seed)
-    series = synthesize(scenario, rc.sample_rate_hz)
+    t0, n = _grid(scenario, rc.sample_rate_hz, None)
+    sums = []
     meta = run_metadata(rc)
     out = Path(rc.out_dir)
-    _write_csv(
-        out / "timeseries.csv",
-        meta,
-        ("time_s", "load_kw"),
-        zip(series.times_s.tolist(), series.samples_kw.tolist()),
-    )
+    rows = _series_rows(scenario, rc.sample_rate_hz, t0, n, sums)
+    _write_csv(out / "timeseries.csv", meta, ("time_s", "load_kw"), rows)
     _write_json(out / "scenario.json", meta, members(scenario))
+    # The exact sum of the blocks' sums: the series mean within rounding.
+    mean_kw = math.fsum(sums) / n if n else 0.0
     print(
-        f"simulate: {len(scenario.evs)} vehicles, {series.n_samples} samples, "
-        f"mean load {series.mean_kw:.10g} kW"
+        f"simulate: {len(scenario.evs)} vehicles, {n} samples, "
+        f"mean load {mean_kw:.10g} kW"
     )
     return EXIT_OK
 

@@ -16,6 +16,13 @@ from typing import Optional, Union
 
 import numpy as np
 
+#: The ``clip`` ufunc that :func:`numpy.clip` wraps.  Called bare, it
+#: skips the wrapper's argument handling, a few microseconds per call.
+try:
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+
 
 class ConstantRegimeError(ValueError):
     """Raised when a pulse-train quantity is requested for a demand so low
@@ -197,75 +204,61 @@ def constant_regime(cfg: ErConfig, ev: EvParams) -> bool:
     return ev.peak_demand_kw <= alpha * (ev.rx_len_m - cfg.gap_m)
 
 
-def _pulse_samples(
-    cfg: ErConfig,
-    rx_len_m: float,
-    demand_kw: float,
-    xm: np.ndarray,
-    out: np.ndarray,
-    scratch: np.ndarray,
-) -> np.ndarray:
-    """Clipped-trapezoid pulse evaluated at positions within one period,
-    written into ``out`` and returned.
-
-    ``xm`` must lie in [0, period].  The overlap ramps up from the coil
-    start and down to the end of the span ``tx_len + rx_len``; it never
-    falls below the minimum overlap ``rx_len - gap`` (zero for receivers
-    not longer than the gap) and the converter caps it at the demand.  A
-    demand at or below the minimum-overlap power makes the clip return the
-    demand everywhere, which is the constant-load regime.
-
-    ``out`` and ``scratch`` are float arrays of ``xm``'s shape, and ``out``
-    may be ``xm`` itself.  Each step is one ufunc call into them, so a
-    caller that reuses its buffers allocates nothing here.
-    """
+def _pulse_constants(cfg: ErConfig, rx_len_m, demand_kw):
+    """The operands of :func:`_pulse` after its three arrays, for receivers
+    of length ``rx_len_m`` drawing ``demand_kw``: ``1/D``, ``alpha D``,
+    ``alpha (tx_len + rx_len)``, ``alpha max(rx_len - gap, 0)`` and the
+    demand.  ``rx_len_m`` and ``demand_kw`` may be arrays, one entry per
+    vehicle, which gives each operand bit for bit as for one vehicle."""
     alpha = cfg.power_density_kw_per_m
-    span = cfg.tx_len_m + rx_len_m
-    np.subtract(span, xm, out=scratch)
-    np.minimum(xm, scratch, out=out)
-    np.multiply(out, alpha, out=out)
-    return np.clip(out, alpha * max(rx_len_m - cfg.gap_m, 0.0), demand_kw, out=out)
+    period = cfg.period_m
+    return (
+        1.0 / period,
+        alpha * period,
+        alpha * (cfg.tx_len_m + rx_len_m),
+        alpha * np.maximum(rx_len_m - cfg.gap_m, 0.0),
+        demand_kw,
+    )
 
 
-def _pulse_at(
-    cfg: ErConfig,
-    rx_len_m: float,
-    demand_kw: float,
+def _pulse(
     x: np.ndarray,
     out: np.ndarray,
     scratch: np.ndarray,
+    inv_period: float,
+    alpha_period: float,
+    span_kw: float,
+    floor_kw: float,
+    demand_kw: float,
 ) -> np.ndarray:
-    """The periodic pulse at segment positions ``x``, with no on-segment
-    mask, written into ``out`` (which may be ``x``) and returned.
+    """The clipped-trapezoid pulse at segment positions ``x``, with no
+    on-segment mask, written into ``out`` and returned: the one pulse
+    kernel, which every route to a load calls.
 
-    The in-period position comes from the phase in periods and may round
-    up to a whole period, where the continuous, periodic pulse takes its
-    value at 0.
+    The phase in periods is ``u = x * (1/D)`` and the in-period position,
+    in kW of overlap, ``z = (u - floor(u)) * alpha D``.  The overlap ramps
+    up from the coil start and down to the end of the span
+    ``tx_len + rx_len``, ``min(z, alpha (tx_len + rx_len) - z)``; it never
+    falls below the minimum overlap ``rx_len - gap`` (zero for receivers
+    not longer than the gap) and the converter caps it at the demand.  The
+    clip bounds are in kW, so a demand at or below the minimum-overlap
+    power gives the demand itself everywhere (the constant-load regime) and
+    a short receiver dips to exactly 0.  The phase may round up to a whole
+    period, where the continuous, periodic pulse takes its value at 0.
+    The operands after the arrays come from :func:`_pulse_constants`.
+
+    ``out`` and ``scratch`` are float arrays of ``x``'s shape, and ``out``
+    may be ``x`` itself.  Each of the seven steps is one ufunc call into
+    them, with no divide, so a caller that reuses its buffers allocates
+    nothing here.
     """
-    period = cfg.period_m
-    np.divide(x, period, out=out)
+    np.multiply(x, inv_period, out=out)
     np.floor(out, out=scratch)
     np.subtract(out, scratch, out=out)
-    np.multiply(out, period, out=out)
-    return _pulse_samples(cfg, rx_len_m, demand_kw, out, out, scratch)
-
-
-def _pulse_at_times(
-    cfg: ErConfig,
-    rx_len_m: float,
-    demand_kw: float,
-    speed_mps: float,
-    entry_time_s: float,
-    t: np.ndarray,
-    out: np.ndarray,
-    scratch: np.ndarray,
-) -> np.ndarray:
-    """:func:`_pulse_at` of a vehicle at times ``t``, from its position
-    ``speed * (t - entry)``: the kernel of the sampled path, which fills
-    ``out`` with no allocation."""
-    np.subtract(t, entry_time_s, out=out)
-    np.multiply(out, speed_mps, out=out)
-    return _pulse_at(cfg, rx_len_m, demand_kw, out, out, scratch)
+    np.multiply(out, alpha_period, out=out)
+    np.subtract(span_kw, out, out=scratch)
+    np.minimum(out, scratch, out=out)
+    return _clip(out, floor_kw, demand_kw, out=out)
 
 
 def coil_pulse(cfg: ErConfig, ev: EvParams, x) -> np.ndarray | float:
@@ -283,8 +276,9 @@ def coil_pulse(cfg: ErConfig, ev: EvParams, x) -> np.ndarray | float:
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0) or np.any(xa >= cfg.period_m):
         raise ValueError(f"position must be in [0, {cfg.period_m}), got {x}")
-    out = _pulse_samples(
-        cfg, ev.rx_len_m, ev.peak_demand_kw, xa, np.empty_like(xa), np.empty_like(xa)
+    out = _pulse(
+        xa, np.empty_like(xa), np.empty_like(xa),
+        *_pulse_constants(cfg, ev.rx_len_m, ev.peak_demand_kw),
     )
     return out if np.ndim(x) else float(out)
 
@@ -299,7 +293,9 @@ def load_at_position(cfg: ErConfig, ev: EvParams, scheme: ControlScheme, x) -> n
     xa = np.asarray(x, dtype=float)
     on = (xa >= 0) & (xa < cfg.energized_len_m)
     demand = ev.max_demand_kw(cfg) if isinstance(scheme, Scaling) else ev.peak_demand_kw
-    vals = _pulse_at(cfg, ev.rx_len_m, demand, xa, np.empty_like(xa), np.empty_like(xa))
+    vals = _pulse(
+        xa, np.empty_like(xa), np.empty_like(xa), *_pulse_constants(cfg, ev.rx_len_m, demand)
+    )
     if isinstance(scheme, Scaling):
         vals = scheme.scale_factor * vals
     out = np.where(on, vals, 0.0)

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .fleet import FleetModel, demand_bounds
-from .roadway import ErConfig, _pulse_at_times, _require_finite
+from .roadway import ErConfig, _pulse, _pulse_constants, _require_finite
 from .spectrum import _stepped_rows, fs_harmonic_grid
 from .traffic import Scenario
 
@@ -123,7 +123,7 @@ def _add_pulses(
     cfg: ErConfig,
     n_rows: int,
     n: int,
-    holders: Sequence[Sequence[int]],
+    holders: Optional[Sequence[Sequence[int]]],
     t0: float,
     sample_rate_hz: float,
     vehicles: Sequence[Sequence[float]],
@@ -133,14 +133,24 @@ def _add_pulses(
     sampled load.
 
     Vehicle i of ``vehicles``, the columns (speed, entry time, receiver
-    length, demand), is added into each row r in ``holders[i]`` over its
-    exact on-segment samples (:func:`_sample_spans`).  The grid is taken in
-    blocks of ``_BLOCK`` samples; each block's times are computed once, and
-    the vehicles on the segment during the block add their load there in
-    vehicle order, so each sample receives its vehicles in that order.  A
-    vehicle's pulse is evaluated in place by
-    :func:`dwptload.roadway._pulse_at_times` into two work rows of one
-    block, so no sample is masked.
+    length, demand), is added into each row r in ``holders[i]`` (into row
+    0 if ``holders`` is None) over its exact on-segment samples
+    (:func:`_sample_spans`).  The grid is taken in blocks of ``_BLOCK``
+    samples; each block's times are computed once, and the vehicles on the
+    segment during the block add their load there in table order, so each
+    sample receives its vehicles in that order whether or not the table is
+    sorted by entry time.  A pointer over the vehicles ordered by the block
+    of their first sample brings each one in at the block where it enters,
+    with its span and its operands of the pulse kernel
+    :func:`dwptload.roadway._pulse`, which are computed once per call for
+    all vehicles and sliced for those entering; it leaves after the block
+    where it exits.  So the Python state of a block is its vehicles on the
+    segment, whatever the horizon.
+
+    A vehicle's load on a block is its position ``(t - entry) * speed``
+    and the kernel's seven steps, nine ufunc calls in place into two work
+    rows of one block, so no sample is masked and every sample equals
+    :func:`dwptload.roadway.load_at_time` bit for bit.
 
     Yields ``(a, block)`` for each finished block: ``block`` is the
     ``(n_rows, b - a)`` load on samples ``[a, b)``.  It is a view of one
@@ -149,23 +159,40 @@ def _add_pulses(
     """
     speed, entry, rx, demand = (np.asarray(v, dtype=float) for v in vehicles)
     j0, j1 = _sample_spans(cfg, speed, entry, t0, sample_rate_hz, n)
-    on = j1 > j0
-    speed, entry, rx, demand = speed.tolist(), entry.tolist(), rx.tolist(), demand.tolist()
+    inv_period, alpha_period, span_kw, floor_kw, demand = _pulse_constants(cfg, rx, demand)
+    # The vehicles with samples by the block of their first sample (a table
+    # in entry order, or one whose vehicles all enter in one block, needs
+    # no sort), and how many of them enter by the end of each block.
+    order = np.flatnonzero(j1 > j0)
+    first_block = j0[order] // _BLOCK
+    if np.any(first_block[1:] < first_block[:-1]):
+        order = order[np.argsort(first_block, kind="stable")]
+    entered_by = np.cumsum(np.bincount(first_block, minlength=-(-n // _BLOCK)))
+    columns = (j0, j1, speed, entry, span_kw, floor_kw, demand)
+    on, entered = [], 0  # (index, *columns) of each vehicle on the segment
     size = min(n, _BLOCK)
     rows, work, scratch = np.empty((n_rows, size)), np.empty(size), np.empty(size)
-    for a in range(0, n, _BLOCK):
+    for q, a in enumerate(range(0, n, _BLOCK)):
         b = min(a + _BLOCK, n)
         block = rows[:, : b - a]
         block.fill(0.0)
-        t = t0 + np.arange(a, b) / sample_rate_hz
-        for i in np.flatnonzero(on & (j0 < b) & (j1 > a)).tolist():
-            lo, hi = max(int(j0[i]), a), min(int(j1[i]), b)
-            load = _pulse_at_times(
-                cfg, rx[i], demand[i], speed[i], entry[i], t[lo - a : hi - a],
-                work[: hi - lo], scratch[: hi - lo],
-            )
-            for r in holders[i]:
-                block[r, lo - a : hi - a] += load
+        t = np.arange(a, b, dtype=float)  # sample numbers, exact
+        np.divide(t, sample_rate_hz, out=t)
+        np.add(t0, t, out=t)
+        # The vehicles that stay and those that enter, sorted back into
+        # table order: a sort of the few on the segment.
+        new = order[entered : entered_by[q]]
+        entered += new.size
+        on = sorted(
+            [v for v in on if v[2] > a] + list(zip(new.tolist(), *(c[new].tolist() for c in columns)))
+        )
+        for i, first, last, v, e, span, floor, d in on:
+            lo, hi = max(first - a, 0), min(last, b) - a
+            x = np.subtract(t[lo:hi], e, out=work[: hi - lo])
+            np.multiply(x, v, out=x)
+            load = _pulse(x, x, scratch[: hi - lo], inv_period, alpha_period, span, floor, d)
+            for r in holders[i] if holders is not None else (0,):
+                block[r, lo:hi] += load
         yield a, block
 
 
@@ -202,7 +229,7 @@ def _scenario_blocks(
     """:func:`_add_pulses` of every vehicle of ``scenario`` into one row."""
     evs = scenario.evs
     vehicles = (evs.speed_mps, evs.entry_time_s, evs.rx_len_m, evs.peak_demand_kw)
-    return _add_pulses(scenario.cfg, 1, n, [(0,)] * len(evs), t0, sample_rate_hz, vehicles)
+    return _add_pulses(scenario.cfg, 1, n, None, t0, sample_rate_hz, vehicles)
 
 
 def synthesize(

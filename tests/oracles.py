@@ -6,7 +6,8 @@ which ``dwptload.invariants`` holds and this module re-exports -- or by
 the slower formulations the package used before: the pulse by branch
 selection or as one expression of new arrays, uniform-demand moments
 by adaptive quadrature, coil-start-phase coefficients by the DFT of a densely sampled period,
-synthesis by one ``np.mod`` pulse call per vehicle over its whole span
+the pulse kernel's chain before it dropped its divide, synthesis by
+one ``np.mod`` pulse call per vehicle over its whole span
 or by masked ``load_at_time`` calls per vehicle and block, Welch on
 the whole series in memory, the
 composition sweep by one scenario per row, the class moments by one
@@ -138,21 +139,24 @@ def uniform_moment_quad(
     squared: bool,
 ) -> float:
     """E[f(p)] for p ~ U(lo, hi), with f the (squared) m-th coefficient,
-    by adaptive quadrature of the point coefficient."""
+    by adaptive quadrature of the point coefficient over the share
+    ``s = (p - lo) / (hi - lo)`` of the interval: on [0, 1], so that the
+    integral of demands of 1e-105 kW does not go subnormal, as it would
+    over [lo, hi]."""
 
-    def f(p: float) -> float:
-        c = fs_harmonic(cfg, EvParams(rx_len_m, p, 1.0), m)
+    def f(s: float) -> float:
+        c = fs_harmonic(cfg, EvParams(rx_len_m, lo + (hi - lo) * s, 1.0), m)
         return c * c if squared else c
 
     if hi == lo:
-        return f(hi)
+        return f(0.0)
     # The coefficient formulas switch branch at the constant-load threshold.
     threshold = cfg.power_density_kw_per_m * (rx_len_m - cfg.gap_m)
-    pts = [threshold] if lo < threshold < hi else None
+    pts = [(threshold - lo) / (hi - lo)] if lo < threshold < hi else None
     val, _ = integrate.quad(
-        f, lo, hi, points=pts, limit=300, epsabs=0.0, epsrel=1e-11
+        f, 0.0, 1.0, points=pts, limit=300, epsabs=0.0, epsrel=1e-11
     )
-    return val / (hi - lo)
+    return val
 
 
 def period_coefficients_fft(
@@ -185,8 +189,27 @@ def pulse_expression(
 def pulse_at_expression(
     cfg: ErConfig, rx_len_m: float, demand_kw: float, x: np.ndarray
 ) -> np.ndarray:
+    """The pulse kernel's chain at segment positions ``x``, written as one
+    expression of new arrays: the phase ``u = x * (1/D)``, the in-period
+    overlap power ``z = (u - floor(u)) * alpha D``, then
+    ``clip(min(z, alpha (tx + rx) - z), alpha max(rx - gap, 0), demand)``."""
+    alpha = cfg.power_density_kw_per_m
+    u = x * (1.0 / cfg.period_m)
+    z = (u - np.floor(u)) * (alpha * cfg.period_m)
+    return np.clip(
+        np.minimum(z, alpha * (cfg.tx_len_m + rx_len_m) - z),
+        alpha * max(rx_len_m - cfg.gap_m, 0.0),
+        demand_kw,
+    )
+
+
+def divided_pulse_at_expression(
+    cfg: ErConfig, rx_len_m: float, demand_kw: float, x: np.ndarray
+) -> np.ndarray:
     """:func:`pulse_expression` at segment positions ``x``, with the
-    in-period position taken from the phase in periods."""
+    in-period position ``(u - floor(u)) * D`` from the phase ``u = x / D``:
+    the package's chain before it multiplied by ``1/D`` and scaled the
+    phase by ``alpha D`` in one step."""
     u = x / cfg.period_m
     return pulse_expression(cfg, rx_len_m, demand_kw, (u - np.floor(u)) * cfg.period_m)
 

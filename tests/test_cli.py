@@ -4,16 +4,19 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dwptload
-from dwptload import cli, generate
+from dwptload import cli, generate, synthesize
 from dwptload.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -329,6 +332,57 @@ def test_simulate_artifacts_are_deterministic(tmp_path):
     assert doc["meta"]["seed"] == 2
     assert doc["provenance"]["kind"] == "synthetic"
     assert len(doc["evs"]) >= 1
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_simulate_streams_the_synthesized_series(tmp_path, capsys, seed):
+    """``simulate`` writes its series one sampled block at a time.  The
+    rows are ``synthesize``'s times and loads bit for bit, the file is the
+    one written from the whole series byte for byte (40 s at 1 kHz: two
+    sampling blocks and several CSV batches), and the printed mean load is
+    the series mean to the printed digits."""
+    args = ["simulate", "--duration-s", "40", "--seed", str(seed), "--out", str(tmp_path)]
+    assert main(args) == EXIT_OK
+    printed = capsys.readouterr().out
+    rc = cli.resolve_config(cli.build_parser().parse_args(args))
+    scenario = generate(rc.er, cli._default_simulate_traffic(rc), seed)
+    series = synthesize(scenario, rc.sample_rate_hz)
+
+    sums = []
+    times, loads = zip(*cli._series_rows(scenario, rc.sample_rate_hz, 0.0, series.n_samples, sums))
+    assert np.array_equal(np.array(times), series.times_s)
+    assert np.array_equal(np.array(loads), series.samples_kw)
+    assert math.fsum(sums) / series.n_samples == pytest.approx(series.mean_kw, rel=1e-14)
+
+    lines = [f"# {k}={v}" for k, v in run_metadata(rc).items()] + ["time_s,load_kw"]
+    lines += [f"{t:.10g},{y:.10g}" for t, y in zip(series.times_s.tolist(), series.samples_kw.tolist())]
+    assert (tmp_path / "timeseries.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert f"{series.n_samples} samples, mean load {series.mean_kw:.10g} kW" in printed
+
+
+def traced_simulate_peak(tmp_path, duration_s: float) -> int:
+    """Traced peak of ``simulate`` at 100 Hz with its default traffic."""
+    argv = [
+        "simulate", "--duration-s", str(duration_s), "--sample-rate-hz", "100",
+        "--out", str(tmp_path / f"simulate{duration_s}"),
+    ]
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path, capsys):
+    traced_simulate_peak(tmp_path, 10.0)  # caches outside the trace
+    short, long_ = traced_simulate_peak(tmp_path, 340.0), traced_simulate_peak(tmp_path, 1000.0)
+    # 34k against 100k rows, both more than one sampling block: writing
+    # the whole series as one text grew the peak by ~10 MB.  What may grow
+    # is the vehicle table and its scenario.json (~250 B a vehicle
+    # measured) for the ~200 more vehicles at 0.3 vehicles/s.
+    extra_vehicles = 0.3 * (1000.0 - 340.0)
+    assert long_ - short <= 512 * extra_vehicles
 
 
 def test_flag_overrides_config_seed(tmp_path):

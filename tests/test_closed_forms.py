@@ -26,7 +26,9 @@ from dwptload import (
     load_at_position,
     period_coefficients,
 )
-from oracles import period_coefficients_fft, pulse_kinks, select_pulse, uniform_moment_quad
+from oracles import (
+    period_coefficients_fft, pulse_kinks, scalar_class_moments, select_pulse, uniform_moment_quad,
+)
 
 UNIT = st.floats(min_value=0.0, max_value=1.0)
 FAST = settings(max_examples=100, deadline=None, derandomize=True)
@@ -70,12 +72,20 @@ def vehicles(draw) -> tuple[ErConfig, EvParams]:
 @st.composite
 def uniform_classes(draw) -> tuple[ErConfig, float, float, float]:
     """(cfg, rx, lo_kw, hi_kw): intervals straddling the constant-load
-    threshold, near-zero-width ones, and arbitrary ones."""
+    threshold, near-zero-width ones, arbitrary ones, and small demands
+    (up to 1e-3 to 1e-9 of the full power) of a receiver shorter than the
+    gap, so that every demand ripples."""
     cfg = draw(geometries())
-    rx = receiver(draw, cfg)
+    kind = draw(st.sampled_from(["straddle", "narrow", "small", "any"]))
+    if kind == "small":
+        rx = min(cfg.gap_m, cfg.tx_len_m) * draw(st.floats(0.01, 0.99))
+    else:
+        rx = receiver(draw, cfg)
     th, full = threshold_kw(cfg, rx), cfg.power_density_kw_per_m * rx
-    kind = draw(st.sampled_from(["straddle", "narrow", "any"]))
-    if kind == "straddle" and th > 0:
+    if kind == "small":
+        hi = full * 10.0 ** -draw(st.floats(3.0, 9.0))
+        lo = hi * draw(st.floats(0.0, 0.999))
+    elif kind == "straddle" and th > 0:
         lo = th * draw(st.floats(0.0, 0.999))
         hi = th + (full - th) * draw(st.floats(0.001, 1.0))
     elif kind == "narrow":
@@ -101,20 +111,40 @@ def test_clip_pulse_matches_select_oracle(case):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * full)
 
 
+def moments_match_quadrature(
+    cfg: ErConfig, rx: float, lo: float, hi: float, m: int, e_c0: float, e_cm2: float
+) -> bool:
+    """Whether (E[c_0], E[c_m^2]) of demands uniform on [lo, hi] are within
+    1e-12 and 1e-11 relative of adaptive quadrature, or within absolute
+    floors for near-zero values.  The floors scale with the coefficients:
+    every one is at most the top demand ``hi`` (a load within [0, hi] has
+    no larger mean or Fourier coefficient), and c_m for m >= 1 at most the
+    envelope alpha D / (m pi)^2, so a class of small demands gets floors
+    as small as its moments."""
+    want_c0 = uniform_moment_quad(cfg, rx, lo, hi, 0, squared=False)
+    want_cm2 = uniform_moment_quad(cfg, rx, lo, hi, m, squared=True)
+    c_max = hi if m == 0 else min(hi, harmonic_bound(cfg, m))
+    return (
+        abs(e_c0 - want_c0) <= 1e-12 * abs(want_c0) + 1e-14 * hi
+        and abs(e_cm2 - want_cm2) <= 1e-11 * abs(want_cm2) + 1e-13 * c_max**2
+    )
+
+
 @SLOW
 @given(uniform_classes(), st.one_of(st.integers(0, 20), st.sampled_from([50, 100])))
 def test_uniform_moments_match_quadrature_oracle(case, m):
     cfg, rx, lo, hi = case
     model = FleetModel(cfg, (EvClass(rx, 1.0, UniformExplicit(lo, hi)),), 1, 24.6)
-    e_c0, e_cm2 = class_moments(model, 0, m)
-    want_c0 = uniform_moment_quad(cfg, rx, lo, hi, 0, squared=False)
-    want_cm2 = uniform_moment_quad(cfg, rx, lo, hi, m, squared=True)
-    # Absolute floors for near-zero values, scaled by the largest c_0 and
-    # by the envelope on c_m.
-    full = cfg.power_density_kw_per_m * rx
-    envelope = full if m == 0 else harmonic_bound(cfg, m)
-    assert abs(e_c0 - want_c0) <= 1e-12 * abs(want_c0) + 1e-14 * full
-    assert abs(e_cm2 - want_cm2) <= 1e-11 * abs(want_cm2) + 1e-13 * envelope**2
+    assert moments_match_quadrature(cfg, rx, lo, hi, m, *class_moments(model, 0, m))
+
+
+def test_moment_floors_reject_the_difference_of_cosines():
+    """The closed form that rounded with the envelope, not with c_m, was
+    25 % off at demands uniform on [0, 6e-6] kW; the floors see it."""
+    rx, hi = 0.4575, 6e-6
+    model = FleetModel(INDOT, (EvClass(rx, 1.0, UniformExplicit(0.0, hi)),), 1, 24.6)
+    assert moments_match_quadrature(INDOT, rx, 0.0, hi, 1, *class_moments(model, 0, 1))
+    assert not moments_match_quadrature(INDOT, rx, 0.0, hi, 1, *scalar_class_moments(model, 0, 1))
 
 
 @SLOW

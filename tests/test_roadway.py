@@ -20,8 +20,8 @@ from dwptload import (
     load_at_time,
 )
 from dwptload.invariants import draw_vehicle
-from dwptload.roadway import _pulse_at, _pulse_at_times, _pulse_samples
-from oracles import overlap_load, pulse_at_expression, pulse_expression
+from dwptload.roadway import _pulse, _pulse_constants
+from oracles import divided_pulse_at_expression, overlap_load, pulse_at_expression
 
 ALPHA = INDOT.power_density_kw_per_m
 
@@ -335,14 +335,15 @@ def test_load_periodic_in_time_while_on_segment():
 
 
 def below_whole_periods(period: float, ks) -> list[float]:
-    """Positions just below ``k`` whole periods whose phase ``x / period``
-    rounds up to ``k``, so that the in-period position is 0, not ~period."""
+    """Positions just below ``k`` whole periods whose phase
+    ``x * (1 / period)`` rounds up to ``k``, so that the in-period position
+    is 0, not ~period."""
     found = []
     for k in ks:
         x = k * period
         for _ in range(4):
             x = float(np.nextafter(x, -np.inf))
-            if x / period == k:
+            if x * (1.0 / period) == k:
                 found.append(x)
     return found
 
@@ -355,7 +356,7 @@ def kernel_cases(draw):
     tx = draw(st.floats(0.5, 6.0))
     gap = draw(st.floats(0.05, 3.0))
     cfg = ErConfig(tx, gap, draw(st.floats(1.0, 500.0)), 100 * (tx + gap))
-    if gap < tx and draw(st.booleans()):
+    if np.nextafter(gap, np.inf) < tx and draw(st.booleans()):
         rx = draw(st.floats(gap, tx, exclude_min=True, exclude_max=True))
     else:
         rx = min(gap, tx) * draw(st.floats(0.01, 0.99))
@@ -388,39 +389,52 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(kernel_cases(), st.floats(0.5, 45.0), st.floats(0.0, 500.0))
-def test_in_place_pulse_kernel_matches_oracle_expression(case, speed, entry):
+@given(kernel_cases())
+def test_in_place_pulse_kernel_matches_oracle_expression(case):
     cfg, rx, demand, x, spare = case
     n = x.size
+    constants = _pulse_constants(cfg, rx, demand)
+    want = pulse_at_expression(cfg, rx, demand, x)
     # Buffers longer than the slice the kernel fills: the rest stays put.
     out, scratch = np.full(n + spare, -7.0), np.full(n + spare, -7.0)
 
-    got = _pulse_at(cfg, rx, demand, x, out[:n], scratch[:n])
+    got = _pulse(x, out[:n], scratch[:n], *constants)
     assert np.shares_memory(got, out)
-    assert_same_bits(got, pulse_at_expression(cfg, rx, demand, x))
-    assert np.all(out[n:] == -7.0)
+    assert_same_bits(got, want)
+    assert np.all(out[n:] == -7.0) and np.all(scratch[n:] == -7.0)
 
     # In place over the positions themselves.
     buf = np.concatenate([x, np.full(spare, -7.0)])
-    assert_same_bits(
-        _pulse_at(cfg, rx, demand, buf[:n], buf[:n], scratch[:n]),
-        pulse_at_expression(cfg, rx, demand, x),
-    )
+    assert_same_bits(_pulse(buf[:n], buf[:n], scratch[:n], *constants), want)
     assert np.all(buf[n:] == -7.0)
 
-    u = x / cfg.period_m
-    xm = (u - np.floor(u)) * cfg.period_m
-    assert_same_bits(
-        _pulse_samples(cfg, rx, demand, xm, out[:n], scratch[:n]),
-        pulse_expression(cfg, rx, demand, xm),
-    )
+    if demand <= cfg.power_density_kw_per_m * max(rx - cfg.gap_m, 0.0):
+        assert np.all(got == demand)  # the constant regime, exactly
 
-    t = entry + x / speed
-    assert_same_bits(
-        _pulse_at_times(cfg, rx, demand, speed, entry, t, out[:n], scratch[:n]),
-        pulse_at_expression(cfg, rx, demand, speed * (t - entry)),
-    )
-    assert np.all(out[n:] == -7.0) and np.all(scratch[n:] == -7.0)
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kernel_cases())
+def test_pulse_kernel_within_rounding_of_the_divided_chain(case):
+    """The kernel and the chain it replaced (``x / D``, ``* D``, ``* alpha``)
+    evaluate one continuous, periodic pulse of slope at most ``alpha`` per
+    metre, so they differ by at most ``alpha D`` times their phase errors
+    plus the roundings after the phase, each at most ``eps = 2^-53`` times
+    ``alpha D``.  The phase ``|x| / D`` takes one rounding there and two
+    here, so the fractional phases are within ``3 eps |x| / D`` of each
+    other on the circle.  After it the old chain rounds ``(u - floor u) D``,
+    ``tx + rx``, the difference and the product by alpha (6 eps alpha D,
+    the span being below ``2 D``), and the kernel ``alpha D``, its product,
+    ``alpha (tx + rx)`` and the difference (8 eps alpha D); a phase that
+    wraps in one chain and not the other adds at most 2 eps alpha D.  Both
+    clip to the same bounds."""
+    cfg, rx, demand, x, _ = case
+    alpha_period = cfg.power_density_kw_per_m * cfg.period_m
+    got = _pulse(x, np.empty_like(x), np.empty_like(x), *_pulse_constants(cfg, rx, demand))
+    old = divided_pulse_at_expression(cfg, rx, demand, x)
+    bound = 2.0**-53 * alpha_period * (3.0 * np.abs(x) / cfg.period_m + 16.0)
+    assert np.all(np.abs(got - old) <= bound)
+    if demand <= cfg.power_density_kw_per_m * max(rx - cfg.gap_m, 0.0):
+        assert np.all(got == demand) and np.all(old == demand)
 
 
 def test_positions_rounding_up_to_a_whole_period_take_the_pulse_at_zero():
@@ -429,5 +443,5 @@ def test_positions_rounding_up_to_a_whole_period_take_the_pulse_at_zero():
     assert x.size > 0
     assert np.all(x < np.round(x / period) * period)
     at_zero = coil_pulse(INDOT, ev(0.5, 30.0), 0.0)
-    got = _pulse_at(INDOT, 0.5, 30.0, x, np.empty_like(x), np.empty_like(x))
+    got = _pulse(x, np.empty_like(x), np.empty_like(x), *_pulse_constants(INDOT, 0.5, 30.0))
     assert np.all(got == at_zero)

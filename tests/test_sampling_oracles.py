@@ -30,8 +30,11 @@ from dwptload import (
     Scenario,
     SweepColumn,
     SweepConfig,
+    TrafficClass,
+    TrafficSpec,
     UniformOnRange,
     default_sweep_config,
+    generate,
     run_sweep,
     synthesize,
 )
@@ -128,6 +131,35 @@ def test_synthesis_is_bit_identical_to_blocked_oracle(case):
     got = synthesize(scenario, fs, window).samples_kw
     want = blocked_synthesize(scenario, fs, window).samples_kw
     assert np.array_equal(got, want)
+
+
+def test_unsorted_table_adds_vehicles_in_table_order():
+    """``ingest`` keeps a file's row order, so a table need not be sorted
+    by entry time.  The sampling loop brings vehicles in by first sample
+    but adds each sample's vehicles in table order: its bits are those of
+    the blocked oracle, which adds vehicle after vehicle, and they differ
+    from those of the same vehicles sorted by entry."""
+    spec = TrafficSpec(
+        rate_evps=2.0,
+        duration_s=80.0,
+        classes=(
+            TrafficClass(1.83, 0.5, 21.7, MaxDemand(), "truck"),
+            TrafficClass(1.2, 0.5, 29.0, UniformOnRange(), "sedan"),
+        ),
+    )
+    evs = list(generate(INDOT, spec, 4).evs)
+    shuffled = [evs[i] for i in np.random.default_rng(4).permutation(len(evs))]
+    tables = [VehicleTable.from_evs(v) for v in (shuffled, evs)]
+    window = (0.0, 80.0)
+    got, by_entry = (
+        synthesize(Scenario(INDOT, t, 80.0, None, IngestedFile("generated")), 1000.0, window)
+        for t in tables
+    )
+    want = blocked_synthesize(
+        Scenario(INDOT, tables[0], 80.0, None, IngestedFile("generated")), 1000.0, window
+    )
+    assert np.array_equal(got.samples_kw, want.samples_kw)
+    assert not np.array_equal(got.samples_kw, by_entry.samples_kw)
 
 
 # A roadway whose energized length, 16 m, and a grid whose times,

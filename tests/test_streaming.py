@@ -169,7 +169,8 @@ def test_sampled_psd_memory_does_not_grow_with_the_horizon(tmp_path, capsys):
     short, long_ = traced_psd_peak(tmp_path, 900.0), traced_psd_peak(tmp_path, 3600.0)
     # 180k against 720k samples: synthesizing the series first grew the
     # peak by ~6.1 MiB.  What may grow is the vehicle table, with the
-    # per-vehicle lists and spans of the sampling loop (~190 B a vehicle
-    # measured) for the ~1,350 more vehicles.
+    # spans and pulse operands of the sampling loop (~100 B a vehicle
+    # measured; ~200 B when it held them as lists) for the ~1,350 more
+    # vehicles.
     extra_vehicles = 0.5 * (3600.0 - 900.0)
     assert long_ - short <= 512 * extra_vehicles
