@@ -41,10 +41,7 @@ from .roadway import INDOT, ErConfig, EvParams, _require_finite, constant_regime
 from .signals import (
     MIN_TRIALS, _grid, _scenario_blocks, _scenario_psd, _welch_segments, _window, detect_peaks,
 )
-from .spectrum import (
-    default_harmonic_count, fs_coefficients, fs_harmonic_grid, harmonic_bound,
-    harmonic_count_for_dc, harmonic_ratio_clipping, thc_single,
-)
+from .spectrum import fs_harmonic, fs_harmonic_grid, harmonic_bound, harmonic_count_for_dc
 from .schema import dumps, from_dict, members, to_dict
 from .traffic import IngestError, Scenario, TrafficClass, TrafficSpec, generate, ingest
 
@@ -335,34 +332,35 @@ def cmd_simulate(rc: RunConfig) -> int:
 
 
 def cmd_spectrum(rc: RunConfig) -> int:
+    """The table, the THC and the first-harmonic ratio, all from one row
+    c_0..c_M of :func:`fs_harmonic`; M is ``--harmonics`` or the tail rule."""
     alpha = rc.er.power_density_kw_per_m
     demand = rc.demand_kw if rc.demand_kw is not None else alpha * rc.rx_len_m
     ev = EvParams(rc.rx_len_m, demand, rc.speed_mps)
-    ev.validate_against(rc.er)
-    n_harmonics = rc.harmonics or default_harmonic_count(rc.er, ev)
-    coeffs = fs_coefficients(rc.er, ev, n_harmonics)
-    thc = thc_single(rc.er, ev, n_harmonics)
+    c0 = fs_harmonic(rc.er, ev, 0)
+    n_harmonics = rc.harmonics or harmonic_count_for_dc(rc.er, c0)
+    m = np.arange(n_harmonics + 1)
+    harmonics = fs_harmonic(rc.er, ev, m)[1:]
+    constant = constant_regime(rc.er, ev)
+    thc = 0.0 if constant else 100.0 * float(np.sqrt(2.0 * np.sum(harmonics**2)) / c0)
     meta = run_metadata(rc)
     out = Path(rc.out_dir)
 
-    rows = [(0, 0.0, coeffs.c0_kw, None)]
-    for m, cm in enumerate(coeffs.harmonics_kw, start=1):
-        rows.append((m, m * ev.fundamental_hz(rc.er), cm, harmonic_bound(rc.er, m)))
-    _write_csv(
-        out / "fs_coeffs.csv",
-        meta,
-        ("m", "freq_hz", "coeff_kw", "bound_kw"),
-        rows,
-    )
+    f0 = ev.fundamental_hz(rc.er)
+    coeffs = [c0] + harmonics.tolist()
+    # One scalar call per bound: an array m rounds a few of them 1 ulp apart.
+    bounds = [None] + [harmonic_bound(rc.er, k) for k in range(1, n_harmonics + 1)]
+    rows = zip(m.tolist(), (m * f0).tolist(), coeffs, bounds)
+    _write_csv(out / "fs_coeffs.csv", meta, ("m", "freq_hz", "coeff_kw", "bound_kw"), rows)
     body = {
         "thc_percent": thc,
-        "dc_kw": coeffs.c0_kw,
-        "fundamental_hz": ev.fundamental_hz(rc.er),
+        "dc_kw": c0,
+        "fundamental_hz": f0,
         "harmonics_used": n_harmonics,
-        "constant_load": constant_regime(rc.er, ev),
+        "constant_load": constant,
     }
-    if not constant_regime(rc.er, ev):
-        body["first_harmonic_ratio"] = harmonic_ratio_clipping(rc.er, ev)
+    if not constant:
+        body["first_harmonic_ratio"] = abs(coeffs[1]) / c0
     _write_json(out / "thc.json", meta, body)
     print(f"spectrum: THC {thc:.10g} % over {n_harmonics} harmonics")
     return EXIT_OK

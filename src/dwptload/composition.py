@@ -50,7 +50,7 @@ from .fleet import (
 )
 from .roadway import ErConfig, EvParams, _require_finite
 from .signals import _add_pulses, _collect, _phasor, _thc
-from .spectrum import fs_dc
+from .spectrum import fs_harmonic
 from .traffic import covering_entry_time, max_covering_periods
 
 
@@ -165,10 +165,8 @@ def matched_counts(sw: SweepConfig, col: SweepColumn) -> list[int]:
     """
     cfg = sw.cfg
     alpha = cfg.power_density_kw_per_m
-    truck_dc = fs_dc(
-        cfg,
-        EvParams(sw.truck_rx_len_m, alpha * sw.truck_rx_len_m, sw.truck_speed_mps),
-    )
+    truck = EvParams(sw.truck_rx_len_m, alpha * sw.truck_rx_len_m, sw.truck_speed_mps)
+    truck_dc = fs_harmonic(cfg, truck, 0)
     probe = FleetModel(
         cfg=cfg,
         classes=(EvClass(col.rx_len_m, 1.0, col.demand_dist),),
@@ -224,11 +222,15 @@ def _sobol_directions(d: int) -> np.ndarray:
     The primitive polynomials and initial numbers are the first ``d`` rows
     of the Joe-Kuo table that scipy installs as
     ``stats/_sobol_direction_numbers.npz``.  ``find_spec`` locates it
-    without importing any scipy module.  Each row is extended by the
-    Bratley-Fox recurrence, one bit column at a time for all dimensions.
+    without importing any scipy module; without scipy, there is no table
+    and this raises ``OSError``.  Each row is extended by the Bratley-Fox
+    recurrence, one bit column at a time for all dimensions.
     """
-    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    path = os.path.join(scipy_dir, "stats", "_sobol_direction_numbers.npz")
+    npz = os.path.join("stats", "_sobol_direction_numbers.npz")
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise OSError(f"no Sobol direction table: it is scipy's {npz}, and scipy is not installed")
+    path = os.path.join(scipy_spec.submodule_search_locations[0], npz)
     with np.load(path) as table:
         poly, vinit = table["poly"], table["vinit"]
     if d > len(poly):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -258,7 +258,6 @@ class PsdEstimate:
     psd_kw2_per_hz: np.ndarray
     resolution_hz: float
     method: str
-    series_mean_kw: float
     n_samples: int
 
     @property
@@ -278,11 +277,15 @@ def _window(name: str, n: int) -> np.ndarray:
     zeros, is exactly 0.5), so the array is bit-identical.  Any other name
     goes to ``scipy.signal.get_window``, imported only then (~1.3 s and
     ~75 MB at start-up), which also raises scipy's own error for an
-    unknown name.
+    unknown name; without scipy, any other name is a ``ValueError``.
     """
     if name != "hann":
-        from scipy.signal import get_window
-
+        try:
+            from scipy.signal import get_window
+        except ImportError as exc:
+            raise ValueError(
+                f"window {name!r} needs scipy, which is not installed; 'hann' runs on numpy alone"
+            ) from exc
         return get_window(name, n)
     if n <= 1:
         return np.ones(n)
@@ -306,22 +309,6 @@ def _welch_segments(
     if noverlap >= nperseg:
         raise ValueError(f"noverlap={noverlap} must be less than nperseg={nperseg}!")
     return nperseg, noverlap
-
-
-def _psd_settings(
-    n: int, fs: float, method: str, segment_s: float, overlap_frac: float, window: str
-) -> tuple[np.ndarray, int, int]:
-    """Window, segment length and overlap, in samples, of ``method`` on an
-    ``n``-sample series at ``fs``: the arguments of :func:`_welch` after
-    its blocks and rate."""
-    if method == "periodogram":
-        if n < 2:
-            raise ValueError(f"series of {n} samples too short for a periodogram")
-        return np.ones(n), n, 0
-    if method == "welch":
-        nperseg, noverlap = _welch_segments(n, fs, segment_s, overlap_frac)
-        return _window(window, nperseg), nperseg, noverlap
-    raise ValueError(f"unknown method {method!r}")
 
 
 def _add_power(
@@ -436,6 +423,26 @@ def _welch(
     return np.fft.rfftfreq(nperseg, 1.0 / fs), psd
 
 
+def _estimate(
+    blocks: Iterable[np.ndarray], n: int, fs: float, method: str,
+    segment_s: float, overlap_frac: float, window: str,
+) -> PsdEstimate:
+    """The PSD estimate of ``method`` of the ``n``-sample series at ``fs``
+    that ``blocks`` gives in consecutive pieces, through :func:`_welch`.
+    A periodogram is one boxcar segment over the whole series."""
+    if method == "periodogram":
+        if n < 2:
+            raise ValueError(f"series of {n} samples too short for a periodogram")
+        win, nperseg, noverlap = np.ones(n), n, 0
+    elif method == "welch":
+        nperseg, noverlap = _welch_segments(n, fs, segment_s, overlap_frac)
+        win = _window(window, nperseg)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    freqs, psd = _welch(blocks, fs, win, nperseg, noverlap)
+    return PsdEstimate(freqs, psd, float(freqs[1] - freqs[0]), method, n)
+
+
 def estimate_psd(
     series: LoadSeries,
     method: str = "welch",
@@ -453,17 +460,9 @@ def estimate_psd(
     through the accumulator :func:`_welch` in blocks of ``_BLOCK``
     samples, as sampling feeds it in :func:`_scenario_psd`.
     """
-    fs, x = series.sample_rate_hz, series.samples_kw
-    settings = _psd_settings(x.size, fs, method, segment_s, overlap_frac, window)
-    freqs, psd = _welch((x[a : a + _BLOCK] for a in range(0, x.size, _BLOCK)), fs, *settings)
-    return PsdEstimate(
-        freqs_hz=freqs,
-        psd_kw2_per_hz=psd,
-        resolution_hz=float(freqs[1] - freqs[0]),
-        method=method,
-        series_mean_kw=series.mean_kw,
-        n_samples=x.size,
-    )
+    x = series.samples_kw
+    blocks = (x[a : a + _BLOCK] for a in range(0, x.size, _BLOCK))
+    return _estimate(blocks, x.size, series.sample_rate_hz, method, segment_s, overlap_frac, window)
 
 
 def _scenario_psd(
@@ -478,27 +477,10 @@ def _scenario_psd(
     with the same frequencies and PSD bit for bit, without the series:
     each sampled block of :func:`_add_pulses` goes straight into
     :func:`_welch`, so memory does not grow with the horizon (but for a
-    periodogram's one segment).  ``series_mean_kw`` is the exact sum of the
-    blocks' sums over the sample count, within rounding of the series
-    mean."""
+    periodogram's one segment)."""
     t0, n = _grid(scenario, sample_rate_hz, None)
-    settings = _psd_settings(n, sample_rate_hz, method, segment_s, overlap_frac, window)
-    sums = []
-
-    def samples() -> Iterator[np.ndarray]:
-        for _, block in _scenario_blocks(scenario, sample_rate_hz, t0, n):
-            sums.append(float(block[0].sum()))
-            yield block[0]
-
-    freqs, psd = _welch(samples(), sample_rate_hz, *settings)
-    return PsdEstimate(
-        freqs_hz=freqs,
-        psd_kw2_per_hz=psd,
-        resolution_hz=float(freqs[1] - freqs[0]),
-        method=method,
-        series_mean_kw=math.fsum(sums) / n,
-        n_samples=n,
-    )
+    blocks = (block[0] for _, block in _scenario_blocks(scenario, sample_rate_hz, t0, n))
+    return _estimate(blocks, n, sample_rate_hz, method, segment_s, overlap_frac, window)
 
 
 @dataclass(frozen=True)
@@ -562,19 +544,6 @@ def detect_peaks(
     return peaks
 
 
-def harmonic_line_powers(
-    series: LoadSeries, fundamental_hz: float, m_max: int
-) -> np.ndarray:
-    """Squared projections |c_m|^2 (m = 1..m_max) onto one harmonic set.
-
-    The series is trimmed to a whole number of fundamental periods before
-    projecting, which suppresses spectral leakage from the DC term and
-    from the line itself.
-    """
-    z = _phasor(series.n_samples, series.sample_rate_hz, fundamental_hz)
-    return _line_powers(series.samples_kw, z, m_max)
-
-
 def _phasor(n: int, sample_rate_hz: float, fundamental_hz: float) -> np.ndarray:
     """``exp(-2 pi i f0 t)`` over the first whole number of fundamental
     periods of an ``n``-sample series at ``sample_rate_hz``: the phasor
@@ -590,10 +559,12 @@ def _phasor(n: int, sample_rate_hz: float, fundamental_hz: float) -> np.ndarray:
 
 
 def _line_powers(rows: np.ndarray, z: np.ndarray, m_max: int) -> np.ndarray:
-    """:func:`harmonic_line_powers` of each series along the last axis of
-    ``rows``, all sampled from one start time on the grid of the
-    :func:`_phasor` ``z``: the powers have shape
-    ``rows.shape[:-1] + (m_max,)``."""
+    """Squared projections |c_m|^2 (m = 1..m_max) of each series along the
+    last axis of ``rows`` onto one harmonic set, all sampled from one start
+    time on the grid of the :func:`_phasor` ``z``: the powers have shape
+    ``rows.shape[:-1] + (m_max,)``.  Each series is trimmed to the phasor's
+    whole number of fundamental periods, which suppresses spectral leakage
+    from the DC term and from the line itself."""
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     n_trim = z.size
@@ -610,7 +581,7 @@ def _line_powers(rows: np.ndarray, z: np.ndarray, m_max: int) -> np.ndarray:
 
 
 def _thc(rows: np.ndarray, phasors: Sequence[np.ndarray], m_max: int) -> np.ndarray:
-    """:func:`empirical_thc` (series route) of each series along the last
+    """:func:`empirical_thc` of each series along the last
     axis of ``rows``, in percent, with shape ``rows.shape[:-1]``: one
     :func:`_phasor` per fundamental, built by the caller so that a sweep
     builds each once for all its cells."""
@@ -621,30 +592,19 @@ def _thc(rows: np.ndarray, phasors: Sequence[np.ndarray], m_max: int) -> np.ndar
     return 100.0 * np.sqrt(2.0 * total) / dc
 
 
-def empirical_thc(
-    source: Union[LoadSeries, PsdEstimate],
-    fundamentals: Sequence[float],
-    m_max: int,
-) -> float:
+def empirical_thc(series: LoadSeries, fundamentals: Sequence[float], m_max: int) -> float:
     """Total harmonic content of a measured load, in percent.
 
-    Sums line powers over every harmonic set in ``fundamentals`` and
-    normalizes by the squared time-domain mean (not a DC bin, which
-    windowing would bias).  Accepts either a series (projection route) or
-    a PSD estimate (peak-integration route).
+    Sums the line powers of every harmonic set in ``fundamentals``, each
+    projected out of the series (:func:`_line_powers`), and normalizes by
+    the squared time-domain mean (not a DC bin, which windowing would
+    bias).
     """
-    if isinstance(source, LoadSeries):
-        if not source.n_samples:
-            raise ValueError("series has zero mean; THC undefined")
-        n, fs = source.n_samples, source.sample_rate_hz
-        phasors = [_phasor(n, fs, f0) for f0 in fundamentals]
-        return float(_thc(source.samples_kw, phasors, m_max))
-    dc = source.series_mean_kw
-    if dc == 0:
-        raise ValueError("underlying series has zero mean; THC undefined")
-    peaks = detect_peaks(source, fundamentals, m_max)
-    total = sum(p.line_power_kw2 for p in peaks)
-    return 100.0 * float(np.sqrt(2.0 * total) / dc)
+    if not series.n_samples:
+        raise ValueError("series has zero mean; THC undefined")
+    n, fs = series.n_samples, series.sample_rate_hz
+    phasors = [_phasor(n, fs, f0) for f0 in fundamentals]
+    return float(_thc(series.samples_kw, phasors, m_max))
 
 
 # --- Period-exact coefficients and Monte Carlo ensembles ------------------

@@ -9,7 +9,6 @@ the pulse center, so with that phase convention all coefficients are real.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -89,18 +88,13 @@ def _stepped_rows(
         yield row
 
 
-def fs_dc(cfg: ErConfig, ev: EvParams) -> float:
-    """Mean load over one spatial period (kW)."""
-    return fs_harmonic(cfg, ev, 0)
-
-
 def fs_harmonic(cfg: ErConfig, ev: EvParams, m) -> np.ndarray | float:
     """Real Fourier coefficient c_m of the load pulse train (kW).
 
     Phase convention: position measured from the pulse center, where the
     waveform is even; coefficients are then real (possibly negative) and
     the waveform is ``c_0 + 2 * sum_m c_m cos(m w0 t)``.  m may be an
-    integer or an array of integers; c_0 equals :func:`fs_dc`.
+    integer or an array of integers; c_0 is the mean load over a period.
     """
     ev.validate_against(cfg)
     out = fs_harmonic_grid(cfg, ev.rx_len_m, ev.peak_demand_kw, m)
@@ -133,12 +127,6 @@ def harmonic_count_for_dc(cfg: ErConfig, dc_kw: float, tol_pp: float = 0.01) -> 
     return max(m, 1)
 
 
-def default_harmonic_count(cfg: ErConfig, ev: EvParams, tol_pp: float = 0.01) -> int:
-    """Default truncation order for one vehicle's THC (see
-    :func:`harmonic_count_for_dc`)."""
-    return harmonic_count_for_dc(cfg, fs_dc(cfg, ev), tol_pp)
-
-
 def thc_single(
     cfg: ErConfig, ev: EvParams, n_harmonics: int | None = None
 ) -> float:
@@ -151,86 +139,10 @@ def thc_single(
     ev.validate_against(cfg)
     if constant_regime(cfg, ev):
         return 0.0
+    c0 = fs_harmonic(cfg, ev, 0)
     if n_harmonics is None:
-        n_harmonics = default_harmonic_count(cfg, ev)
+        n_harmonics = harmonic_count_for_dc(cfg, c0)
     if n_harmonics < 1:
         raise ValueError(f"n_harmonics must be >= 1, got {n_harmonics}")
-    c0 = fs_dc(cfg, ev)
     cm = fs_harmonic(cfg, ev, np.arange(1, n_harmonics + 1))
     return 100.0 * float(np.sqrt(2.0 * np.sum(cm * cm)) / c0)
-
-
-@dataclass(frozen=True)
-class FsCoefficients:
-    """Truncated Fourier-series description of one vehicle's load."""
-
-    c0_kw: float
-    harmonics_kw: tuple[float, ...]  # c_m for m = 1..truncation_m
-    fundamental_hz: float
-
-    @property
-    def truncation_m(self) -> int:
-        return len(self.harmonics_kw)
-
-
-def fs_coefficients(
-    cfg: ErConfig, ev: EvParams, n_harmonics: int | None = None
-) -> FsCoefficients:
-    """Bundle c_0 and c_1..c_M for one vehicle (M defaults to the tail rule)."""
-    ev.validate_against(cfg)
-    if n_harmonics is None:
-        n_harmonics = default_harmonic_count(cfg, ev)
-    if n_harmonics < 1:
-        raise ValueError(f"n_harmonics must be >= 1, got {n_harmonics}")
-    cm = fs_harmonic(cfg, ev, np.arange(1, n_harmonics + 1))
-    return FsCoefficients(
-        c0_kw=fs_dc(cfg, ev),
-        harmonics_kw=tuple(float(c) for c in np.atleast_1d(cm)),
-        fundamental_hz=ev.fundamental_hz(cfg),
-    )
-
-
-@dataclass(frozen=True)
-class SchemeComparison:
-    """First-harmonic ripple ratios of the two converter control schemes."""
-
-    clipping_ratio: float
-    scaling_ratio: float
-    lemma_applies: bool  # sufficient condition tx_len > period/2 held
-
-    @property
-    def clipping_wins(self) -> bool:
-        return self.clipping_ratio <= self.scaling_ratio
-
-
-def harmonic_ratio_clipping(cfg: ErConfig, ev: EvParams, m: int = 1) -> float:
-    """|c_m| / c_0 under demand-clipping control (0 in the constant regime)."""
-    if constant_regime(cfg, ev):
-        return 0.0
-    return abs(fs_harmonic(cfg, ev, m)) / fs_dc(cfg, ev)
-
-
-def harmonic_ratio_scaling(cfg: ErConfig, ev: EvParams, m: int = 1) -> float:
-    """|c_m| / c_0 when the converter scales the max-demand waveform down
-    to meet the same mean; the ratio is demand-independent."""
-    ref = EvParams(
-        rx_len_m=ev.rx_len_m,
-        peak_demand_kw=ev.max_demand_kw(cfg),
-        speed_mps=ev.speed_mps,
-    )
-    return abs(fs_harmonic(cfg, ref, m)) / fs_dc(cfg, ref)
-
-
-def compare_schemes(cfg: ErConfig, ev: EvParams, m: int = 1) -> SchemeComparison:
-    """Compare first-harmonic ripple of clipping vs scaling control.
-
-    When the coil is longer than half the period (duty cycle above one
-    half), clipping never does worse; outside that condition the comparison
-    is still computed but the guarantee does not apply.
-    """
-    ev.validate_against(cfg)
-    return SchemeComparison(
-        clipping_ratio=harmonic_ratio_clipping(cfg, ev, m),
-        scaling_ratio=harmonic_ratio_scaling(cfg, ev, m),
-        lemma_applies=cfg.tx_len_m > cfg.period_m / 2,
-    )

@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import math
+import re
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional, Union
@@ -455,16 +456,27 @@ def _columns(rows: list[list[str]], n_fields: int):
 def ingest(path: str, cfg: ErConfig) -> Scenario:
     """Read a trajectory CSV into a scenario.
 
-    Lines starting with ``#`` and blank lines are skipped.  The first
-    content line must be the header.  Any malformed or invalid row aborts
-    the ingest with a diagnostic naming the offending line.
+    The file is UTF-8 text with any line ending.  Lines starting with
+    ``#`` and blank lines are skipped.  The first content line must be the
+    header.  Any malformed or invalid row, or a byte that is not UTF-8,
+    aborts the ingest with a diagnostic naming the offending line.
 
     The content lines are parsed in one ``csv.reader`` pass, converted
     column by column and checked on arrays.  Only when that rejects the
     file are rows checked one at a time, to name the first bad line.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        raw = f.readlines()
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            raw = f.readlines()
+    except UnicodeDecodeError:
+        # Name the first bad byte, a surrogate escape in U+DC80..U+DCFF here,
+        # at its line as text mode counts lines: ended by \n, \r or \r\n.
+        with open(path, "rb") as f:
+            text = f.read().decode("utf-8", "surrogateescape")
+        i = re.search("[\udc80-\udcff]", text).start()
+        lineno = text.count("\n", 0, i) + text.count("\r", 0, i) - text.count("\r\n", 0, i) + 1
+        bad = ord(text[i]) - 0xDC00
+        raise IngestError(f"{path}:{lineno}: byte 0x{bad:02x} is not UTF-8") from None
     numbered = [(i, line) for i, line in enumerate(raw, 1) if line.lstrip()[:1] not in ("", "#")]
     if not numbered:
         raise IngestError(f"{path}: no header row found")

@@ -18,13 +18,12 @@ from dwptload import (
     MaxDemand,
     TrafficClass,
     TrafficSpec,
-    default_harmonic_count,
     default_sweep_config,
     detect_peaks,
     estimate_psd,
     fs_harmonic_grid,
     generate,
-    harmonic_ratio_clipping,
+    harmonic_count_for_dc,
     q_ratio,
     run_sweep,
     synthesize,
@@ -54,7 +53,7 @@ def full_spectrum(rx_len_m: float, demand_kw: float, m_max: int) -> np.ndarray:
 
 def test_01_reference_vehicle_thc(report):
     start = time.perf_counter()
-    order = default_harmonic_count(INDOT, TRUCK)
+    order = harmonic_count_for_dc(INDOT, full_spectrum(1.83, TRUCK.peak_demand_kw, 0)[0])
     thc = thc_single(INDOT, TRUCK, order)
     elapsed = time.perf_counter() - start
     ok = abs(thc - 26.0) <= 0.2 and elapsed < 1.0
@@ -64,7 +63,8 @@ def test_01_reference_vehicle_thc(report):
 
 
 def test_02_first_harmonic_share(report):
-    value = np.sqrt(2.0) * harmonic_ratio_clipping(INDOT, TRUCK)
+    c = full_spectrum(1.83, TRUCK.peak_demand_kw, 1)
+    value = np.sqrt(2.0) * abs(c[1]) / c[0]
     ok = abs(value - 0.250) <= 0.005
     report(ok, "first-harmonic share", f"sqrt(2)*c1/c0 = {value:.5f} (0.250+/-0.005)")
     assert abs(value - 0.250) <= 0.005

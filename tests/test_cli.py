@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -30,6 +31,7 @@ from dwptload.cli import (
     runconfig_from_dict,
     runconfig_to_dict,
 )
+from dwptload.composition import _sobol_directions
 from dwptload.invariants import CHECKS
 from oracles import point_class_analytic_lines
 
@@ -438,6 +440,37 @@ def test_psd_rejects_bad_window_before_generating(tmp_path, capsys, monkeypatch)
     assert not (tmp_path / "psd.csv").exists()
 
 
+def test_psd_window_without_scipy_is_a_config_error(tmp_path, capsys, monkeypatch):
+    def generate(*args):
+        raise AssertionError("generated traffic before checking the window")
+
+    monkeypatch.setattr("dwptload.cli.generate", generate)
+    monkeypatch.setitem(sys.modules, "scipy.signal", None)  # as if scipy were not installed
+    cfg = write_config(tmp_path, {"psd_window": "hamming"})
+    assert main(["psd", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == (
+        "config error: window 'hamming' needs scipy, which is not installed; "
+        "'hann' runs on numpy alone\n"
+    )
+
+
+def test_composition_without_scipy_is_an_io_error(tmp_path, capsys, monkeypatch):
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(
+        importlib.util, "find_spec", lambda name, *a: None if name == "scipy" else find_spec(name, *a)
+    )
+    _sobol_directions.cache_clear()
+    try:
+        assert main(["composition", "--trials", "1", "--out", str(tmp_path)]) == EXIT_IO
+    finally:
+        _sobol_directions.cache_clear()
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: no Sobol direction table")
+    assert "scipy is not installed" in err
+    assert not (tmp_path / "thc_table.csv").exists()
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -663,6 +696,13 @@ def test_validate_self_test_reports_failure(tmp_path):
     assert doc["passed"] is False
     by_name = {r["suite"]: r["passed"] for r in doc["results"]}
     assert by_name["parseval"] is False
+
+
+def test_ingest_rejects_bytes_that_are_not_utf8(tmp_path, capsys):
+    src = tmp_path / "traffic.csv"
+    src.write_bytes(GOOD_CSV.encode().replace(b"1.5,29.0", b"1.5\xff,29.0"))
+    assert main(["ingest", "--out", str(tmp_path / "out"), str(src)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"ingest error: {src}:3: byte 0xff is not UTF-8\n"
 
 
 def test_ingest_writes_scenario(tmp_path):

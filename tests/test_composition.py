@@ -18,7 +18,7 @@ from dwptload import (
     UniformOnRange,
     class_moments,
     default_sweep_config,
-    fs_dc,
+    fs_harmonic,
     run_sweep,
 )
 from dwptload.composition import (
@@ -64,7 +64,7 @@ def test_matched_counts_reference_values():
 def test_matched_counts_equalize_expected_power():
     sw = default_sweep_config(INDOT)
     alpha = INDOT.power_density_kw_per_m
-    truck_dc = fs_dc(INDOT, EvParams(1.83, alpha * 1.83, 21.7))
+    truck_dc = fs_harmonic(INDOT, EvParams(1.83, alpha * 1.83, 21.7), 0)
     for col in sw.columns:
         probe = FleetModel(
             cfg=INDOT,

@@ -21,7 +21,6 @@ from dwptload import (
     composition_boundary,
     composition_condition,
     demand_bounds,
-    fs_dc,
     fs_harmonic,
     fs_harmonic_grid,
     harmonic_bound,
@@ -129,7 +128,7 @@ def test_zero_width_uniform_collapses_to_point_mass():
     point = single(1.83, UniformExplicit(150.0, 150.0))
     e0, e1sq = class_moments(point, 0, 1)
     ref = EvParams(1.83, 150.0, 24.6)
-    assert e0 == pytest.approx(fs_dc(INDOT, ref), rel=1e-14)
+    assert e0 == pytest.approx(fs_harmonic(INDOT, ref, 0), rel=1e-14)
     assert e1sq == pytest.approx(fs_harmonic(INDOT, ref, 1) ** 2, rel=1e-14)
     # Narrow-but-finite intervals converge to the same values.
     narrow = single(1.83, UniformExplicit(150.0 - 1e-7, 150.0))
@@ -200,7 +199,7 @@ def test_small_uniform_demand_moments_match_quadrature_oracle(hi):
 def test_single_class_mixture_reduces_to_spectrum_values():
     fm = single(1.83, MaxDemand())
     e0, e1sq = mixture_moments(fm, 1)
-    assert e0 == pytest.approx(fs_dc(INDOT, truck_ev()), rel=1e-14)
+    assert e0 == pytest.approx(fs_harmonic(INDOT, truck_ev(), 0), rel=1e-14)
     assert e1sq == pytest.approx(fs_harmonic(INDOT, truck_ev(), 1) ** 2, rel=1e-14)
 
 
@@ -238,7 +237,7 @@ def test_sine_product_form_agrees_with_coefficient_average(m):
 
 def test_one_vehicle_spectrum_is_exact():
     psd = analytic_psd(single(1.83, MaxDemand()), 6)
-    c0 = fs_dc(INDOT, truck_ev())
+    c0 = fs_harmonic(INDOT, truck_ev(), 0)
     cm = fs_harmonic(INDOT, truck_ev(), np.arange(1, 7))
     assert psd.dc_power_sq == pytest.approx(c0 * c0, rel=1e-14)
     np.testing.assert_allclose(psd.harmonic_powers, cm * cm, rtol=1e-14)
@@ -276,7 +275,7 @@ def test_ensemble_mean_load_is_time_invariant():
     per-vehicle phases are uniform (wide-sense stationarity)."""
     n = 10
     rng = np.random.default_rng(8)
-    c0 = fs_dc(INDOT, truck_ev())
+    c0 = fs_harmonic(INDOT, truck_ev(), 0)
     for x_probe in (0.0, 1.1, 3.9):
         u = rng.uniform(0.0, D, size=(4000, n))
         g = coil_pulse(INDOT, truck_ev(), np.mod(x_probe + u, D))
@@ -387,7 +386,7 @@ def test_condition_agrees_with_coefficient_formulation():
 
     def coeff_form(l_a, l_b):
         def c0(l):
-            return fs_dc(INDOT, EvParams(l, ALPHA * l, 24.6))
+            return fs_harmonic(INDOT, EvParams(l, ALPHA * l, 24.6), 0)
 
         def c1sq(l):
             return fs_harmonic(INDOT, EvParams(l, ALPHA * l, 24.6), 1) ** 2

@@ -3,7 +3,8 @@
 Random run configs and scenarios must survive a JSON round trip exactly;
 single-key mutations of a valid config must either parse or raise
 ``ConfigError``; random trajectory CSVs must make ``dwptload ingest``
-exit 0 or 2, never with a traceback.
+exit 0 or 2, never with a traceback.  The README's config example must
+parse and its python examples must run.
 """
 
 from __future__ import annotations
@@ -242,3 +243,12 @@ def test_readme_config_example_parses():
     assert len(blocks) == 1
     rc = runconfig_from_dict(json.loads(blocks[0]))
     assert rc.traffic is not None and len(rc.traffic.classes) == 2
+
+
+def test_readme_python_examples_run(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert blocks
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i}", "exec"), {})
+    assert capsys.readouterr().out

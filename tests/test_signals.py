@@ -25,15 +25,13 @@ from dwptload import (
     detect_peaks,
     empirical_thc,
     estimate_psd,
-    fs_dc,
     fs_harmonic,
-    harmonic_line_powers,
     monte_carlo_psd,
     period_coefficients,
     synthesize,
 )
 from dwptload.roadway import EvParams
-from dwptload.signals import PsdEstimate
+from dwptload.signals import _line_powers, _phasor
 from oracles import period_coefficients_fft
 
 F0_246 = 24.6 / INDOT.period_m  # 5.3829... Hz
@@ -178,7 +176,7 @@ def test_window_mean_matches_dc_line():
     n = 12
     ser = synthesize(trucks_cover(n, 31), 500.0, (130.0, 190.0))
     ev = EvParams(1.83, ALPHA * 1.83, 24.6)
-    expected = n * fs_dc(INDOT, ev)
+    expected = n * fs_harmonic(INDOT, ev, 0)
     assert ser.mean_kw == pytest.approx(expected, rel=0.02)
 
 
@@ -199,7 +197,6 @@ def test_periodogram_satisfies_parseval():
     msq = float(np.mean(ser.samples_kw**2))
     psd = estimate_psd(ser, method="periodogram")
     assert psd.integrated_power() == pytest.approx(msq, rel=1e-9)
-    assert psd.series_mean_kw == ser.mean_kw
     assert psd.n_samples == ser.n_samples
 
 
@@ -355,7 +352,8 @@ def test_averaged_peak_powers_match_line_spectrum():
 def test_line_powers_match_closed_form_coefficients():
     ser = synthesize(trucks_cover(1, 11), 2000.0, (130.0, 190.0))
     ev = EvParams(1.83, ALPHA * 1.83, 24.6)
-    measured = np.sqrt(harmonic_line_powers(ser, F0_246, 8))
+    z = _phasor(ser.n_samples, ser.sample_rate_hz, F0_246)
+    measured = np.sqrt(_line_powers(ser.samples_kw, z, 8))
     expected = np.abs([fs_harmonic(INDOT, ev, m) for m in range(1, 9)])
     # Near-null coefficients (m=5 here) only meet an absolute tolerance.
     assert np.allclose(measured, expected, rtol=1e-2, atol=0.05)
@@ -363,10 +361,11 @@ def test_line_powers_match_closed_form_coefficients():
 
 def test_line_power_argument_errors():
     ser = cosine_series([(1.0, 5.0)], fs=100.0, duration=10.0)
+    z = _phasor(ser.n_samples, ser.sample_rate_hz, 5.0)
     with pytest.raises(ValueError):
-        harmonic_line_powers(ser, 5.0, 0)
+        _line_powers(ser.samples_kw, z, 0)
     with pytest.raises(ValueError):
-        harmonic_line_powers(ser, 0.01, 1)  # shorter than one period
+        _phasor(ser.n_samples, ser.sample_rate_hz, 0.01)  # shorter than one period
 
 
 def test_thc_of_constant_load_is_zero():
@@ -378,16 +377,8 @@ def test_thc_rejects_zero_mean():
     ser = LoadSeries(samples_kw=np.zeros(1000), sample_rate_hz=100.0)
     with pytest.raises(ValueError):
         empirical_thc(ser, [5.0], 3)
-    psd = PsdEstimate(
-        freqs_hz=np.linspace(0, 50, 51),
-        psd_kw2_per_hz=np.zeros(51),
-        resolution_hz=1.0,
-        method="periodogram",
-        series_mean_kw=0.0,
-        n_samples=100,
-    )
     with pytest.raises(ValueError):
-        empirical_thc(psd, [5.0], 3)
+        empirical_thc(LoadSeries(samples_kw=np.zeros(0), sample_rate_hz=100.0), [5.0], 3)
 
 
 def test_single_vehicle_thc_near_full_output_value():
@@ -396,9 +387,11 @@ def test_single_vehicle_thc_near_full_output_value():
 
 
 def test_thc_routes_agree():
+    # The projection against the Welch peaks' line powers over the same mean.
     ser = synthesize(trucks_cover(8, 3), 500.0, (130.0, 190.0))
     via_series = empirical_thc(ser, [F0_246], 8)
-    via_psd = empirical_thc(estimate_psd(ser, method="welch"), [F0_246], 8)
+    peaks = detect_peaks(estimate_psd(ser, method="welch"), [F0_246], 8)
+    via_psd = 100.0 * np.sqrt(2.0 * sum(p.line_power_kw2 for p in peaks)) / ser.mean_kw
     assert via_psd == pytest.approx(via_series, rel=0.05)
 
 
@@ -438,7 +431,7 @@ def test_mixture_thc_orders_by_sedan_receiver_length():
 def test_period_coefficients_match_closed_form():
     ev = EvParams(1.83, ALPHA * 1.83, 24.6)
     got = period_coefficients(INDOT, 1.83, ev.peak_demand_kw, 10)
-    want = [fs_dc(INDOT, ev)] + [abs(fs_harmonic(INDOT, ev, m)) for m in range(1, 11)]
+    want = [fs_harmonic(INDOT, ev, 0)] + [abs(fs_harmonic(INDOT, ev, m)) for m in range(1, 11)]
     np.testing.assert_allclose(np.abs(got), want, rtol=1e-14, atol=1e-12)
     # The coil-start phase against the DFT of a sampled period; atol
     # covers DFT aliasing on the near-null m=5 and m=10 lines.

@@ -257,6 +257,27 @@ def test_ingest_rejects_bad_header(tmp_path):
         ingest(str(empty), INDOT)
 
 
+@pytest.mark.parametrize(
+    "data, lineno",
+    [
+        (b"entry_time_s,speed_mps,rx_len_m,peak_demand_kw,class_\xff\n", 1),
+        # CRLF, a lone CR (a blank line) and a multi-byte character before
+        # the bad byte on its line.
+        (
+            b"# \xc3\xa9t\xc3\xa9\r\nentry_time_s,speed_mps,rx_len_m,peak_demand_kw,class_id\r\n"
+            b"\r0.0,24.6,1.83,200.0,\xc3\xa9\xff\n",
+            4,
+        ),
+    ],
+    ids=["header", "body"],
+)
+def test_ingest_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, data, lineno):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(data)
+    with pytest.raises(IngestError, match=f"^{re.escape(str(path))}:{lineno}: byte 0xff is not UTF-8$"):
+        ingest(str(path), INDOT)
+
+
 def test_csv_round_trip_is_exact(tmp_path):
     sc = generate(INDOT, spec(rate=0.5, duration=300.0, classes=TWO_CLASS), seed=21)
     assert len(sc.evs) > 50
