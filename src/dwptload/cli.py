@@ -41,7 +41,9 @@ from .roadway import INDOT, ErConfig, EvParams, _require_finite, constant_regime
 from .signals import (
     MIN_TRIALS, _grid, _scenario_blocks, _scenario_psd, _welch_segments, _window, detect_peaks,
 )
-from .spectrum import fs_harmonic, fs_harmonic_grid, harmonic_bound, harmonic_count_for_dc
+from .spectrum import (
+    fs_harmonic, fs_harmonic_grid, harmonic_bound, harmonic_count_for_dc, thc_single,
+)
 from .schema import dumps, from_dict, members, to_dict
 from .traffic import IngestError, Scenario, TrafficClass, TrafficSpec, generate, ingest
 
@@ -103,20 +105,26 @@ class RunConfig:
             raise ConfigError(f"duration_s must be > 0, got {self.duration_s}")
         if self.psd_method not in ("welch", "periodogram"):
             raise ConfigError(f"unknown psd_method {self.psd_method!r}")
-        if self.segment_s <= 0 or not 0 <= self.overlap_frac < 1:
-            raise ConfigError("bad Welch settings")
+        if self.segment_s <= 0:
+            raise ConfigError(f"segment_s must be > 0, got {self.segment_s}")
+        if not 0 <= self.overlap_frac < 1:
+            raise ConfigError(f"overlap_frac must lie in [0, 1), got {self.overlap_frac}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.harmonics is not None and self.harmonics < 1:
             raise ConfigError(f"harmonics must be >= 1, got {self.harmonics}")
-        if self.rx_len_m <= 0 or self.speed_mps <= 0:
-            raise ConfigError("rx_len_m and speed_mps must be > 0")
+        if self.rx_len_m <= 0:
+            raise ConfigError(f"rx_len_m must be > 0, got {self.rx_len_m}")
+        if self.speed_mps <= 0:
+            raise ConfigError(f"speed_mps must be > 0, got {self.speed_mps}")
         if self.demand_kw is not None and self.demand_kw < 0:
             raise ConfigError(f"demand_kw must be >= 0, got {self.demand_kw}")
         if any(not 0 <= t <= 1 for t in self.thetas):
             raise ConfigError(f"thetas must lie in [0, 1], got {self.thetas}")
-        if self.n_windows < 1 or self.n_ref < 1:
-            raise ConfigError("n_windows and n_ref must be >= 1")
+        if self.n_windows < 1:
+            raise ConfigError(f"n_windows must be >= 1, got {self.n_windows}")
+        if self.n_ref < 1:
+            raise ConfigError(f"n_ref must be >= 1, got {self.n_ref}")
 
 
 #: Keys of the Welch estimate, which a periodogram (one boxcar segment
@@ -332,24 +340,23 @@ def cmd_simulate(rc: RunConfig) -> int:
 
 
 def cmd_spectrum(rc: RunConfig) -> int:
-    """The table, the THC and the first-harmonic ratio, all from one row
-    c_0..c_M of :func:`fs_harmonic`; M is ``--harmonics`` or the tail rule."""
+    """The table and the first-harmonic ratio from one row c_0..c_M of
+    :func:`fs_harmonic`, and the THC of :func:`thc_single` over the same
+    M, which is ``--harmonics`` or the tail rule."""
     alpha = rc.er.power_density_kw_per_m
     demand = rc.demand_kw if rc.demand_kw is not None else alpha * rc.rx_len_m
     ev = EvParams(rc.rx_len_m, demand, rc.speed_mps)
     c0 = fs_harmonic(rc.er, ev, 0)
     n_harmonics = rc.harmonics or harmonic_count_for_dc(rc.er, c0)
     m = np.arange(n_harmonics + 1)
-    harmonics = fs_harmonic(rc.er, ev, m)[1:]
     constant = constant_regime(rc.er, ev)
-    thc = 0.0 if constant else 100.0 * float(np.sqrt(2.0 * np.sum(harmonics**2)) / c0)
+    thc = thc_single(rc.er, ev, n_harmonics)
     meta = run_metadata(rc)
     out = Path(rc.out_dir)
 
     f0 = ev.fundamental_hz(rc.er)
-    coeffs = [c0] + harmonics.tolist()
-    # One scalar call per bound: an array m rounds a few of them 1 ulp apart.
-    bounds = [None] + [harmonic_bound(rc.er, k) for k in range(1, n_harmonics + 1)]
+    coeffs = fs_harmonic(rc.er, ev, m).tolist()
+    bounds = [None] + harmonic_bound(rc.er, m[1:]).tolist()
     rows = zip(m.tolist(), (m * f0).tolist(), coeffs, bounds)
     _write_csv(out / "fs_coeffs.csv", meta, ("m", "freq_hz", "coeff_kw", "bound_kw"), rows)
     body = {
@@ -447,17 +454,7 @@ def cmd_psd(rc: RunConfig) -> int:
             "mode": rc.psd_method,
             "resolution_hz": est.resolution_hz,
             "fundamentals_hz": fundamentals,
-            "peaks": [
-                {
-                    "fundamental_hz": p.fundamental_hz,
-                    "m": p.m,
-                    "target_hz": p.target_hz,
-                    "freq_hz": p.freq_hz,
-                    "line_power_kw2": p.line_power_kw2,
-                    "resolved": p.resolved,
-                }
-                for p in peaks
-            ],
+            "peaks": peaks,
         },
     )
     detected = [p.freq_hz for p in peaks if p.m == 1]
@@ -466,20 +463,13 @@ def cmd_psd(rc: RunConfig) -> int:
 
 
 def cmd_composition(rc: RunConfig) -> int:
-    if rc.sweep_columns:
-        sw = SweepConfig(
-            cfg=rc.er,
-            columns=rc.sweep_columns,
-            thetas=rc.thetas,
-            n_ref=rc.n_ref,
-            n_windows=rc.n_windows,
-        )
-    else:
-        sw = dataclasses.replace(
-            default_sweep_config(rc.er, rc.n_windows),
-            thetas=rc.thetas,
-            n_ref=rc.n_ref,
-        )
+    sw = SweepConfig(
+        cfg=rc.er,
+        columns=rc.sweep_columns or default_sweep_config(rc.er).columns,
+        thetas=rc.thetas,
+        n_ref=rc.n_ref,
+        n_windows=rc.n_windows,
+    )
     result = run_sweep(sw, rc.seed)
     meta = run_metadata(rc)
     out = Path(rc.out_dir)

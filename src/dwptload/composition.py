@@ -86,9 +86,11 @@ class SweepConfig:
         if not self.columns:
             raise ValueError("need at least one sedan column")
         if not self.thetas or any(not 0.0 <= t <= 1.0 for t in self.thetas):
-            raise ValueError(f"bad penetration list {self.thetas}")
-        if self.n_windows < 1 or self.n_ref < 1:
-            raise ValueError("n_windows and n_ref must be >= 1")
+            raise ValueError(f"thetas must be non-empty and lie in [0, 1], got {self.thetas}")
+        if self.n_windows < 1:
+            raise ValueError(f"n_windows must be >= 1, got {self.n_windows}")
+        if self.n_ref < 1:
+            raise ValueError(f"n_ref must be >= 1, got {self.n_ref}")
 
 
 def default_sweep_config(cfg: ErConfig, n_windows: int = 128) -> SweepConfig:

@@ -136,16 +136,14 @@ def _add_pulses(
     length, demand), is added into each row r in ``holders[i]`` (into row
     0 if ``holders`` is None) over its exact on-segment samples
     (:func:`_sample_spans`).  The grid is taken in blocks of ``_BLOCK``
-    samples; each block's times are computed once, and the vehicles on the
-    segment during the block add their load there in table order, so each
-    sample receives its vehicles in that order whether or not the table is
-    sorted by entry time.  A pointer over the vehicles ordered by the block
-    of their first sample brings each one in at the block where it enters,
-    with its span and its operands of the pulse kernel
-    :func:`dwptload.roadway._pulse`, which are computed once per call for
-    all vehicles and sliced for those entering; it leaves after the block
-    where it exits.  So the Python state of a block is its vehicles on the
-    segment, whatever the horizon.
+    samples; each block's times are computed once, and the vehicles whose
+    span meets the block add their load there in ascending index, which
+    is table order, so each sample receives its vehicles in that order
+    whether or not the table is sorted by entry time.  Their spans and
+    operands of the pulse kernel :func:`dwptload.roadway._pulse`, computed
+    once per call for all vehicles, are read for those vehicles alone, so
+    the Python state of a block is its vehicles on the segment, whatever
+    the horizon.
 
     A vehicle's load on a block is its position ``(t - entry) * speed``
     and the kernel's seven steps, nine ufunc calls in place into two work
@@ -160,33 +158,20 @@ def _add_pulses(
     speed, entry, rx, demand = (np.asarray(v, dtype=float) for v in vehicles)
     j0, j1 = _sample_spans(cfg, speed, entry, t0, sample_rate_hz, n)
     inv_period, alpha_period, span_kw, floor_kw, demand = _pulse_constants(cfg, rx, demand)
-    # The vehicles with samples by the block of their first sample (a table
-    # in entry order, or one whose vehicles all enter in one block, needs
-    # no sort), and how many of them enter by the end of each block.
-    order = np.flatnonzero(j1 > j0)
-    first_block = j0[order] // _BLOCK
-    if np.any(first_block[1:] < first_block[:-1]):
-        order = order[np.argsort(first_block, kind="stable")]
-    entered_by = np.cumsum(np.bincount(first_block, minlength=-(-n // _BLOCK)))
     columns = (j0, j1, speed, entry, span_kw, floor_kw, demand)
-    on, entered = [], 0  # (index, *columns) of each vehicle on the segment
     size = min(n, _BLOCK)
     rows, work, scratch = np.empty((n_rows, size)), np.empty(size), np.empty(size)
-    for q, a in enumerate(range(0, n, _BLOCK)):
+    for a in range(0, n, _BLOCK):
         b = min(a + _BLOCK, n)
         block = rows[:, : b - a]
         block.fill(0.0)
         t = np.arange(a, b, dtype=float)  # sample numbers, exact
         np.divide(t, sample_rate_hz, out=t)
         np.add(t0, t, out=t)
-        # The vehicles that stay and those that enter, sorted back into
-        # table order: a sort of the few on the segment.
-        new = order[entered : entered_by[q]]
-        entered += new.size
-        on = sorted(
-            [v for v in on if v[2] > a] + list(zip(new.tolist(), *(c[new].tolist() for c in columns)))
-        )
-        for i, first, last, v, e, span, floor, d in on:
+        on = np.flatnonzero((j0 < np.minimum(j1, b)) & (j1 > a))
+        for i, first, last, v, e, span, floor, d in zip(
+            on.tolist(), *(c[on].tolist() for c in columns)
+        ):
             lo, hi = max(first - a, 0), min(last, b) - a
             x = np.subtract(t[lo:hi], e, out=work[: hi - lo])
             np.multiply(x, v, out=x)
@@ -312,14 +297,9 @@ def _welch_segments(
 
 
 def _add_power(
-    segments: np.ndarray,
-    win: np.ndarray,
-    count: int,
-    per_group: int,
-    group: np.ndarray,
-    power: np.ndarray,
+    segments: np.ndarray, count: int, per_group: int, group: np.ndarray, power: np.ndarray
 ) -> int:
-    """Add ``|X|^2`` of every row of ``segments`` times ``win`` into the
+    """Add ``|X|^2`` of every row of ``segments``, windowed, into the
     running sums of :func:`_welch`, which has summed ``count`` segments
     before them; return the new count.
 
@@ -328,11 +308,10 @@ def _add_power(
     group's sum into ``power``.  Here the rows add into ``group``, the sum
     of the current group so far, and a group that is full adds into
     ``power``; numpy sums a 2-D array over its first axis row after row,
-    so the sums are those of the whole group bit for bit.  The rows are
-    windowed in place and then hold the squares, so ``segments`` is
-    scratch afterwards; the only new work array is the transform.
+    so the sums are those of the whole group bit for bit.  The rows then
+    hold the squares, so ``segments`` is scratch afterwards; the only new
+    work array is the transform.
     """
-    segments *= win
     spec = np.fft.rfft(segments, axis=-1)
     squares = segments.reshape(-1)[: spec.size].reshape(spec.shape)
     np.multiply(spec.real, spec.real, out=squares)
@@ -365,57 +344,42 @@ def _welch(
     averaged over the segments, scaled by ``1 / (fs sum(win^2))`` and
     doubled in every bin but DC and, for an even ``nperseg``, Nyquist.
 
-    The series is never held.  Each finished segment is copied into a
-    buffer of ``max(1, _BLOCK // nperseg)`` rows, which is transformed and
-    added into the running ``|X|^2`` sums whenever it is full
-    (:func:`_add_power`); between blocks only the partial segment, fewer
-    than ``nperseg`` samples, is carried.  So memory holds one sampling
-    block of segments and one segment, whatever the series.  The sums run
-    in the groups of ``_WELCH_BLOCK`` samples of segments that Welch on
-    the whole series used, so the result is that of the whole series bit
-    for bit, however it is cut.  A periodogram is one segment as long as
-    the series, so it still holds every sample.  Requires
-    ``noverlap < nperseg <=`` the number of samples.
+    The series is never held.  Only its samples from the next segment's
+    start on, fewer than ``nperseg``, are kept between pieces (copies while
+    they are shorter than a segment: producers reuse their buffers).  A
+    piece that completes a segment is joined to them, and the whole
+    segments of the join are windowed ``max(1, _BLOCK // nperseg)`` at a
+    time into one reused buffer (in place in the join when segments do
+    not overlap), transformed and added into the running ``|X|^2`` sums
+    (:func:`_add_power`), so memory holds one sampling block and one
+    segment, whatever the series.  The sums run in the groups of
+    ``_WELCH_BLOCK`` samples of segments that Welch on the whole series
+    used, so the result is that of the whole series bit for bit, however
+    it is cut.  A periodogram's one segment is the whole series, which it
+    holds.  Requires ``noverlap < nperseg <=`` the number of samples.
     """
     step = nperseg - noverlap
     per_group = max(1, _WELCH_BLOCK // nperseg)
-    segs = np.empty((max(1, _BLOCK // nperseg), nperseg))
+    rows = max(1, _BLOCK // nperseg)
+    segs = np.empty((rows, nperseg)) if noverlap else None
     group, power = np.zeros(nperseg // 2 + 1), np.zeros(nperseg // 2 + 1)
-    count = k = have = 0  # segments summed, finished in segs, samples in segs[k]
-    carry = None  # the head of segs[k] while a full buffer is summed
+    count, pending = 0, []  # segments summed; the series from the next segment's start
     for x in blocks:
-        i = 0  # samples of x taken
-        while i < x.size:
-            if have:  # fill segs[k] from x
-                take = min(nperseg - have, x.size - i)
-                segs[k, have : have + take] = x[i : i + take]
-                have += take
-                i += take
-                if have < nperseg:
-                    break
-                k += 1
-                # The next segment starts `step` into this one: in x if
-                # that is not before x's start, else carried from here.
-                if i >= noverlap:
-                    i, have = i - noverlap, 0
-                else:
-                    carry, have = segs[k - 1, step:].copy(), noverlap
-            else:  # whole segments of x, as many as fit in segs
-                r = min((x.size - i - nperseg) // step + 1, len(segs) - k)
-                if r <= 0:
-                    have = x.size - i
-                    segs[k, :have] = x[i:]
-                    break
-                span = x[i : i + (r - 1) * step + nperseg]
-                segs[k : k + r] = np.lib.stride_tricks.sliding_window_view(span, nperseg)[::step]
-                k += r
-                i += r * step
-            if k == len(segs):
-                count, k = _add_power(segs, win, count, per_group, group, power), 0
-            if carry is not None:
-                segs[k, :noverlap], carry = carry, None
-    if k:
-        count = _add_power(segs[:k], win, count, per_group, group, power)
+        if sum(p.size for p in pending) + x.size < nperseg:
+            pending.append(np.array(x, dtype=float))
+            continue
+        join = np.concatenate(pending + [x], dtype=float)
+        del pending
+        r = (join.size - nperseg) // step + 1
+        if noverlap:
+            windows = np.lib.stride_tricks.sliding_window_view(join, nperseg)[::step]
+        else:  # the segments tile the join: window them where they lie
+            windows = join[: r * nperseg].reshape(r, nperseg)
+        for k in range(0, r, rows):
+            part = windows[k : k + rows]
+            part = np.multiply(part, win, out=segs[: len(part)] if noverlap else part)
+            count = _add_power(part, count, per_group, group, power)
+        pending = [join[r * step :]]
     if count % per_group:
         power += group
     psd = power / (count * fs * np.sum(win * win))

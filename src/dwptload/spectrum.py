@@ -102,12 +102,13 @@ def fs_harmonic(cfg: ErConfig, ev: EvParams, m) -> np.ndarray | float:
 
 
 def harmonic_bound(cfg: ErConfig, m) -> np.ndarray | float:
-    """Demand-independent envelope ``alpha * D / (m pi)^2`` on |c_m|."""
+    """Demand-independent envelope ``alpha * D / (m pi)^2`` on |c_m|,
+    squared by one multiply, so a scalar m gives the bits of an array's."""
     ma = np.asarray(m)
     if np.any(ma < 1):
         raise ValueError(f"m must be >= 1, got {m}")
-    alpha = cfg.power_density_kw_per_m
-    out = alpha * cfg.period_m / (ma * np.pi) ** 2
+    x = ma * np.pi
+    out = cfg.power_density_kw_per_m * cfg.period_m / (x * x)
     return out if np.ndim(m) else float(out)
 
 

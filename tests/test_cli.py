@@ -180,6 +180,44 @@ def test_exit_codes(tmp_path):
     assert main(["ingest", "--out", str(tmp_path), str(bad_csv)]) == EXIT_VALIDATION
 
 
+#: Each bound of `RunConfig`, crossed in a document of a subcommand that
+#: reads the key, and the whole message that must name it.
+OUT_OF_BOUNDS = [
+    ("spectrum", {"seed": -1}, "seed must be >= 0, got -1"),
+    ("psd", {"sample_rate_hz": 0.0}, "sample_rate_hz must be > 0, got 0.0"),
+    ("psd", {"duration_s": -5.0}, "duration_s must be > 0, got -5.0"),
+    ("psd", {"psd_method": "multitaper"}, "unknown psd_method 'multitaper'"),
+    ("psd", {"segment_s": 0.0}, "segment_s must be > 0, got 0.0"),
+    ("psd", {"overlap_frac": 1.0}, "overlap_frac must lie in [0, 1), got 1.0"),
+    ("psd", {"overlap_frac": -0.25}, "overlap_frac must lie in [0, 1), got -0.25"),
+    ("validate", {"trials": 0}, "trials must be >= 1, got 0"),
+    ("spectrum", {"harmonics": 0}, "harmonics must be >= 1, got 0"),
+    ("spectrum", {"rx_len_m": 0.0}, "rx_len_m must be > 0, got 0.0"),
+    ("spectrum", {"speed_mps": -1.0}, "speed_mps must be > 0, got -1.0"),
+    ("spectrum", {"demand_kw": -1.0}, "demand_kw must be >= 0, got -1.0"),
+    ("composition", {"thetas": [0.1, 1.5]}, "thetas must lie in [0, 1], got (0.1, 1.5)"),
+    ("composition", {"n_windows": 0}, "n_windows must be >= 1, got 0"),
+    ("composition", {"n_ref": 0}, "n_ref must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("command, doc, message", OUT_OF_BOUNDS)
+def test_out_of_bounds_settings_name_their_key(tmp_path, capsys, command, doc, message):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: config: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "7", '"psd"', "null"])
+def test_config_top_level_must_be_an_object(tmp_path, capsys, text):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {cfg}: top level must be a JSON object\n"
+
+
 @pytest.mark.parametrize("command", ["simulate", "psd"])
 def test_traffic_duration_must_equal_run_duration(tmp_path, capsys, command):
     cfg = write_config(tmp_path, {"duration_s": 30.0, **one_class()})
@@ -263,6 +301,21 @@ def test_scipy_free_subcommands_load_no_scipy(tmp_path):
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert loaded["free"] == []
     assert "scipy.signal" in loaded["hamming"]  # the probe can see a scipy import
+
+
+@pytest.mark.parametrize("error", [RuntimeError("formatting failed"), KeyboardInterrupt()])
+def test_failed_write_leaves_the_old_file(tmp_path, error):
+    path = tmp_path / "psd.csv"
+    path.write_bytes(b"# seed=0\nold,rows\n")
+
+    def body():
+        yield "second batch\n"
+        raise error
+
+    with pytest.raises(type(error)):
+        cli._write_atomic(path, "first batch\n", body())
+    assert path.read_bytes() == b"# seed=0\nold,rows\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 # --- spectrum ---------------------------------------------------------------

@@ -46,9 +46,11 @@ def test_default_config_layout():
 def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(cfg=INDOT, columns=())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n_windows must be >= 1, got 0$"):
         default_sweep_config(INDOT, n_windows=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n_ref must be >= 1, got 0$"):
+        dataclasses.replace(default_sweep_config(INDOT), n_ref=0)
+    with pytest.raises(ValueError, match=r"^thetas must be non-empty and lie in \[0, 1\], got"):
         SweepConfig(
             cfg=INDOT, columns=(SweepColumn(1.2, MaxDemand()),), thetas=(0.1, 1.5)
         )

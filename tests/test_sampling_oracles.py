@@ -135,10 +135,10 @@ def test_synthesis_is_bit_identical_to_blocked_oracle(case):
 
 def test_unsorted_table_adds_vehicles_in_table_order():
     """``ingest`` keeps a file's row order, so a table need not be sorted
-    by entry time.  The sampling loop brings vehicles in by first sample
-    but adds each sample's vehicles in table order: its bits are those of
-    the blocked oracle, which adds vehicle after vehicle, and they differ
-    from those of the same vehicles sorted by entry."""
+    by entry time.  The sampling loop adds each sample's vehicles in table
+    order: its bits are those of the blocked oracle, which adds vehicle
+    after vehicle, and they differ from those of the same vehicles sorted
+    by entry."""
     spec = TrafficSpec(
         rate_evps=2.0,
         duration_s=80.0,

@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from dwptload import (
     INDOT,
     Clipping,
+    ErConfig,
     EvParams,
     Scaling,
     coil_pulse,
@@ -209,6 +212,17 @@ def test_envelope_value_and_quartering():
     )
     with pytest.raises(ValueError):
         harmonic_bound(INDOT, 0)
+
+
+@given(
+    cfg=st.sampled_from([INDOT, ErConfig(1.0, 0.3, 55.0, 500.0), ErConfig(6.0, 2.5, 80.0, 2000.0)]),
+    ms=st.lists(st.integers(1, 20_000), min_size=1, max_size=40),
+)
+@example(cfg=INDOT, ms=[2207, 4414, 8828, 12329])  # where squaring by pow differed
+def test_scalar_bound_is_the_element_of_the_array_call(cfg, ms):
+    # `spectrum` writes its bound column from one array call; each entry
+    # is the bound of that m alone.
+    assert [harmonic_bound(cfg, m) for m in ms] == harmonic_bound(cfg, np.array(ms)).tolist()
 
 
 # --- clipping vs scaling ---------------------------------------------------

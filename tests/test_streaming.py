@@ -3,15 +3,16 @@
 ``signals._add_pulses`` yields the sampled load one block of at most
 ``_BLOCK`` samples at a time, in one reused buffer.  ``synthesize`` and
 the composition sweep copy the blocks out; the sampled ``psd`` feeds them
-to the Welch accumulator ``signals._welch``, which carries only the
-partial segment from one block to the next.  ``tests/oracles.py`` keeps
-Welch on the whole series in memory: the accumulator must equal it bit
-for bit however the series is cut, and the sampled ``psd``'s traced
-memory must not grow with the horizon.
+to the Welch accumulator ``signals._welch``, which keeps only the
+samples from the next segment's start on from one block to the next.
+``tests/oracles.py`` keeps Welch on the whole series in memory: the
+accumulator must equal it bit for bit however the series is cut, and
+the sampled ``psd``'s traced memory must not grow with the horizon.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import tracemalloc
@@ -21,10 +22,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dwptload import INDOT, MaxDemand, TrafficClass, TrafficSpec, UniformOnRange, cli, generate
+from dwptload import (
+    INDOT, ErConfig, MaxDemand, TrafficClass, TrafficSpec, UniformOnRange, cli, generate, signals,
+)
 from dwptload.signals import (
     _BLOCK,
     _WELCH_BLOCK,
+    _add_pulses,
+    _collect,
+    _sample_spans,
     _scenario_blocks,
     _scenario_psd,
     _welch,
@@ -141,6 +147,61 @@ def test_sampling_blocks_reuse_one_buffer():
         assert np.shares_memory(block, first)
         starts.append(a)
     assert starts == list(range(0, n, _BLOCK))
+
+
+def pulse_calls(monkeypatch) -> collections.Counter:
+    """Calls of the pulse kernel from the sampling loop, counted by the
+    demand they are made for (the tests give each vehicle its own)."""
+    calls = collections.Counter()
+    kernel = signals._pulse
+
+    def counted(*args):
+        calls[args[-1]] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(signals, "_pulse", counted)
+    return calls
+
+
+def blocks_met(cfg, vehicles, t0, fs, n) -> list[int]:
+    """How many sampling blocks each vehicle's on-segment span meets."""
+    speed, entry = (np.asarray(c, dtype=float) for c in vehicles[:2])
+    j0, j1 = _sample_spans(cfg, speed, entry, t0, fs, n)
+    starts = range(0, n, _BLOCK)
+    return [
+        sum(max(a0, a) < min(a1, a + _BLOCK, n) for a in starts)
+        for a0, a1 in zip(j0.tolist(), j1.tolist())
+    ]
+
+
+#: A 96 m energized segment: about 4 s at 25 m/s, so most spans meet one
+#: block or two.
+SHORT_CFG = ErConfig(3.66, 0.91, 109.36, 100.0)
+
+
+@pytest.mark.parametrize("holders", [None, "sweep"])
+def test_sampling_evaluates_each_vehicle_once_per_block_it_meets(monkeypatch, holders):
+    """The pulse is evaluated once for each (vehicle, block its span
+    meets), whatever rows hold the vehicle, and never for a vehicle that
+    is not on the segment during the grid; the table is not in entry
+    order."""
+    rng = np.random.default_rng(7)
+    t0, fs, n = 50.0, 1000.0, 3 * _BLOCK + 5
+    count = 60
+    speed = rng.uniform(20.0, 30.0, count)
+    entry = rng.uniform(t0 - 10.0, t0 + n / fs, count)
+    speed[:3], entry[:3] = 0.5, t0 - 1.0  # on the segment for 192 s: every block
+    entry[3:5] = t0 - 50.0, t0 + n / fs  # off the segment before and after the grid
+    demand = 100.0 + np.arange(count)  # the key of each vehicle's calls
+    vehicles = (speed, entry, np.full(count, 1.83), demand)
+    met = blocks_met(SHORT_CFG, vehicles, t0, fs, n)
+    assert sorted(entry.tolist()) != entry.tolist()
+    assert 0 in met and 1 in met and 2 in met and 4 in met
+    n_rows = 1 if holders is None else 3
+    rows = None if holders is None else [[r for r in range(3) if (i + r) % 2] for i in range(count)]
+    calls = pulse_calls(monkeypatch)
+    _collect(np.empty((n_rows, n)), _add_pulses(SHORT_CFG, n_rows, n, rows, t0, fs, vehicles))
+    assert [calls[d] for d in demand.tolist()] == met
 
 
 def traced_psd_peak(tmp_path, duration_s: float) -> int:
