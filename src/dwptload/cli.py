@@ -262,6 +262,12 @@ def _write_csv(path: Path, meta: dict, header: Sequence[str], rows: Iterable) ->
     _write_atomic(path, head + next(body, ""), body)
 
 
+def _array_rows(*columns: np.ndarray) -> Iterator[tuple]:
+    """The rows of equal-length arrays, converted ``_CSV_ROWS`` at a time."""
+    for a in range(0, len(columns[0]), _CSV_ROWS):
+        yield from zip(*(c[a : a + _CSV_ROWS].tolist() for c in columns))
+
+
 def _fmt(cell) -> str:
     if isinstance(cell, float):
         return f"{cell:.10g}"
@@ -445,7 +451,7 @@ def cmd_psd(rc: RunConfig) -> int:
         out / "psd.csv",
         meta,
         ("freq_hz", "psd_kw2_per_hz"),
-        zip(est.freqs_hz.tolist(), est.psd_kw2_per_hz.tolist()),
+        _array_rows(est.freqs_hz, est.psd_kw2_per_hz),
     )
     _write_json(
         out / "peaks.json",
@@ -474,9 +480,7 @@ def cmd_composition(rc: RunConfig) -> int:
     meta = run_metadata(rc)
     out = Path(rc.out_dir)
     header = ["theta"] + [f"thc_rx_{c.rx_len_m:g}" for c in sw.columns]
-    rows = []
-    for i, theta in enumerate(sw.thetas):
-        rows.append([theta] + [float(result.thc_rms[i, j]) for j in range(len(sw.columns))])
+    rows = [(theta, *thc) for theta, thc in zip(sw.thetas, result.thc_rms.tolist())]
     _write_csv(out / "thc_table.csv", meta, header, rows)
     print(f"composition: {len(sw.thetas)}x{len(sw.columns)} THC table written")
     return EXIT_OK

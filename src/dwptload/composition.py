@@ -31,7 +31,6 @@ every penetration row that holds the slot.
 from __future__ import annotations
 
 import functools
-import importlib.util
 import os
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -45,8 +44,8 @@ from .fleet import (
     FleetModel,
     MaxDemand,
     UniformOnRange,
+    _class_bounds,
     class_moments,
-    demand_bounds,
 )
 from .roadway import ErConfig, EvParams, _require_finite
 from .signals import _add_pulses, _collect, _phasor, _thc
@@ -213,6 +212,8 @@ def truck_count_schedules(
 
 #: Bits per Sobol coordinate, as in scipy's ``qmc.Sobol`` by default.
 _SOBOL_BITS = 30
+#: The Joe-Kuo direction numbers, scipy 1.17.1's file unchanged.
+_SOBOL_TABLE = os.path.join(os.path.dirname(__file__), "_sobol_direction_numbers.npz")
 
 
 @functools.cache
@@ -222,18 +223,11 @@ def _sobol_directions(d: int) -> np.ndarray:
     read-only and computed once per ``d``.
 
     The primitive polynomials and initial numbers are the first ``d`` rows
-    of the Joe-Kuo table that scipy installs as
-    ``stats/_sobol_direction_numbers.npz``.  ``find_spec`` locates it
-    without importing any scipy module; without scipy, there is no table
-    and this raises ``OSError``.  Each row is extended by the Bratley-Fox
-    recurrence, one bit column at a time for all dimensions.
+    of the Joe-Kuo table, shipped beside this module as scipy's
+    ``stats/_sobol_direction_numbers.npz``.  Each row is extended by the
+    Bratley-Fox recurrence, one bit column at a time for all dimensions.
     """
-    npz = os.path.join("stats", "_sobol_direction_numbers.npz")
-    scipy_spec = importlib.util.find_spec("scipy")
-    if scipy_spec is None:
-        raise OSError(f"no Sobol direction table: it is scipy's {npz}, and scipy is not installed")
-    path = os.path.join(scipy_spec.submodule_search_locations[0], npz)
-    with np.load(path) as table:
+    with np.load(_SOBOL_TABLE) as table:
         poly, vinit = table["poly"], table["vinit"]
     if d > len(poly):
         raise ValueError(f"Maximum supported dimensionality is {len(poly)}.")
@@ -310,9 +304,10 @@ def run_sweep(sw: SweepConfig, seed: int) -> SweepResult:
     The slots of a (window, column) are added into the penetration rows
     that hold them by :func:`dwptload.signals._add_pulses`, the sampling
     of :func:`dwptload.signals.synthesize`, whose blocks are copied into
-    one array of rows that every cell reuses.  :func:`matched_counts` has
-    validated the truck and the column against the roadway, and each
-    slot's demand lies within the column's bounds.
+    one array of rows that every cell reuses.  The columns are checked
+    against the roadway first (``class[j]: ...`` names a bad column j),
+    :func:`matched_counts` checks the truck, and each slot's demand lies
+    within its column's bounds.
     """
     cfg = sw.cfg
     alpha = cfg.power_density_kw_per_m
@@ -324,6 +319,7 @@ def run_sweep(sw: SweepConfig, seed: int) -> SweepResult:
     k_sedan = max_covering_periods(cfg, sw.sedan_speed_mps, window)
     truck_demand = alpha * sw.truck_rx_len_m
 
+    bounds = _class_bounds(cfg, sw.columns)
     n_thetas = len(sw.thetas)
     n_cols = len(sw.columns)
     counts = np.array([matched_counts(sw, c) for c in sw.columns]).T
@@ -333,7 +329,6 @@ def run_sweep(sw: SweepConfig, seed: int) -> SweepResult:
         schedules[:, j, :] = truck_count_schedules(
             sw.thetas, counts[:, j], sw.n_windows
         )
-    bounds = [demand_bounds(c.demand_dist, cfg, c.rx_len_m) for c in sw.columns]
 
     rng = np.random.default_rng(seed)
     # One scrambled Sobol stream of (phase, demand) pairs per column; row w

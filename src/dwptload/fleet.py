@@ -17,7 +17,7 @@ from typing import ClassVar, Optional, Sequence, Union
 
 import numpy as np
 
-from .roadway import ErConfig, EvParams, _require_class_id, _require_finite
+from .roadway import ErConfig, EvParams, _check_deliverable, _require_class_id, _require_finite
 from .spectrum import fs_harmonic_grid, harmonic_count_for_dc
 
 
@@ -69,6 +69,18 @@ def demand_bounds(dist: DemandDist, cfg: ErConfig, rx_len_m: float) -> tuple[flo
     return dist.lo_kw, dist.hi_kw
 
 
+def _class_bounds(cfg: ErConfig, classes: Sequence) -> list[tuple[float, float]]:
+    """The demand bounds of each class, or ``class[g]: ...`` for the first
+    whose receiver or top demand the roadway cannot serve."""
+    bounds = [demand_bounds(c.demand_dist, cfg, c.rx_len_m) for c in classes]
+    for g, (c, (_, hi)) in enumerate(zip(classes, bounds)):
+        try:
+            _check_deliverable(cfg, c.rx_len_m, hi)
+        except ValueError as exc:
+            raise ValueError(f"class[{g}]: {exc}") from None
+    return bounds
+
+
 def sample_demand(
     dist: DemandDist, rng: np.random.Generator, cfg: ErConfig, rx_len_m: float
 ) -> float:
@@ -118,16 +130,7 @@ class FleetModel:
             raise ValueError(f"n_evs must be >= 1, got {self.n_evs}")
         if not self.speed_mps > 0:
             raise ValueError(f"speed_mps must be > 0, got {self.speed_mps}")
-        for c in self.classes:
-            # Surfaces receiver/demand incompatibilities with the roadway
-            # before any sampling happens.
-            lo, hi = demand_bounds(c.demand_dist, self.cfg, c.rx_len_m)
-            probe = EvParams(
-                rx_len_m=c.rx_len_m,
-                peak_demand_kw=hi,
-                speed_mps=self.speed_mps,
-            )
-            probe.validate_against(self.cfg)
+        _class_bounds(self.cfg, self.classes)
 
     @property
     def fundamental_hz(self) -> float:

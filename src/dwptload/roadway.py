@@ -111,6 +111,18 @@ INDOT = ErConfig(
 )
 
 
+def _check_deliverable(cfg: ErConfig, rx_len_m: float, peak_demand_kw: float) -> None:
+    """The checks of ``EvParams.validate_against``, on plain numbers."""
+    if not rx_len_m < cfg.tx_len_m:
+        raise ValueError(f"rx_len_m must be < tx_len_m ({cfg.tx_len_m}), got {rx_len_m}")
+    max_kw = cfg.power_density_kw_per_m * rx_len_m
+    if peak_demand_kw > max_kw * (1 + 1e-12):
+        raise ValueError(
+            f"peak_demand_kw {peak_demand_kw} exceeds deliverable "
+            f"maximum {max_kw:.4f} for rx_len_m={rx_len_m}"
+        )
+
+
 @dataclass(frozen=True)
 class EvParams:
     """A single vehicle on the roadway.
@@ -138,16 +150,7 @@ class EvParams:
 
     def validate_against(self, cfg: ErConfig) -> None:
         """Check the cross-constraints that involve roadway geometry."""
-        if not self.rx_len_m < cfg.tx_len_m:
-            raise ValueError(
-                f"rx_len_m must be < tx_len_m ({cfg.tx_len_m}), got {self.rx_len_m}"
-            )
-        max_kw = cfg.power_density_kw_per_m * self.rx_len_m
-        if self.peak_demand_kw > max_kw * (1 + 1e-12):
-            raise ValueError(
-                f"peak_demand_kw {self.peak_demand_kw} exceeds deliverable "
-                f"maximum {max_kw:.4f} for rx_len_m={self.rx_len_m}"
-            )
+        _check_deliverable(cfg, self.rx_len_m, self.peak_demand_kw)
 
     def period_s(self, cfg: ErConfig) -> float:
         """Fundamental period of the load seen by this vehicle."""

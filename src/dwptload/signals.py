@@ -254,27 +254,31 @@ class PsdEstimate:
         return float(np.sum(self.psd_kw2_per_hz) * self.resolution_hz)
 
 
-def _window(name: str, n: int) -> np.ndarray:
-    """The ``n``-sample periodic window ``name``, as scipy's ``get_window``.
+#: Cosine-sum coefficients a_k of each window, as ``scipy.signal.windows`` has them.
+WINDOWS = {
+    "boxcar": (1.0,),
+    "hann": (0.5, 1.0 - 0.5),
+    "hamming": (0.54, 1.0 - 0.54),
+    "blackman": (0.42, 0.50, 0.08),
+    "nuttall": (0.3635819, 0.4891775, 0.1365995, 0.0106411),
+    "blackmanharris": (0.35875, 0.48829, 0.14128, 0.01168),
+    "flattop": (0.21557895, 0.41663158, 0.277263158, 0.083578947, 0.006947368),
+}
 
-    The default ``"hann"`` is computed here with the float operations of
-    scipy's ``general_cosine`` (whose first term, ``0.5 cos(0)`` added to
-    zeros, is exactly 0.5), so the array is bit-identical.  Any other name
-    goes to ``scipy.signal.get_window``, imported only then (~1.3 s and
-    ~75 MB at start-up), which also raises scipy's own error for an
-    unknown name; without scipy, any other name is a ``ValueError``.
-    """
-    if name != "hann":
-        try:
-            from scipy.signal import get_window
-        except ImportError as exc:
-            raise ValueError(
-                f"window {name!r} needs scipy, which is not installed; 'hann' runs on numpy alone"
-            ) from exc
-        return get_window(name, n)
+
+def _window(name: str, n: int) -> np.ndarray:
+    """The ``n``-sample periodic window ``name``: ``sum_k a_k cos(k x)`` on
+    ``n + 1`` points of [-pi, pi] less the last, summed as scipy's
+    ``general_cosine`` sums it, so it is ``get_window(name, n)`` bit for bit."""
+    if name not in WINDOWS:
+        raise ValueError(f"Invalid window name {name!r}; the windows are {', '.join(WINDOWS)}")
     if n <= 1:
         return np.ones(n)
-    return (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
+    x = np.linspace(-np.pi, np.pi, n + 1)
+    w = np.zeros(n + 1)
+    for k, a in enumerate(WINDOWS[name]):
+        w += a * np.cos(k * x)
+    return w[:-1]
 
 
 def _welch_segments(
@@ -459,17 +463,18 @@ class Peak:
     resolved: bool
 
 
+#: Bins on each side of a peak that :func:`detect_peaks` integrates.
+PEAK_HALFWIDTH_BINS = 3
+
+
 def detect_peaks(
-    psd: PsdEstimate,
-    expected_fundamentals: Sequence[float],
-    m_max: int,
-    halfwidth_bins: int = 3,
+    psd: PsdEstimate, expected_fundamentals: Sequence[float], m_max: int
 ) -> list[Peak]:
     """Locate the harmonic lines of each fundamental in a PSD estimate.
 
     For every target ``m * f`` (m = 1..m_max) within Nyquist, reports the
     local maximum within 1.5 bins of the target and the line power
-    integrated over ±halfwidth_bins around it.  A peak is flagged
+    integrated over ±:data:`PEAK_HALFWIDTH_BINS` around it.  A peak is flagged
     unresolved when another target sits within two integration widths, in
     which case the two lines share bins and their powers blend.
     """
@@ -488,11 +493,11 @@ def detect_peaks(
         lo = max(bin_t - 1, 0)
         hi = min(bin_t + 1, psd.freqs_hz.size - 1)
         peak_bin = lo + int(np.argmax(psd.psd_kw2_per_hz[lo : hi + 1]))
-        a = max(peak_bin - halfwidth_bins, 0)
-        b = min(peak_bin + halfwidth_bins, psd.freqs_hz.size - 1)
+        a = max(peak_bin - PEAK_HALFWIDTH_BINS, 0)
+        b = min(peak_bin + PEAK_HALFWIDTH_BINS, psd.freqs_hz.size - 1)
         power = float(np.sum(psd.psd_kw2_per_hz[a : b + 1]) * df / 2.0)
         crowded = any(
-            j != i and abs(other - bin_t) < 2 * halfwidth_bins
+            j != i and abs(other - bin_t) < 2 * PEAK_HALFWIDTH_BINS
             for j, other in enumerate(target_bins)
         )
         peaks.append(

@@ -112,19 +112,29 @@ def harmonic_bound(cfg: ErConfig, m) -> np.ndarray | float:
     return out if np.ndim(m) else float(out)
 
 
-def harmonic_count_for_dc(cfg: ErConfig, dc_kw: float, tol_pp: float = 0.01) -> int:
+#: THC, in percentage points, that :func:`harmonic_count_for_dc` leaves to the tail.
+TAIL_TOL_PP = 0.01
+
+
+def harmonic_count_for_dc(cfg: ErConfig, dc_kw: float) -> int:
     """Smallest M whose envelope-bounded spectral tail can add less than
-    ``tol_pp`` percentage points to a THC with DC term ``dc_kw``.
+    :data:`TAIL_TOL_PP` percentage points to a THC with DC term ``dc_kw``.
 
     Uses ``sum_{m>M} m^-4 <= 1/(3 M^3)`` with the demand-independent
-    envelope on |c_m|, so the returned M is conservative.
+    envelope on |c_m|, so the returned M is conservative.  A DC term so
+    small that M overflows a float raises ``ValueError``.
     """
     if dc_kw <= 0:
         return 1
     envelope = cfg.power_density_kw_per_m * cfg.period_m / np.pi**2
-    # 100 * sqrt(2 * envelope^2 / (3 M^3)) / dc < tol_pp
-    target = tol_pp / 100.0 * dc_kw / envelope
-    m = int(np.ceil((2.0 / (3.0 * target * target)) ** (1.0 / 3.0)))
+    # 100 * sqrt(2 * envelope^2 / (3 M^3)) / dc < TAIL_TOL_PP
+    target = TAIL_TOL_PP / 100.0 * dc_kw / envelope
+    try:
+        m = int(np.ceil((2.0 / (3.0 * target * target)) ** (1.0 / 3.0)))
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(
+            f"dc_kw {dc_kw} is too small for the tail rule; give a harmonic count"
+        ) from None
     return max(m, 1)
 
 

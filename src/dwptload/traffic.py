@@ -27,7 +27,7 @@ from typing import ClassVar, Optional, Union
 
 import numpy as np
 
-from .fleet import DEMAND_KEY, DemandDist, _draw_demand, demand_bounds, sample_demand
+from .fleet import DEMAND_KEY, DemandDist, _class_bounds, _draw_demand
 from .roadway import ErConfig, EvParams, _class_id_ok, _require_class_id, _require_finite
 from .schema import dumps, from_dict
 
@@ -268,12 +268,12 @@ def generate(cfg: ErConfig, spec: TrafficSpec, seed: int) -> Scenario:
     stream is the same, without ``choice``'s per-call argument checks.
     Each vehicle takes one gap, one class and one demand draw, in that
     order.  The loop keeps plain floats and class indices, with each
-    class's demand bounds computed once, and builds the table at the end.
+    class's demand bounds checked and computed once, and builds the table.
     """
+    bounds = _class_bounds(cfg, spec.classes)
     rng = np.random.default_rng(seed)
     cdf = np.cumsum([c.prob for c in spec.classes])
     cdf = (cdf / cdf[-1]).tolist()
-    bounds = [demand_bounds(c.demand_dist, cfg, c.rx_len_m) for c in spec.classes]
     entries: list[float] = []
     kinds: list[int] = []
     demands: list[float] = []
@@ -343,8 +343,9 @@ def covering_scenario(
     window start is uniform, matching the stationarity hypothesis behind
     the analytical spectrum.
     """
-    rng = np.random.default_rng(seed)
     classes = tuple(c for c, _ in counts)
+    bounds = _class_bounds(cfg, classes)
+    rng = np.random.default_rng(seed)
     entries: list[float] = []
     kinds: list[int] = []
     demands: list[float] = []
@@ -357,7 +358,7 @@ def covering_scenario(
             k = int(rng.integers(0, k_max + 1)) if k_max > 0 else 0
             entries.append(covering_entry_time(cfg, c.speed_mps, window, u, k))
             kinds.append(g)
-            demands.append(sample_demand(c.demand_dist, rng, cfg, c.rx_len_m))
+            demands.append(_draw_demand(rng, *bounds[g]))
     spec = TrafficSpec(
         rate_evps=0.0 if not kinds else len(kinds) / window[1],
         duration_s=window[1],
@@ -525,4 +526,8 @@ def scenario_to_json(scenario: Scenario) -> str:
 
 
 def scenario_from_json(text: str) -> Scenario:
-    return from_dict(Scenario, json.loads(text), "scenario")
+    """The scenario of a JSON document, less the ``meta`` the CLI writes."""
+    doc = json.loads(text)
+    if isinstance(doc, dict) and isinstance(doc.get("meta"), dict):
+        del doc["meta"]
+    return from_dict(Scenario, doc, "scenario")

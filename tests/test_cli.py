@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import importlib.util
 import json
 import math
 import os
@@ -17,7 +16,7 @@ import numpy as np
 import pytest
 
 import dwptload
-from dwptload import cli, generate, synthesize
+from dwptload import INDOT, cli, generate, ingest, scenario_from_json, synthesize
 from dwptload.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -33,6 +32,7 @@ from dwptload.cli import (
 )
 from dwptload.composition import _sobol_directions
 from dwptload.invariants import CHECKS
+from dwptload.signals import WINDOWS
 from oracles import point_class_analytic_lines
 
 GOOD_CSV = "entry_time_s,speed_mps,rx_len_m,peak_demand_kw\n0.0,24.6,1.83,200.0\n1.5,29.0,1.2,90.0\n"
@@ -180,6 +180,28 @@ def test_exit_codes(tmp_path):
     assert main(["ingest", "--out", str(tmp_path), str(bad_csv)]) == EXIT_VALIDATION
 
 
+def test_undeliverable_class_is_a_config_error(tmp_path, capsys):
+    doc = {**one_class(prob=0.5), "duration_s": 10.0}
+    doc["traffic"]["classes"].append(
+        {"rx_len_m": 1.0, "prob": 0.5, "speed_mps": 24.6,
+         "demand": {"kind": "uniform", "lo_kw": 100.0, "hi_kw": 110.0}}
+    )
+    config = write_config(tmp_path, doc)
+    for command in ("simulate", "psd"):
+        assert main([command, "--config", config, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: class[1]: peak_demand_kw 110.0 exceeds deliverable "
+            "maximum 109.3600 for rx_len_m=1.0\n"
+        )
+    # A sweep's columns are checked the same way, before any count is matched.
+    columns = [{"rx_len_m": rx, "demand": {"kind": "max"}} for rx in (1.2, 9.0)]
+    config = write_config(tmp_path, {"sweep_columns": columns})
+    assert main(["composition", "--config", config, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: class[1]: rx_len_m must be < tx_len_m (3.66), got 9.0\n"
+    )
+
+
 #: Each bound of `RunConfig`, crossed in a document of a subcommand that
 #: reads the key, and the whole message that must name it.
 OUT_OF_BOUNDS = [
@@ -271,23 +293,24 @@ for argv in (
     ["psd", "--analytic", "--config", config],
     ["ingest", csv],
     ["psd", "--duration-s", "10", "--sample-rate-hz", "200"],
+    ["psd", "--config", hamming],
     ["composition", "--trials", "2"],
     ["validate", "--trials", "100"],
 ):
     assert cli.main([*argv, "--out", out]) == 0, argv
 free = scipy_modules()
-assert cli.main(["psd", "--config", hamming, "--out", out]) == 0
-print(json.dumps({"free": free, "hamming": scipy_modules()}))
+import scipy.signal
+print(json.dumps({"free": free, "imported": scipy_modules()}))
 """
 
 
 def test_scipy_free_subcommands_load_no_scipy(tmp_path):
-    # scipy.signal and scipy.stats each cost ~1 s and ~70 MB at start-up, so
-    # only the functions that call scipy import it.  `psd --analytic` ignores
-    # the window, even one that the sampled `psd` would reject.  The sampled
-    # `psd` computes its default Hann window itself, and `composition` reads
-    # scipy's Sobol direction numbers without importing scipy; `validate`'s
-    # oracles are numpy code.  Any other window comes from scipy.signal.
+    # scipy.signal and scipy.stats each cost ~1 s and ~70 MB at start-up,
+    # and scipy is only a test dependency, so no subcommand imports it.
+    # `psd --analytic` ignores the window, even one that the sampled `psd`
+    # would reject.  The sampled `psd` computes every window itself,
+    # `composition` reads the Sobol direction numbers shipped with the
+    # package, and `validate`'s oracles are numpy code.
     config = write_config(tmp_path, {"duration_s": 10.0, "psd_window": "bogus"})
     hamming = write_config(
         tmp_path,
@@ -300,7 +323,7 @@ def test_scipy_free_subcommands_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert loaded["free"] == []
-    assert "scipy.signal" in loaded["hamming"]  # the probe can see a scipy import
+    assert "scipy.signal" in loaded["imported"]  # the probe can see a scipy import
 
 
 @pytest.mark.parametrize("error", [RuntimeError("formatting failed"), KeyboardInterrupt()])
@@ -440,6 +463,47 @@ def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path, capsys):
     assert long_ - short <= 512 * extra_vehicles
 
 
+def traced_psd_csv_write(tmp_path, monkeypatch, duration_s):
+    """The PSD's bytes, and the traced peak from the estimate's return to
+    the end of writing ``psd.csv``, of a 100 Hz periodogram ``psd``."""
+    scenario_psd, write_csv = cli._scenario_psd, cli._write_csv
+    seen = {}
+
+    def traced_psd(*args, **kwargs):
+        est = scenario_psd(*args, **kwargs)
+        seen["psd"] = est.freqs_hz.nbytes + est.psd_kw2_per_hz.nbytes
+        seen["before"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return est
+
+    def traced_write(path, *args):
+        write_csv(path, *args)
+        if path.name == "psd.csv":
+            seen["write"] = tracemalloc.get_traced_memory()[1] - seen["before"]
+
+    monkeypatch.setattr(cli, "_scenario_psd", traced_psd)
+    monkeypatch.setattr(cli, "_write_csv", traced_write)
+    cfg = write_config(
+        tmp_path,
+        {"duration_s": duration_s, "sample_rate_hz": 100.0, "psd_method": "periodogram"},
+    )
+    tracemalloc.start()
+    try:
+        assert main(["psd", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+    finally:
+        tracemalloc.stop()
+    return seen["psd"], seen["write"]
+
+
+def test_psd_csv_write_does_not_grow_with_the_psd(tmp_path, monkeypatch, capsys):
+    # 20,001 bins (more than two batches of rows) against 60,001: the write
+    # grew by 0.13 times the PSD's own growth here.  Converting the whole
+    # PSD to two lists of Python floats made it grow by 4.1 times.
+    small_psd, small_write = traced_psd_csv_write(tmp_path, monkeypatch, 400.0)
+    large_psd, large_write = traced_psd_csv_write(tmp_path, monkeypatch, 1200.0)
+    assert large_write - small_write <= 0.5 * (large_psd - small_psd)
+
+
 def test_flag_overrides_config_seed(tmp_path):
     cfg = write_config(
         tmp_path, {"seed": 5, "duration_s": 15.0, "sample_rate_hz": 250.0}
@@ -493,35 +557,52 @@ def test_psd_rejects_bad_window_before_generating(tmp_path, capsys, monkeypatch)
     assert not (tmp_path / "psd.csv").exists()
 
 
-def test_psd_window_without_scipy_is_a_config_error(tmp_path, capsys, monkeypatch):
-    def generate(*args):
-        raise AssertionError("generated traffic before checking the window")
-
-    monkeypatch.setattr("dwptload.cli.generate", generate)
-    monkeypatch.setitem(sys.modules, "scipy.signal", None)  # as if scipy were not installed
-    cfg = write_config(tmp_path, {"psd_window": "hamming"})
-    assert main(["psd", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err == (
-        "config error: window 'hamming' needs scipy, which is not installed; "
-        "'hann' runs on numpy alone\n"
-    )
+def block_scipy(monkeypatch):
+    """Make every import of scipy fail, as if it were not installed."""
+    for name in ["scipy", *(m for m in sys.modules if m.startswith("scipy."))]:
+        monkeypatch.setitem(sys.modules, name, None)
 
 
-def test_composition_without_scipy_is_an_io_error(tmp_path, capsys, monkeypatch):
-    find_spec = importlib.util.find_spec
-    monkeypatch.setattr(
-        importlib.util, "find_spec", lambda name, *a: None if name == "scipy" else find_spec(name, *a)
-    )
+def run_with_and_without_scipy(monkeypatch, tmp_path, argv, names):
+    """The bytes of the files ``names`` that ``argv`` writes, with scipy
+    importable and then blocked; each run must exit 0."""
+    outs = []
+    for blocked in (False, True):
+        if blocked:
+            block_scipy(monkeypatch)
+        _sobol_directions.cache_clear()  # read the table again
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+        outs.append([(tmp_path / name).read_bytes() for name in names])
     _sobol_directions.cache_clear()
-    try:
-        assert main(["composition", "--trials", "1", "--out", str(tmp_path)]) == EXIT_IO
-    finally:
-        _sobol_directions.cache_clear()
-    err = capsys.readouterr().err
-    assert err.startswith("i/o error: no Sobol direction table")
-    assert "scipy is not installed" in err
-    assert not (tmp_path / "thc_table.csv").exists()
+    return outs
+
+
+@pytest.mark.parametrize("window", list(WINDOWS))
+def test_psd_runs_every_window_without_scipy(tmp_path, monkeypatch, capsys, window):
+    cfg = write_config(
+        tmp_path, {"duration_s": 10.0, "sample_rate_hz": 200.0, "psd_window": window}
+    )
+    with_scipy, without = run_with_and_without_scipy(
+        monkeypatch, tmp_path, ["psd", "--config", cfg], ["psd.csv", "peaks.json"]
+    )
+    assert with_scipy == without
+
+
+def test_unknown_window_without_scipy_names_the_windows(tmp_path, monkeypatch, capsys):
+    block_scipy(monkeypatch)
+    cfg = write_config(tmp_path, {"psd_window": "tukey"})
+    assert main(["psd", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: Invalid window name 'tukey'; the windows are boxcar, hann, "
+        "hamming, blackman, nuttall, blackmanharris, flattop\n"
+    )
+
+
+def test_composition_runs_without_scipy(tmp_path, monkeypatch, capsys):
+    with_scipy, without = run_with_and_without_scipy(
+        monkeypatch, tmp_path, ["composition", "--trials", "2"], ["thc_table.csv"]
+    )
+    assert with_scipy == without
 
 
 @pytest.mark.parametrize(
@@ -756,6 +837,18 @@ def test_ingest_rejects_bytes_that_are_not_utf8(tmp_path, capsys):
     src.write_bytes(GOOD_CSV.encode().replace(b"1.5,29.0", b"1.5\xff,29.0"))
     assert main(["ingest", "--out", str(tmp_path / "out"), str(src)]) == EXIT_VALIDATION
     assert capsys.readouterr().err == f"ingest error: {src}:3: byte 0xff is not UTF-8\n"
+
+
+def test_scenario_files_read_back(tmp_path):
+    # `simulate` and `ingest` write the scenario with a top-level `meta`.
+    sim, ing = tmp_path / "simulate", tmp_path / "ingest"
+    assert main(["simulate", "--duration-s", "20", "--seed", "4", "--out", str(sim)]) == EXIT_OK
+    spec = cli._default_simulate_traffic(RunConfig(duration_s=20.0))
+    assert scenario_from_json((sim / "scenario.json").read_text()) == generate(INDOT, spec, 4)
+    src = tmp_path / "traffic.csv"
+    src.write_text(GOOD_CSV)
+    assert main(["ingest", "--out", str(ing), str(src)]) == EXIT_OK
+    assert scenario_from_json((ing / "scenario.json").read_text()) == ingest(str(src), INDOT)
 
 
 def test_ingest_writes_scenario(tmp_path):

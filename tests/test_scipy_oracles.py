@@ -1,23 +1,26 @@
-"""The numpy Welch PSD, Hann window, scrambled Sobol draw and composition
-boundary against scipy.
+"""The numpy Welch PSD, windows, Sobol table, scrambled Sobol draw and
+composition boundary against scipy.
 
-``estimate_psd`` and ``run_sweep`` import nothing from scipy: Welch and
-the periodogram (one boxcar segment) go through the streaming
-accumulator ``signals._welch``, here fed the series in chunks, the
-default window through
-``signals._window``, and the sweep's Sobol pools through
-``composition._scrambled_sobol``.  scipy stays installed and is their
-oracle here.  The window and the Sobol points must be bit-identical to
-scipy's; the PSD, whose sums run in another order, must agree to 1e-12
-of its peak bin, on exactly equal frequencies.  ``composition_boundary``
-bisects as ``scipy.optimize.bisect`` does, and its root must agree with
-scipy's to 1e-9 m.
+The package imports nothing from scipy: Welch and the periodogram (one
+boxcar segment) go through the streaming accumulator ``signals._welch``,
+here fed the series in chunks, the windows through ``signals._window``,
+and the sweep's Sobol pools through ``composition._scrambled_sobol`` from
+the direction table shipped beside ``composition``.  scipy is a test
+dependency and their oracle here.  The windows, the table and the Sobol
+points must be bit-identical to scipy's; the PSD, whose sums run in
+another order, must agree to 1e-12 of its peak bin, on exactly equal
+frequencies.  ``composition_boundary`` bisects as
+``scipy.optimize.bisect`` does, and its root must agree with scipy's to
+1e-9 m.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
@@ -25,8 +28,8 @@ from scipy import signal as sps
 from scipy.stats import qmc
 
 from dwptload import INDOT, ErConfig, composition_boundary
-from dwptload.composition import _scrambled_sobol, _sobol_directions
-from dwptload.signals import LoadSeries, _welch, _window, estimate_psd
+from dwptload.composition import _SOBOL_TABLE, _scrambled_sobol, _sobol_directions
+from dwptload.signals import WINDOWS, LoadSeries, _welch, _window, estimate_psd
 
 
 @st.composite
@@ -58,7 +61,7 @@ def assert_same_psd(ours, theirs):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     case=welch_cases(),
-    window=st.sampled_from(["hann", "hamming", "blackman", "boxcar"]),
+    window=st.sampled_from(list(WINDOWS)),
 )
 @example(case=(np.arange(10.0), 100.0, 10, 9, 1), window="hann")
 @example(case=(np.arange(11), 100.0, 11, 0, 4), window="hann")
@@ -82,11 +85,23 @@ def test_periodogram_matches_scipy(case):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(n=st.integers(2, 20_000))
+@given(n=st.integers(1, 20_000))
+@example(n=1)
 @example(n=2)
 @example(n=3)
+@example(n=4096)
 def test_hann_is_bit_identical_to_get_window(n):
-    assert np.array_equal(_window("hann", n), sps.get_window("hann", n))
+    for name in WINDOWS:
+        assert np.array_equal(_window(name, n), sps.get_window(name, n)), name
+
+
+def test_shipped_sobol_table_is_scipys():
+    installed = Path(scipy.stats.__file__).parent / "_sobol_direction_numbers.npz"
+    with np.load(_SOBOL_TABLE) as ours, np.load(installed) as theirs:
+        assert sorted(ours.files) == sorted(theirs.files) == ["poly", "vinit"]
+        for key in theirs.files:
+            assert ours[key].dtype == theirs[key].dtype
+            assert np.array_equal(ours[key], theirs[key])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -187,6 +187,11 @@ def test_auto_truncation_rule(truck):
     assert harmonic_count_for_dc(INDOT, 0.0) == 1
     # Smaller DC needs more harmonics for the same percentage-point slack.
     assert harmonic_count_for_dc(INDOT, 20.0) > TRUCK_AUTO_M
+    # Too many for a float: the rule divided by zero (5e-324) or took
+    # int(inf) (1e-160).
+    for dc in (5e-324, 1e-160):
+        with pytest.raises(ValueError, match=f"^dc_kw {dc} is too small for the tail rule"):
+            harmonic_count_for_dc(INDOT, dc)
 
 
 def test_coefficient_row(truck):

@@ -10,7 +10,9 @@ import pytest
 
 from dwptload import (
     INDOT,
+    EvClass,
     EvParams,
+    FleetModel,
     IngestError,
     IngestedFile,
     MaxDemand,
@@ -61,6 +63,35 @@ def test_spec_validation():
         spec(rate=float("inf"))
     with pytest.raises(ValueError, match="duration_s must be finite"):
         spec(duration=float("inf"))
+
+
+#: A full-demand truck, then a class whose demand reaches above the
+#: 109.36 kW that its 1 m receiver can draw.
+UNSERVED = (
+    TrafficClass(1.83, 0.5, 24.6, MaxDemand()),
+    TrafficClass(1.0, 0.5, 24.6, UniformExplicit(100.0, 110.0)),
+)
+UNSERVED_MESSAGE = (
+    "class[1]: peak_demand_kw 110.0 exceeds deliverable maximum 109.3600 for rx_len_m=1.0"
+)
+
+
+def test_undeliverable_class_is_rejected_before_any_draw():
+    # Checking only the drawn demands accepted such a class at some seeds
+    # and named the first vehicle that exceeded the maximum at others.
+    messages = set()
+    for rate, seed in [(0.0, 0)] + [(0.2, seed) for seed in range(12)]:
+        with pytest.raises(ValueError) as exc:
+            generate(INDOT, spec(rate=rate, duration=20.0, classes=UNSERVED), seed)
+        messages.add(str(exc.value))
+    with pytest.raises(ValueError) as exc:
+        covering_scenario(INDOT, [(c, 0) for c in UNSERVED], (130.0, 150.0), seed=0)
+    messages.add(str(exc.value))
+    fleet = tuple(EvClass(c.rx_len_m, c.prob, c.demand_dist) for c in UNSERVED)
+    with pytest.raises(ValueError) as exc:
+        FleetModel(INDOT, fleet, 10, 24.6)
+    messages.add(str(exc.value))
+    assert messages == {UNSERVED_MESSAGE}
 
 
 def test_arrival_count_near_poisson_mean():
