@@ -38,9 +38,7 @@ from .composition import SweepColumn, SweepConfig, default_sweep_config, run_swe
 from .fleet import MaxDemand
 from .invariants import CHECKS
 from .roadway import INDOT, ErConfig, EvParams, _require_finite, constant_regime
-from .signals import (
-    MIN_TRIALS, _grid, _scenario_blocks, _scenario_psd, _welch_segments, _window, detect_peaks,
-)
+from .signals import MIN_TRIALS, _grid, _scenario_blocks, _scenario_psd, detect_peaks, psd_plan
 from .spectrum import (
     fs_harmonic, fs_harmonic_grid, harmonic_bound, harmonic_count_for_dc, thc_single,
 )
@@ -227,13 +225,16 @@ def run_metadata(rc: RunConfig) -> dict:
 def _write_atomic(path: Path, text: str, more: Iterable[str] = ()) -> None:
     """Write ``text``, then each chunk of ``more``, to a temporary file
     beside ``path``, then move it there: ``path`` is the whole text or
-    untouched."""
+    untouched, and of the mode a plain ``open`` gives, not ``0o600``."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
             f.write(text)
             f.writelines(more)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -328,8 +329,8 @@ def _series_rows(
 
 def cmd_simulate(rc: RunConfig) -> int:
     spec = _resolved_traffic(rc, _default_simulate_traffic)
+    t0, n = _grid((0.0, rc.duration_s), rc.sample_rate_hz)  # before generating
     scenario = generate(rc.er, spec, rc.seed)
-    t0, n = _grid(scenario, rc.sample_rate_hz, None)
     sums = []
     meta = run_metadata(rc)
     out = Path(rc.out_dir)
@@ -402,18 +403,13 @@ def _analytic_lines(rc: RunConfig, scenario: Scenario):
 
 
 def cmd_psd(rc: RunConfig) -> int:
-    if not rc.analytic and rc.psd_method == "welch":
-        # Reject Welch settings that cannot work now, not after the whole
-        # horizon has been generated and sampled: the series will have
-        # round(duration_s * sample_rate_hz) samples.  Whether a window name
-        # is known does not depend on the length, and two samples stay small
-        # for any segment.
-        n = int(round(rc.duration_s * rc.sample_rate_hz))
-        try:
-            _welch_segments(n, rc.sample_rate_hz, rc.segment_s, rc.overlap_frac)
-            _window(rc.psd_window, 2)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    if not rc.analytic:
+        # The estimate's settings, checked now, not after the whole horizon
+        # has been generated and sampled.
+        _, n = _grid((0.0, rc.duration_s), rc.sample_rate_hz)
+        plan = psd_plan(
+            n, rc.sample_rate_hz, rc.psd_method, rc.segment_s, rc.overlap_frac, rc.psd_window
+        )
     spec = _resolved_traffic(rc, _default_psd_traffic)
     scenario = generate(rc.er, spec, rc.seed)
     meta = run_metadata(rc)
@@ -437,14 +433,7 @@ def cmd_psd(rc: RunConfig) -> int:
         print(f"psd: analytic lines for fundamentals {fundamentals}")
         return EXIT_OK
 
-    est = _scenario_psd(
-        scenario,
-        rc.sample_rate_hz,
-        method=rc.psd_method,
-        segment_s=rc.segment_s,
-        overlap_frac=rc.overlap_frac,
-        window=rc.psd_window,
-    )
+    est = _scenario_psd(scenario, plan)
     fundamentals = sorted(set((scenario.evs.speed_mps / rc.er.period_m).tolist()))
     peaks = detect_peaks(est, fundamentals, rc.harmonics or 5)
     _write_csv(

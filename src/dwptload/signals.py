@@ -100,7 +100,10 @@ def _sample_spans(
     monotonically, so ``x_k`` never decreases in ``k`` and these samples
     are contiguous.  Both edges are found by bisection on ``x_k`` computed
     with the float operations that sampling uses, so the ranges are exact.
-    A vehicle that is never on the segment gets ``j0 == j1``.
+    A vehicle that is never on the segment gets ``j0 == j1``.  All the
+    vehicles are bisected at once, so these work arrays, like the table,
+    grow with the horizon: with the pulse operands of :func:`_add_pulses`,
+    ~100 B a vehicle.
     """
 
     def first(bound: float) -> np.ndarray:
@@ -190,15 +193,11 @@ def _collect(rows: np.ndarray, blocks: Iterator[tuple[int, np.ndarray]]) -> np.n
     return rows
 
 
-def _grid(
-    scenario: Scenario, sample_rate_hz: float, window: Optional[tuple[float, float]]
-) -> tuple[float, int]:
-    """Start time and sample count of the grid that :func:`synthesize`
-    samples ``window`` on (the scenario horizon if None)."""
+def _grid(window: tuple[float, float], sample_rate_hz: float) -> tuple[float, int]:
+    """Start time and sample count of the grid that samples ``window`` at
+    ``sample_rate_hz``."""
     if not (np.isfinite(sample_rate_hz) and sample_rate_hz > 0):
         raise ValueError(f"sample_rate_hz must be finite and > 0, got {sample_rate_hz}")
-    if window is None:
-        window = (0.0, scenario.duration_s)
     t0, t1 = window
     if not (0.0 <= t0 < t1 and np.isfinite((t1 - t0) * sample_rate_hz)):
         raise ValueError(
@@ -230,7 +229,9 @@ def synthesize(
     off only quadratically.  The vehicles add their load in table order,
     each only over its exact on-segment samples (:func:`_add_pulses`).
     """
-    t0, n = _grid(scenario, sample_rate_hz, window)
+    if window is None:
+        window = (0.0, scenario.duration_s)
+    t0, n = _grid(window, sample_rate_hz)
     total = _collect(np.empty((1, n)), _scenario_blocks(scenario, sample_rate_hz, t0, n))
     return LoadSeries(samples_kw=total[0], sample_rate_hz=sample_rate_hz, t0_s=t0)
 
@@ -270,8 +271,6 @@ def _window(name: str, n: int) -> np.ndarray:
     """The ``n``-sample periodic window ``name``: ``sum_k a_k cos(k x)`` on
     ``n + 1`` points of [-pi, pi] less the last, summed as scipy's
     ``general_cosine`` sums it, so it is ``get_window(name, n)`` bit for bit."""
-    if name not in WINDOWS:
-        raise ValueError(f"Invalid window name {name!r}; the windows are {', '.join(WINDOWS)}")
     if n <= 1:
         return np.ones(n)
     x = np.linspace(-np.pi, np.pi, n + 1)
@@ -279,25 +278,6 @@ def _window(name: str, n: int) -> np.ndarray:
     for k, a in enumerate(WINDOWS[name]):
         w += a * np.cos(k * x)
     return w[:-1]
-
-
-def _welch_segments(
-    n: int, sample_rate_hz: float, segment_s: float, overlap_frac: float
-) -> tuple[int, int]:
-    """Welch segment length and overlap, in samples, for an ``n``-sample series.
-
-    Raises ``ValueError`` for settings that leave no whole segment or no
-    stride between segments.
-    """
-    nperseg = int(round(segment_s * sample_rate_hz))
-    if nperseg < 2:
-        raise ValueError(f"segment_s too short: {segment_s}")
-    if nperseg > n:
-        raise ValueError(f"segment of {nperseg} samples longer than series of {n}")
-    noverlap = int(round(overlap_frac * nperseg))
-    if noverlap >= nperseg:
-        raise ValueError(f"noverlap={noverlap} must be less than nperseg={nperseg}!")
-    return nperseg, noverlap
 
 
 def _add_power(
@@ -367,10 +347,12 @@ def _welch(
     rows = max(1, _BLOCK // nperseg)
     segs = np.empty((rows, nperseg)) if noverlap else None
     group, power = np.zeros(nperseg // 2 + 1), np.zeros(nperseg // 2 + 1)
-    count, pending = 0, []  # segments summed; the series from the next segment's start
+    # Segments summed; the series from the next segment's start, and its samples.
+    count, pending, held = 0, [], 0
     for x in blocks:
-        if sum(p.size for p in pending) + x.size < nperseg:
+        if held + x.size < nperseg:
             pending.append(np.array(x, dtype=float))
+            held += x.size
             continue
         join = np.concatenate(pending + [x], dtype=float)
         del pending
@@ -384,6 +366,7 @@ def _welch(
             part = np.multiply(part, win, out=segs[: len(part)] if noverlap else part)
             count = _add_power(part, count, per_group, group, power)
         pending = [join[r * step :]]
+        held = pending[0].size
     if count % per_group:
         power += group
     psd = power / (count * fs * np.sum(win * win))
@@ -391,24 +374,51 @@ def _welch(
     return np.fft.rfftfreq(nperseg, 1.0 / fs), psd
 
 
-def _estimate(
-    blocks: Iterable[np.ndarray], n: int, fs: float, method: str,
-    segment_s: float, overlap_frac: float, window: str,
-) -> PsdEstimate:
-    """The PSD estimate of ``method`` of the ``n``-sample series at ``fs``
-    that ``blocks`` gives in consecutive pieces, through :func:`_welch`.
-    A periodogram is one boxcar segment over the whole series."""
+@dataclass(frozen=True)
+class PsdPlan:
+    """The settings of :func:`_welch` for an ``n``-sample series at ``fs``
+    Hz, worked out by :func:`psd_plan` before any sample exists."""
+
+    n: int
+    fs: float
+    method: str
+    nperseg: int
+    noverlap: int
+    window: str
+
+    def estimate(self, blocks: Iterable[np.ndarray]) -> PsdEstimate:
+        """The estimate of the series that ``blocks`` gives in consecutive
+        pieces, through :func:`_welch`."""
+        win = _window(self.window, self.nperseg)
+        freqs, psd = _welch(blocks, self.fs, win, self.nperseg, self.noverlap)
+        return PsdEstimate(freqs, psd, float(freqs[1] - freqs[0]), self.method, self.n)
+
+
+def psd_plan(
+    n: int, fs: float, method: str, segment_s: float, overlap_frac: float, window: str
+) -> PsdPlan:
+    """The plan of ``method`` for an ``n``-sample series at ``fs`` Hz: the
+    one place that checks the settings, raising ``ValueError``.  A
+    periodogram is one boxcar segment over the whole series, so it ignores
+    ``segment_s``, ``overlap_frac`` and ``window``."""
     if method == "periodogram":
         if n < 2:
             raise ValueError(f"series of {n} samples too short for a periodogram")
-        win, nperseg, noverlap = np.ones(n), n, 0
-    elif method == "welch":
-        nperseg, noverlap = _welch_segments(n, fs, segment_s, overlap_frac)
-        win = _window(window, nperseg)
-    else:
+        return PsdPlan(n, fs, method, n, 0, "boxcar")
+    if method != "welch":
         raise ValueError(f"unknown method {method!r}")
-    freqs, psd = _welch(blocks, fs, win, nperseg, noverlap)
-    return PsdEstimate(freqs, psd, float(freqs[1] - freqs[0]), method, n)
+    seg = segment_s * fs  # inf if it overflows: longer than any series
+    nperseg = round(seg) if math.isfinite(seg) else seg
+    if nperseg < 2:
+        raise ValueError(f"segment_s too short: {segment_s}")
+    if nperseg > n:
+        raise ValueError(f"segment of {nperseg} samples longer than series of {n}")
+    noverlap = round(overlap_frac * nperseg)
+    if noverlap >= nperseg:
+        raise ValueError(f"noverlap={noverlap} must be less than nperseg={nperseg}!")
+    if window not in WINDOWS:
+        raise ValueError(f"Invalid window name {window!r}; the windows are {', '.join(WINDOWS)}")
+    return PsdPlan(n, fs, method, nperseg, noverlap, window)
 
 
 def estimate_psd(
@@ -424,31 +434,23 @@ def estimate_psd(
     segments, 50% overlap) resolve the per-speed fundamentals of typical
     highway scenarios while smoothing finite-length scatter.  The
     periodogram is one boxcar segment over the whole series: it ignores
-    ``window``, ``segment_s`` and ``overlap_frac``.  The series goes
-    through the accumulator :func:`_welch` in blocks of ``_BLOCK``
-    samples, as sampling feeds it in :func:`_scenario_psd`.
+    ``window``, ``segment_s`` and ``overlap_frac`` (:func:`psd_plan`).
+    The series goes through the accumulator :func:`_welch` in blocks of
+    ``_BLOCK`` samples, as sampling feeds it in :func:`_scenario_psd`.
     """
     x = series.samples_kw
-    blocks = (x[a : a + _BLOCK] for a in range(0, x.size, _BLOCK))
-    return _estimate(blocks, x.size, series.sample_rate_hz, method, segment_s, overlap_frac, window)
+    plan = psd_plan(x.size, series.sample_rate_hz, method, segment_s, overlap_frac, window)
+    return plan.estimate(x[a : a + _BLOCK] for a in range(0, x.size, _BLOCK))
 
 
-def _scenario_psd(
-    scenario: Scenario,
-    sample_rate_hz: float,
-    method: str = "welch",
-    segment_s: float = 8.0,
-    overlap_frac: float = 0.5,
-    window: str = "hann",
-) -> PsdEstimate:
-    """:func:`estimate_psd` of :func:`synthesize` over the scenario horizon,
-    with the same frequencies and PSD bit for bit, without the series:
-    each sampled block of :func:`_add_pulses` goes straight into
-    :func:`_welch`, so memory does not grow with the horizon (but for a
-    periodogram's one segment)."""
-    t0, n = _grid(scenario, sample_rate_hz, None)
-    blocks = (block[0] for _, block in _scenario_blocks(scenario, sample_rate_hz, t0, n))
-    return _estimate(blocks, n, sample_rate_hz, method, segment_s, overlap_frac, window)
+def _scenario_psd(scenario: Scenario, plan: PsdPlan) -> PsdEstimate:
+    """:func:`estimate_psd` by ``plan`` of the first ``plan.n`` samples of
+    :func:`synthesize`, bit for bit, without the series: each sampled
+    block of :func:`_add_pulses` goes straight into :func:`_welch`, so
+    memory does not grow with the horizon (but for a periodogram's one
+    segment)."""
+    blocks = _scenario_blocks(scenario, plan.fs, 0.0, plan.n)
+    return plan.estimate(block[0] for _, block in blocks)
 
 
 @dataclass(frozen=True)

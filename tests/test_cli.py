@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -341,6 +342,22 @@ def test_failed_write_leaves_the_old_file(tmp_path, error):
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o002], ids=oct)
+def test_artifacts_get_a_plain_files_mode(tmp_path, capsys, umask):
+    # mkstemp makes its file 0600, and os.replace keeps that mode.
+    old = os.umask(umask)
+    try:
+        assert main(["spectrum", "--out", str(tmp_path)]) == EXIT_OK
+        plain = tmp_path / "plain.txt"
+        plain.write_text("")
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE(plain.stat().st_mode)
+    assert mode == 0o666 & ~umask
+    for name in ("fs_coeffs.csv", "thc.json"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
+
+
 # --- spectrum ---------------------------------------------------------------
 
 
@@ -616,6 +633,19 @@ def test_composition_runs_without_scipy(tmp_path, monkeypatch, capsys):
             {"segment_s": 0.002, "overlap_frac": 0.99},
             "noverlap=2 must be less than nperseg=2!",
         ),
+        (
+            {"sample_rate_hz": 1e300, "duration_s": 1e10},
+            "bad window (0.0, 10000000000.0): need 0 <= t0 < t1 and a finite number "
+            "of samples at 1e+300 Hz",
+        ),
+        (
+            {"sample_rate_hz": 1e308, "duration_s": 1e-300, "segment_s": 10.0},
+            "segment of inf samples longer than series of 100000000",
+        ),
+        (
+            {"psd_method": "periodogram", "sample_rate_hz": 1.0, "duration_s": 1.0},
+            "series of 1 samples too short for a periodogram",
+        ),
     ],
 )
 def test_psd_rejects_unworkable_welch_settings_before_generating(
@@ -629,6 +659,19 @@ def test_psd_rejects_unworkable_welch_settings_before_generating(
     assert main(["psd", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "psd.csv").exists()
+
+
+def test_simulate_rejects_an_overflowing_sample_count_before_generating(
+    tmp_path, capsys, monkeypatch
+):
+    def generate(*args):
+        raise AssertionError("generated traffic before checking the sample count")
+
+    monkeypatch.setattr("dwptload.cli.generate", generate)
+    cfg = write_config(tmp_path, {"sample_rate_hz": 1e300, "duration_s": 1e10})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "a finite number of samples at 1e+300 Hz" in capsys.readouterr().err
+    assert not (tmp_path / "timeseries.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -36,6 +36,7 @@ from dwptload.signals import (
     _welch,
     _window,
     estimate_psd,
+    psd_plan,
     synthesize,
 )
 from dwptload.schema import to_dict
@@ -127,7 +128,9 @@ def test_scenario_psd_is_estimate_psd_of_synthesize(method, segment_s, overlap_f
     scenario = generate(INDOT, corridor_spec(100.0, 2.0), 5)
     series = synthesize(scenario, 1000.0)
     want = estimate_psd(series, method, segment_s, overlap_frac)
-    got = _scenario_psd(scenario, 1000.0, method, segment_s, overlap_frac)
+    got = _scenario_psd(
+        scenario, psd_plan(series.n_samples, 1000.0, method, segment_s, overlap_frac, "hann")
+    )
     assert np.array_equal(got.freqs_hz, want.freqs_hz)
     assert np.array_equal(got.psd_kw2_per_hz, want.psd_kw2_per_hz)
     assert (got.resolution_hz, got.method, got.n_samples) == (
