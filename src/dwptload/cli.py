@@ -27,7 +27,6 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -246,33 +245,53 @@ def _write_atomic(path: Path, text: str, more: Iterable[str] = ()) -> None:
 _CSV_ROWS = 2**13
 
 
-def _write_csv(path: Path, meta: dict, header: Sequence[str], rows: Iterable) -> None:
-    """``rows`` under the metadata and the header, one line each, formatted
-    ``_CSV_ROWS`` at a time: the first batch goes out with the header, and
-    the rest batch by batch, so a generator of rows is never held whole.
-    A file of at most ``_CSV_ROWS`` rows thus reaches :func:`_write_atomic`
-    as one text, which ``bench/tracer.py`` counts as the bytes written."""
+def _write_csv(path: Path, meta: dict, header: Sequence[str], blocks: Iterable) -> None:
+    """The rows of ``blocks`` under the metadata and the header, one line
+    each.  A block is a sequence of equal-length columns; its rows are
+    formatted ``_CSV_ROWS`` at a time, the first batch going out with the
+    header and the rest batch by batch, so a generator of blocks is never
+    held whole.  A file of one block of at most ``_CSV_ROWS`` rows thus
+    reaches :func:`_write_atomic` as one text, which ``bench/tracer.py``
+    counts as the bytes written."""
     head = "".join(f"# {k}={v}\n" for k, v in meta.items()) + ",".join(header) + "\n"
-    rows_left = iter(rows)
 
     def batches() -> Iterator[str]:
-        while lines := [",".join(map(_fmt, row)) for row in islice(rows_left, _CSV_ROWS)]:
-            yield "\n".join(lines) + "\n"
+        for block in blocks:
+            for a in range(0, len(block[0]), _CSV_ROWS):
+                yield _csv_lines([column[a : a + _CSV_ROWS] for column in block])
+            del block  # not held while the next block is made
 
     body = batches()
     _write_atomic(path, head + next(body, ""), body)
 
 
-def _array_rows(*columns: np.ndarray) -> Iterator[tuple]:
-    """The rows of equal-length arrays, converted ``_CSV_ROWS`` at a time."""
+def _line_template(types: Iterable[type]) -> str:
+    """The ``%``-template of a CSV line whose cells have these types: a
+    float to 10 significant digits, None as an empty field and anything
+    else by ``str``."""
+    cells = ("%.10g" if issubclass(t, float) else "%.0s" if t is type(None) else "%s" for t in types)
+    return ",".join(cells) + "\n"
+
+
+def _csv_lines(columns: list[Sequence]) -> str:
+    """The lines of the rows of equal-length ``columns``, each filled into
+    one ``%``-template: the batch's own when each column holds cells of one
+    type, or else one per distinct row of cell types.  The rows are zipped
+    as they are filled, so no batch of row tuples is held."""
+    column_types = [set(map(type, column)) for column in columns]
+    if all(len(types) == 1 for types in column_types):
+        template = _line_template(next(iter(types)) for types in column_types)
+        return "".join(map(template.__mod__, zip(*columns)))
+    row_types = list(zip(*(map(type, column) for column in columns)))
+    templates = {types: _line_template(types) for types in set(row_types)}
+    return "".join(map(str.__mod__, map(templates.__getitem__, row_types), zip(*columns)))
+
+
+def _array_blocks(*columns: np.ndarray) -> Iterator[list[list]]:
+    """The columns of equal-length arrays as lists, ``_CSV_ROWS`` rows at a
+    time."""
     for a in range(0, len(columns[0]), _CSV_ROWS):
-        yield from zip(*(c[a : a + _CSV_ROWS].tolist() for c in columns))
-
-
-def _fmt(cell) -> str:
-    if isinstance(cell, float):
-        return f"{cell:.10g}"
-    return "" if cell is None else str(cell)
+        yield [c[a : a + _CSV_ROWS].tolist() for c in columns]
 
 
 def _write_json(path: Path, meta: dict, body: dict) -> None:
@@ -314,17 +333,17 @@ def _resolved_traffic(rc: RunConfig, fallback) -> TrafficSpec:
     return rc.traffic
 
 
-def _series_rows(
+def _series_blocks(
     scenario: Scenario, sample_rate_hz: float, t0: float, n: int, sums: list[float]
-) -> Iterator[tuple[float, float]]:
-    """The (time, load) rows of :func:`synthesize`'s series on the
-    ``n``-sample grid from ``t0``, bit for bit, from one sampled block at a
-    time; appends each block's sum of load to ``sums``."""
+) -> Iterator[tuple[list[float], list[float]]]:
+    """The times and loads of :func:`synthesize`'s series on the
+    ``n``-sample grid from ``t0``, bit for bit, as two lists per sampled
+    block; appends each block's sum of load to ``sums``."""
     for a, block in _scenario_blocks(scenario, sample_rate_hz, t0, n):
         load = block[0]
         sums.append(float(load.sum()))
         times = t0 + np.arange(a, a + load.size) / sample_rate_hz
-        yield from zip(times.tolist(), load.tolist())
+        yield times.tolist(), load.tolist()
 
 
 def cmd_simulate(rc: RunConfig) -> int:
@@ -334,8 +353,8 @@ def cmd_simulate(rc: RunConfig) -> int:
     sums = []
     meta = run_metadata(rc)
     out = Path(rc.out_dir)
-    rows = _series_rows(scenario, rc.sample_rate_hz, t0, n, sums)
-    _write_csv(out / "timeseries.csv", meta, ("time_s", "load_kw"), rows)
+    blocks = _series_blocks(scenario, rc.sample_rate_hz, t0, n, sums)
+    _write_csv(out / "timeseries.csv", meta, ("time_s", "load_kw"), blocks)
     _write_json(out / "scenario.json", meta, members(scenario))
     # The exact sum of the blocks' sums: the series mean within rounding.
     mean_kw = math.fsum(sums) / n if n else 0.0
@@ -346,15 +365,32 @@ def cmd_simulate(rc: RunConfig) -> int:
     return EXIT_OK
 
 
+#: The most harmonics ``spectrum`` tabulates.  ``fs_coeffs.csv`` holds one
+#: row of 30-50 bytes per harmonic, so at most some 50 MB.
+MAX_SPECTRUM_HARMONICS = 2**20
+
+
 def cmd_spectrum(rc: RunConfig) -> int:
     """The table and the first-harmonic ratio from one row c_0..c_M of
     :func:`fs_harmonic`, and the THC of :func:`thc_single` over the same
-    M, which is ``--harmonics`` or the tail rule."""
+    M, which is ``--harmonics`` or the tail rule.  An M above
+    :data:`MAX_SPECTRUM_HARMONICS` is a config error, raised before
+    anything of size M is allocated."""
     alpha = rc.er.power_density_kw_per_m
     demand = rc.demand_kw if rc.demand_kw is not None else alpha * rc.rx_len_m
     ev = EvParams(rc.rx_len_m, demand, rc.speed_mps)
     c0 = fs_harmonic(rc.er, ev, 0)
     n_harmonics = rc.harmonics or harmonic_count_for_dc(rc.er, c0)
+    if n_harmonics > MAX_SPECTRUM_HARMONICS:
+        cause = (
+            f"harmonics {n_harmonics}"
+            if rc.harmonics
+            else f"demand_kw {demand!r} needs {n_harmonics} harmonics by the tail rule, which"
+        )
+        raise ConfigError(
+            f"{cause} is above the limit of {MAX_SPECTRUM_HARMONICS} for spectrum; "
+            f"pass --harmonics {MAX_SPECTRUM_HARMONICS} or fewer"
+        )
     m = np.arange(n_harmonics + 1)
     constant = constant_regime(rc.er, ev)
     thc = thc_single(rc.er, ev, n_harmonics)
@@ -364,8 +400,8 @@ def cmd_spectrum(rc: RunConfig) -> int:
     f0 = ev.fundamental_hz(rc.er)
     coeffs = fs_harmonic(rc.er, ev, m).tolist()
     bounds = [None] + harmonic_bound(rc.er, m[1:]).tolist()
-    rows = zip(m.tolist(), (m * f0).tolist(), coeffs, bounds)
-    _write_csv(out / "fs_coeffs.csv", meta, ("m", "freq_hz", "coeff_kw", "bound_kw"), rows)
+    columns = (m.tolist(), (m * f0).tolist(), coeffs, bounds)
+    _write_csv(out / "fs_coeffs.csv", meta, ("m", "freq_hz", "coeff_kw", "bound_kw"), [columns])
     body = {
         "thc_percent": thc,
         "dc_kw": c0,
@@ -423,7 +459,7 @@ def cmd_psd(rc: RunConfig) -> int:
             out / "psd.csv",
             meta,
             ("freq_hz", "line_power_kw2", "speed_mps"),
-            lines,
+            [list(zip(*lines))],
         )
         _write_json(
             out / "peaks.json",
@@ -440,7 +476,7 @@ def cmd_psd(rc: RunConfig) -> int:
         out / "psd.csv",
         meta,
         ("freq_hz", "psd_kw2_per_hz"),
-        _array_rows(est.freqs_hz, est.psd_kw2_per_hz),
+        _array_blocks(est.freqs_hz, est.psd_kw2_per_hz),
     )
     _write_json(
         out / "peaks.json",
@@ -469,8 +505,7 @@ def cmd_composition(rc: RunConfig) -> int:
     meta = run_metadata(rc)
     out = Path(rc.out_dir)
     header = ["theta"] + [f"thc_rx_{c.rx_len_m:g}" for c in sw.columns]
-    rows = [(theta, *thc) for theta, thc in zip(sw.thetas, result.thc_rms.tolist())]
-    _write_csv(out / "thc_table.csv", meta, header, rows)
+    _write_csv(out / "thc_table.csv", meta, header, [(sw.thetas, *result.thc_rms.T.tolist())])
     print(f"composition: {len(sw.thetas)}x{len(sw.columns)} THC table written")
     return EXIT_OK
 

@@ -13,7 +13,7 @@ built on the first harmonic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Sequence, Union
+from typing import Callable, ClassVar, Optional, Sequence, Union
 
 import numpy as np
 
@@ -84,14 +84,16 @@ def _class_bounds(cfg: ErConfig, classes: Sequence) -> list[tuple[float, float]]
 def sample_demand(
     dist: DemandDist, rng: np.random.Generator, cfg: ErConfig, rx_len_m: float
 ) -> float:
-    return _draw_demand(rng, *demand_bounds(dist, cfg, rx_len_m))
+    return _draw_demand(rng.random, *demand_bounds(dist, cfg, rx_len_m))
 
 
-def _draw_demand(rng: np.random.Generator, lo: float, hi: float) -> float:
-    """One uniform demand on [lo, hi]; a point support takes no draw."""
+def _draw_demand(random: Callable[[], float], lo: float, hi: float) -> float:
+    """One uniform demand on [lo, hi] from a ``Generator.random`` draw, as
+    ``Generator.uniform(lo, hi)`` computes it, without its argument
+    checks; a point support takes no draw."""
     if hi == lo:
         return hi
-    return float(rng.uniform(lo, hi))
+    return lo + (hi - lo) * random()
 
 
 @dataclass(frozen=True)

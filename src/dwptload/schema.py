@@ -10,9 +10,9 @@ Run configs and scenario files share one format:
 * a ``tuple[X, ...]`` is an array and ``None`` is ``null``;
 * a class with a ``row_type`` class attribute is a table held column by
   column: its document is an array of ``row_type`` objects, ``column(name)``
-  gives the values of one of their fields, and the class is built from
-  one keyword argument per field, each a list of values.  A row's fields
-  are scalars.
+  gives the values of one of their fields as a float array or a list, and
+  the class is built from one keyword argument per field, each a list of
+  values.  A row's fields are scalars.
 
 :func:`dumps` writes a document as ``json.dumps(doc, indent=2,
 sort_keys=True)`` does, byte for byte, and writes each table column by
@@ -33,9 +33,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import math
 import typing
+from itertools import chain, repeat
 from typing import Any, Union
+
+import numpy as np
 
 _JSON_TYPE = {float: "a number", int: "an integer", bool: "true or false", str: "a string"}
 
@@ -69,7 +71,7 @@ def to_dict(obj: Any) -> Any:
     if hasattr(obj, "row_type"):
         fields = _fields(obj.row_type)
         keys = [key for _, key, _, _ in fields]
-        columns = [obj.column(name) for name, _, _, _ in fields]
+        columns = [_values(obj.column(name)) for name, _, _, _ in fields]
         return [dict(zip(keys, row)) for row in zip(*columns)]
     if dataclasses.is_dataclass(obj):
         return {key: to_dict(value) for key, value in members(obj).items()}
@@ -83,9 +85,10 @@ def dumps(obj: Any) -> str:
 
     ``obj`` is what :func:`to_dict` takes, or a dict or list of such
     values with string keys.  A table is written column by column from
-    ``column(name)``: a column of finite floats by ``float.__repr__``, which
-    is what ``json`` writes for them, and any other column by
-    ``json.dumps`` once per distinct value, so no per-row object is built.
+    ``column(name)``: a float array of finite values by
+    :func:`float_texts`, which gives what ``json`` writes for them, and any
+    other column by ``json.dumps`` once per distinct value, so no per-row
+    object is built.
     """
     return _dumps(obj, "\n")
 
@@ -107,32 +110,55 @@ def _dumps(obj: Any, nl: str) -> str:
 
 
 def _table_text(table: Any, nl: str) -> str:
-    """A table's text: one ``%``-template per row, filled column-wise."""
+    """A table's text: the value texts of each column, interleaved with
+    the text that comes before each value and after each row, and joined
+    once."""
     fields = sorted((key, name) for name, key, _, _ in _fields(table.row_type))
     columns = [_column_text(table.column(name)) for _, name in fields]
     if not columns or not columns[0]:
         return "[]"
     inner = nl + "  "
-    template = (
-        "{"
-        + ",".join(f"{inner}  {json.dumps(key).replace('%', '%%')}: %s" for key, _ in fields)
-        + inner
-        + "}"
-    )
-    return "[" + inner + ("," + inner).join(map(template.__mod__, zip(*columns))) + nl + "]"
+    # The text before each value of a row; the first also opens the row
+    # after the comma that ends the row before it.
+    heads = [f",{inner}  {json.dumps(key)}: " for key, _ in fields]
+    heads[0] = f",{inner}{{{heads[0][1:]}"
+    pieces = [p for head, column in zip(heads, columns) for p in (repeat(head), column)]
+    texts = chain.from_iterable(zip(*pieces, repeat(inner + "}")))
+    next(texts)  # the first row follows no other, so its head loses the comma
+    return "".join(chain(["[" + heads[0][1:]], texts, [nl + "]"]))
 
 
-def _column_text(values: list) -> list[str]:
+def float_texts(values: np.ndarray) -> list[str]:
+    """``float.__repr__`` of each value of a float array, each distinct
+    value formatted once.  Values are told apart by their bits, so -0.0
+    and 0.0 keep their own texts."""
+    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array(list(map(float.__repr__, distinct.view(float).tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
+def _values(column: Any) -> list:
+    """A table column's values as a list of plain Python values."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
+def _column_text(column: Any) -> list[str]:
     """The JSON text of each value of a table column."""
+    if isinstance(column, np.ndarray) and np.isfinite(column).all():
+        return float_texts(column)
+    values = _values(column)
     types = set(map(type, values))
-    if types == {float} and all(map(math.isfinite, values)):
-        return list(map(float.__repr__, values))
     if any(issubclass(t, float) for t in types):
         # -0.0 == 0.0, so floats are not looked up by value.
         return list(map(json.dumps, values))
-    keys = list(zip(map(type, values), values))
-    text = {key: json.dumps(key[1]) for key in set(keys)}
-    return list(map(text.__getitem__, keys))
+    if {bool, int} <= types:
+        # True == 1, so these are looked up with their type.
+        values = list(zip(map(type, values), values))
+        text = {key: json.dumps(key[1]) for key in set(values)}
+    else:
+        text = {value: json.dumps(value) for value in set(values)}
+    return list(map(text.__getitem__, values))
 
 
 def from_dict(cls: Any, doc: Any, where: str) -> Any:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .fleet import DEMAND_KEY, DemandDist, _class_bounds, _draw_demand
 from .roadway import ErConfig, EvParams, _class_id_ok, _require_class_id, _require_finite
-from .schema import dumps, from_dict
+from .schema import dumps, float_texts, from_dict
 
 CSV_FIELDS = ("entry_time_s", "speed_mps", "rx_len_m", "peak_demand_kw")
 
@@ -176,10 +176,9 @@ class VehicleTable(Sequence):
             class_id=tuple(map(ids.__getitem__, kinds)),
         )
 
-    def column(self, name: str) -> list:
-        """One column as a list of plain Python values."""
-        col = getattr(self, name)
-        return list(col) if name == "class_id" else col.tolist()
+    def column(self, name: str) -> Union[np.ndarray, tuple[Optional[str], ...]]:
+        """One column: a float array, or the class ids."""
+        return getattr(self, name)
 
     def validate_against(self, cfg: ErConfig, duration_s: float) -> None:
         """The checks of ``EvParams.validate_against`` and of an entry time
@@ -262,30 +261,39 @@ def generate(cfg: ErConfig, spec: TrafficSpec, seed: int) -> Scenario:
     speed by class, demand by the class distribution.  Same seed, same
     scenario.
 
-    The class is the first index whose normalized cumulative probability
-    exceeds one ``rng.random()`` draw.  That is what
-    ``rng.choice(len(classes), p=probs)`` computes for one draw, so the
-    stream is the same, without ``choice``'s per-call argument checks.
     Each vehicle takes one gap, one class and one demand draw, in that
-    order.  The loop keeps plain floats and class indices, with each
-    class's demand bounds checked and computed once, and builds the table.
+    order, each as the argument-checked ``Generator`` call would make it
+    but without its checks:
+
+    * the gap is ``scale * standard_exponential()``, which is what
+      ``exponential(scale)`` computes;
+    * the class is the first index whose normalized cumulative
+      probability exceeds one ``random()`` draw, which is what
+      ``choice(len(classes), p=probs)`` computes for one draw;
+    * the demand is :func:`~dwptload.fleet._draw_demand`'s form of
+      ``uniform(lo, hi)``.
+
+    The loop keeps plain floats and class indices, with each class's
+    demand bounds checked and computed once, and builds the table.
     """
     bounds = _class_bounds(cfg, spec.classes)
     rng = np.random.default_rng(seed)
+    gap, random = rng.standard_exponential, rng.random
     cdf = np.cumsum([c.prob for c in spec.classes])
     cdf = (cdf / cdf[-1]).tolist()
     entries: list[float] = []
     kinds: list[int] = []
     demands: list[float] = []
-    t = 0.0
-    while spec.rate_evps > 0:
-        t += rng.exponential(1.0 / spec.rate_evps)
-        if t >= spec.duration_s:
+    t, horizon = 0.0, spec.duration_s
+    scale = 1.0 / spec.rate_evps if spec.rate_evps > 0 else 0.0
+    while scale > 0:
+        t += scale * gap()
+        if t >= horizon:
             break
-        k = bisect.bisect_right(cdf, rng.random())
+        k = bisect.bisect_right(cdf, random())
         entries.append(t)
         kinds.append(k)
-        demands.append(_draw_demand(rng, *bounds[k]))
+        demands.append(_draw_demand(random, *bounds[k]))
     return Scenario(
         cfg=cfg,
         evs=VehicleTable.from_classes(spec.classes, kinds, entries, demands),
@@ -358,7 +366,7 @@ def covering_scenario(
             k = int(rng.integers(0, k_max + 1)) if k_max > 0 else 0
             entries.append(covering_entry_time(cfg, c.speed_mps, window, u, k))
             kinds.append(g)
-            demands.append(_draw_demand(rng, *bounds[g]))
+            demands.append(_draw_demand(rng.random, *bounds[g]))
     spec = TrafficSpec(
         rate_evps=0.0 if not kinds else len(kinds) / window[1],
         duration_s=window[1],
@@ -394,10 +402,11 @@ def write_scenario_csv(scenario: Scenario, path: str) -> None:
 
     Floats are written in shortest round-trip form and class ids are
     quoted as ``csv`` quotes them, so reading the file back reproduces the
-    scenario exactly.  The file is written column by column.
+    scenario exactly.  The file is written column by column, each distinct
+    value of a column formatted once.
     """
     evs = scenario.evs
-    columns = [list(map(float.__repr__, evs.column(name))) for name in CSV_FIELDS]
+    columns = [float_texts(getattr(evs, name)) for name in CSV_FIELDS]
     fields = CSV_FIELDS
     if any(c is not None for c in evs.class_id):
         fields = COLUMNS
@@ -482,6 +491,10 @@ def ingest(path: str, cfg: ErConfig) -> Scenario:
     if not numbered:
         raise IngestError(f"{path}: no header row found")
     linenos, lines = zip(*numbered)
+    # The list of all lines and the (number, line) pairs take ~80 B a
+    # line beyond the lines; dropped here, they add nothing to the parse's
+    # peak memory.
+    del raw, numbered
     rows = list(csv.reader(lines))
     if len(rows) != len(lines):  # a quoted field ran past its line's end
         rows = [next(csv.reader([line])) for line in lines]

@@ -15,15 +15,17 @@ scalar harmonic at a time, the lines of ``psd --analytic`` by one point
 class per distinct vehicle, the Monte Carlo ensemble
 on dense (trials, vehicles, harmonics) arrays or on chunk-wide (trials,
 vehicles) arrays, traffic classes by
-``Generator.choice``, the checks, trajectory CSV and JSON document of
-a scenario's vehicles by one ``EvParams`` per vehicle, and JSON text by
-``json.dumps`` of the whole document.  The package is
+``Generator.choice``, each traffic draw by its argument-checked
+``Generator`` call, the checks, trajectory CSV and JSON document of
+a scenario's vehicles by one ``EvParams`` per vehicle, JSON text by
+``json.dumps`` of the whole document, and CSV cells one call each.  The package is
 thus checked against a second, structurally different derivation rather
 than against itself.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import json
@@ -530,6 +532,29 @@ def choice_generate(cfg: ErConfig, spec: TrafficSpec, seed: int) -> tuple[EvPara
     return tuple(evs)
 
 
+def checked_generate(cfg: ErConfig, spec: TrafficSpec, seed: int) -> VehicleTable:
+    """Vehicles of :func:`dwptload.generate`, each draw made by its
+    argument-checked ``Generator`` call: the gap by ``exponential(1 /
+    rate)``, the class by one ``random()`` against the cumulative
+    probabilities, and a demand on an interval by ``uniform(lo, hi)``."""
+    rng = np.random.default_rng(seed)
+    bounds = [demand_bounds(c.demand_dist, cfg, c.rx_len_m) for c in spec.classes]
+    cdf = np.cumsum([c.prob for c in spec.classes])
+    cdf = (cdf / cdf[-1]).tolist()
+    entries, kinds, demands = [], [], []
+    t = 0.0
+    while spec.rate_evps > 0:
+        t += rng.exponential(1.0 / spec.rate_evps)
+        if t >= spec.duration_s:
+            break
+        k = bisect.bisect_right(cdf, rng.random())
+        lo, hi = bounds[k]
+        entries.append(t)
+        kinds.append(k)
+        demands.append(hi if hi == lo else float(rng.uniform(lo, hi)))
+    return VehicleTable.from_classes(spec.classes, kinds, entries, demands)
+
+
 # --- scenario vehicles, one EvParams per vehicle ---------------------------
 
 
@@ -651,6 +676,19 @@ def json_text(obj) -> str:
         return to_dict(x)
 
     return json.dumps(doc(obj), indent=2, sort_keys=True)
+
+
+def csv_cell(cell) -> str:
+    """One CSV cell as ``cli._write_csv`` writes it: a float to 10
+    significant digits, None as nothing, anything else by ``str``."""
+    if isinstance(cell, float):
+        return f"{cell:.10g}"
+    return "" if cell is None else str(cell)
+
+
+def csv_lines(rows) -> str:
+    """The CSV lines of ``rows``, joined one cell at a time."""
+    return "".join(",".join(map(csv_cell, row)) + "\n" for row in rows)
 
 
 def scalar_class_moments(model: FleetModel, class_index: int, m: int) -> tuple[float, float]:

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dwptload
 from dwptload import INDOT, cli, generate, ingest, scenario_from_json, synthesize
@@ -34,7 +36,7 @@ from dwptload.cli import (
 from dwptload.composition import _sobol_directions
 from dwptload.invariants import CHECKS
 from dwptload.signals import WINDOWS
-from oracles import point_class_analytic_lines
+from oracles import csv_lines, point_class_analytic_lines
 
 GOOD_CSV = "entry_time_s,speed_mps,rx_len_m,peak_demand_kw\n0.0,24.6,1.83,200.0\n1.5,29.0,1.2,90.0\n"
 
@@ -398,6 +400,77 @@ def test_spectrum_truncation_flag_and_constant_load(tmp_path):
     assert "first_harmonic_ratio" not in doc
 
 
+@pytest.mark.parametrize(
+    "args, doc, cause",
+    [
+        (["--harmonics", str(2**20 + 1)], {}, f"harmonics {2**20 + 1}"),
+        (["--harmonics", "30000000000"], {}, "harmonics 30000000000"),
+        # The tail rule's M for this DC is 2.6e10: 192 GiB as one array.
+        ([], {"demand_kw": 1e-10}, "demand_kw 1e-10 needs 25760416736 harmonics by the tail rule, which"),
+    ],
+    ids=["harmonics-over", "harmonics-huge", "demand-kw"],
+)
+def test_spectrum_refuses_more_harmonics_than_its_limit(tmp_path, capsys, args, doc, cause):
+    out = tmp_path / "out"
+    argv = ["spectrum", "--config", write_config(tmp_path, doc), "--out", str(out), *args]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {cause} is above the limit of 1048576 for spectrum; "
+        "pass --harmonics 1048576 or fewer\n"
+    )
+    assert not out.exists()
+
+
+def test_spectrum_harmonic_limit_is_inclusive(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_SPECTRUM_HARMONICS", 12)
+    assert main(["spectrum", "--harmonics", "12", "--out", str(tmp_path / "at")]) == EXIT_OK
+    assert main(["spectrum", "--harmonics", "13", "--out", str(tmp_path / "over")]) == EXIT_CONFIG
+    # The default vehicle's tail rule needs 189 harmonics.
+    assert main(["spectrum", "--out", str(tmp_path / "rule")]) == EXIT_CONFIG
+
+
+# --- CSV rows ---------------------------------------------------------------
+
+#: Cells of each type a CSV row may hold, float subclasses and the
+#: non-finite floats among them.
+csv_cells = {
+    "float": st.floats() | st.sampled_from([-0.0, 5e-324, 1e16, 0.1]),
+    "float64": st.floats().map(np.float64),
+    "int": st.integers(-(2**70), 2**70),
+    "bool": st.booleans(),
+    "none": st.none(),
+    "str": st.text(max_size=4),
+}
+
+
+@st.composite
+def csv_batches(draw):
+    """Rows whose columns each hold one cell type, or any mix of types."""
+    n_rows, n_cols = draw(st.integers(1, 30)), draw(st.integers(1, 4))
+    kinds = st.sampled_from(sorted(csv_cells))
+    if draw(st.booleans()):
+        columns = [csv_cells[draw(kinds)] for _ in range(n_cols)]
+        return [tuple(draw(c) for c in columns) for _ in range(n_rows)]
+    return [tuple(draw(csv_cells[draw(kinds)]) for _ in range(n_cols)) for _ in range(n_rows)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(csv_batches())
+def test_csv_lines_are_the_cell_by_cell_lines(rows):
+    assert cli._csv_lines([list(column) for column in zip(*rows)]) == csv_lines(rows)
+
+
+def test_csv_batches_keep_the_cell_by_cell_bytes(tmp_path, monkeypatch):
+    # Rows of `fs_coeffs.csv`, whose first bound is None, in two blocks
+    # and across batches.
+    monkeypatch.setattr(cli, "_CSV_ROWS", 3)
+    rows = [(0, 0.0, 160.25, None)] + [(m, m * 5.38, 1 / m, 50.6 / m**2) for m in range(1, 8)]
+    blocks = (list(zip(*rows[:5])), list(zip(*rows[5:])))
+    cli._write_csv(tmp_path / "t.csv", {"seed": 1}, ("m", "freq_hz", "coeff_kw", "bound_kw"), iter(blocks))
+    body = "# seed=1\nm,freq_hz,coeff_kw,bound_kw\n" + csv_lines(rows)
+    assert (tmp_path / "t.csv").read_text() == body
+
+
 # --- simulate ---------------------------------------------------------------
 
 
@@ -444,9 +517,9 @@ def test_simulate_streams_the_synthesized_series(tmp_path, capsys, seed):
     series = synthesize(scenario, rc.sample_rate_hz)
 
     sums = []
-    times, loads = zip(*cli._series_rows(scenario, rc.sample_rate_hz, 0.0, series.n_samples, sums))
-    assert np.array_equal(np.array(times), series.times_s)
-    assert np.array_equal(np.array(loads), series.samples_kw)
+    blocks = list(cli._series_blocks(scenario, rc.sample_rate_hz, 0.0, series.n_samples, sums))
+    assert np.array_equal(np.concatenate([times for times, _ in blocks]), series.times_s)
+    assert np.array_equal(np.concatenate([loads for _, loads in blocks]), series.samples_kw)
     assert math.fsum(sums) / series.n_samples == pytest.approx(series.mean_kw, rel=1e-14)
 
     lines = [f"# {k}={v}" for k, v in run_metadata(rc).items()] + ["time_s,load_kw"]
@@ -736,7 +809,8 @@ def test_psd_analytic_matches_point_class_oracle(tmp_path, doc, harmonics):
     rc = runconfig_from_dict(doc)
     scenario = generate(rc.er, rc.traffic or cli._default_psd_traffic(rc), rc.seed)
     fundamentals, lines = point_class_analytic_lines(scenario, harmonics)
-    cli._write_csv(tmp_path / "oracle.csv", {}, ("freq_hz", "line_power_kw2", "speed_mps"), lines)
+    header = ("freq_hz", "line_power_kw2", "speed_mps")
+    cli._write_csv(tmp_path / "oracle.csv", {}, header, [list(zip(*lines))])
     _, header, rows = read_meta_csv(tmp_path / "psd.csv")
     assert [header, *rows] == (tmp_path / "oracle.csv").read_text().splitlines()
     assert json.loads((tmp_path / "peaks.json").read_text())["fundamentals_hz"] == fundamentals

@@ -18,6 +18,7 @@ import math
 from typing import Optional
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -152,6 +153,33 @@ documents = st.recursive(
 
 
 # --- writer ---------------------------------------------------------------------
+
+
+#: Floats at each switch of ``float.__repr__``'s notation (exponent below
+#: -4 or from 16 up), at the ends of the subnormal and float ranges, and
+#: the non-finite ones.
+REPR_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    9.999999999999999e-06, 1e-05, 9.999999999999999e-05, 0.0001, 0.00010000000000000002,
+    9999999999999998.0, 1e16, 1.0000000000000002e16, -1e16, 1.7976931348623157e308,
+    math.inf, -math.inf, math.nan,
+]
+any_float = (
+    st.floats()
+    | st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308)  # subnormals
+    | st.sampled_from(REPR_EDGES)
+)
+
+
+@SETTINGS
+@given(st.lists(any_float, max_size=40), st.lists(st.integers(0, 39), max_size=200))
+@example(REPR_EDGES, list(range(len(REPR_EDGES))) * 3)
+@example([0.0, -0.0], [0, 1, 1, 0, 1])
+def test_float_texts_are_float_repr(distinct, picks):
+    # Heavy repeats: each value of the column is one of a few distinct ones.
+    values = distinct + [distinct[i % len(distinct)] for i in picks] if distinct else []
+    texts = schema.float_texts(np.array(values, dtype=float))
+    assert texts == list(map(float.__repr__, values))
 
 
 @SETTINGS

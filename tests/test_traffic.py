@@ -33,6 +33,8 @@ from dwptload import (
     scenario_to_json,
     write_scenario_csv,
 )
+from dwptload.traffic import CSV_FIELDS
+from oracles import checked_generate
 
 TRUCK = TrafficClass(1.83, 1.0, 24.6, MaxDemand(), "truck")
 
@@ -144,6 +146,39 @@ def test_generation_is_reproducible():
     c = generate(INDOT, spec(classes=TWO_CLASS), seed=78)
     assert scenario_to_json(a) == scenario_to_json(b)
     assert scenario_to_json(a) != scenario_to_json(c)
+
+
+#: Specs on which ``generate`` must draw what the argument-checked
+#: ``Generator`` calls draw: each demand kind, a zero-width interval, a
+#: single class and no arrivals.  The rate is no power of two, so that
+#: ``gap / rate`` and ``(1 / rate) * gap`` round differently.
+DRAW_CASES = {
+    "max": spec(2.3, 30.0, (
+        TrafficClass(1.83, 0.4, 21.7, MaxDemand(), "truck"),
+        TrafficClass(1.7, 0.6, 26.8, MaxDemand(), "suv"),
+    )),
+    "uniform-range": spec(2.3, 30.0, TWO_CLASS),
+    "explicit": spec(2.3, 30.0, (
+        TrafficClass(1.2, 0.5, 29.0, UniformExplicit(20.0, 90.0)),
+        TrafficClass(1.83, 0.5, 21.7, MaxDemand(), "truck"),
+    )),
+    "zero-width": spec(2.3, 30.0, (
+        TrafficClass(1.2, 0.7, 29.0, UniformExplicit(50.0, 50.0)),
+        TrafficClass(1.7, 0.3, 26.8, UniformOnRange()),
+    )),
+    "single-class": spec(2.3, 30.0, (TrafficClass(1.2, 1.0, 29.0, UniformOnRange()),)),
+    "no-arrivals": spec(0.0, 30.0, TWO_CLASS),
+}
+
+
+@pytest.mark.parametrize("case", DRAW_CASES)
+def test_generate_draws_what_the_checked_generator_calls_draw(case):
+    for seed in range(300):
+        got = generate(INDOT, DRAW_CASES[case], seed).evs
+        want = checked_generate(INDOT, DRAW_CASES[case], seed)
+        for name in CSV_FIELDS:  # bit for bit, so -0.0 and 0.0 differ
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (seed, name)
+        assert got.class_id == want.class_id
 
 
 def test_scenario_rejects_out_of_horizon_entries():

@@ -10,6 +10,7 @@ build no ``EvParams`` at all.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import tempfile
@@ -32,6 +33,7 @@ from dwptload import (
     VehicleTable,
     generate,
     ingest,
+    scenario_to_json,
     write_scenario_csv,
 )
 from dwptload.cli import main
@@ -269,10 +271,28 @@ ODD_IDS = Scenario(
 )
 
 
+#: Repeated values in every column, -0.0 beside 0.0, and the floats at
+#: which ``float.__repr__`` changes notation.
+REPEATS = Scenario(
+    INDOT,
+    VehicleTable(
+        entry_time_s=[-0.0, 0.0, 0.0, 2.5, 2.5, 1e-05, 0.0001, 9999999999999998.0],
+        speed_mps=[24.6, 24.6, 29.0, 24.6, 24.6, 29.0, 24.6, 1e16],
+        rx_len_m=[1.83, 1.83, 1.2, 1.83, 1.83, 1.2, 1.83, 1.2],
+        peak_demand_kw=[200.0, 200.0, 0.0, -0.0, 200.0, 5e-324, 200.0, 0.1],
+        class_id=["truck", None, "car", "a,b", "truck", "car", "truck", None],
+    ),
+    1e16,
+    None,
+    IngestedFile("repeats.csv"),
+)
+
+
 @pytest.mark.parametrize(
     "sc",
-    [generate(INDOT, TrafficSpec(2.0, 200.0, TWO_CLASS), seed) for seed in (0, 1)] + [ODD_IDS],
-    ids=["seed0", "seed1", "odd-class-ids"],
+    [generate(INDOT, TrafficSpec(2.0, 200.0, TWO_CLASS), seed) for seed in (0, 1)]
+    + [ODD_IDS, REPEATS],
+    ids=["seed0", "seed1", "odd-class-ids", "repeats"],
 )
 def test_trajectory_csv_and_ingest_json_match_the_rowwise_writers(tmp_path, sc):
     path = tmp_path / "t.csv"
@@ -284,6 +304,28 @@ def test_trajectory_csv_and_ingest_json_match_the_rowwise_writers(tmp_path, sc):
     meta = json.loads(text)["meta"]
     body = rowwise_scenario_dict(rowwise_ingest(str(path), INDOT))
     assert text == json.dumps({"meta": meta, **body}, indent=2, sort_keys=True)
+
+
+def test_repeated_values_are_written_as_before(tmp_path):
+    # The bytes that writing each cell by ``float.__repr__`` gave.
+    path = tmp_path / "t.csv"
+    write_scenario_csv(REPEATS, str(path))
+    assert path.read_text(encoding="utf-8") == (
+        "entry_time_s,speed_mps,rx_len_m,peak_demand_kw,class_id\n"
+        "-0.0,24.6,1.83,200.0,truck\n"
+        "0.0,24.6,1.83,200.0,\n"
+        "0.0,29.0,1.2,0.0,car\n"
+        '2.5,24.6,1.83,-0.0,"a,b"\n'
+        "2.5,24.6,1.83,200.0,truck\n"
+        "1e-05,29.0,1.2,5e-324,car\n"
+        "0.0001,24.6,1.83,200.0,truck\n"
+        "9999999999999998.0,1e+16,1.2,0.1,\n"
+    )
+    text = scenario_to_json(REPEATS)
+    assert text == json.dumps(to_dict(REPEATS), indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f71e174a7dea53b38a11ad4d727e025777aaf00b533434bbbf480ba89717338d"
+    )
 
 
 def test_trajectory_path_builds_no_evparams(tmp_path, evparams_built):
