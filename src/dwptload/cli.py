@@ -365,32 +365,39 @@ def cmd_simulate(rc: RunConfig) -> int:
     return EXIT_OK
 
 
-#: The most harmonics ``spectrum`` tabulates.  ``fs_coeffs.csv`` holds one
-#: row of 30-50 bytes per harmonic, so at most some 50 MB.
-MAX_SPECTRUM_HARMONICS = 2**20
+#: The most harmonics ``spectrum`` tabulates and ``psd --analytic`` sums
+#: per speed group.  ``fs_coeffs.csv`` holds one row of 30-50 bytes per
+#: harmonic, so at most some 50 MB.
+MAX_HARMONICS = 2**20
+
+
+def _harmonic_count(rc: RunConfig, command: str, dc_kw: float, source: str) -> int:
+    """M: ``--harmonics``, or else the tail rule's count for a DC term of
+    ``dc_kw``, which ``source`` names.  An M above :data:`MAX_HARMONICS`
+    is a config error, raised before anything of size M is allocated."""
+    n_harmonics = rc.harmonics or harmonic_count_for_dc(rc.er, dc_kw)
+    if n_harmonics > MAX_HARMONICS:
+        cause = (
+            f"harmonics {n_harmonics}"
+            if rc.harmonics
+            else f"{source} needs {n_harmonics} harmonics by the tail rule, which"
+        )
+        raise ConfigError(
+            f"{cause} is above the limit of {MAX_HARMONICS} for {command}; "
+            f"pass --harmonics {MAX_HARMONICS} or fewer"
+        )
+    return n_harmonics
 
 
 def cmd_spectrum(rc: RunConfig) -> int:
     """The table and the first-harmonic ratio from one row c_0..c_M of
     :func:`fs_harmonic`, and the THC of :func:`thc_single` over the same
-    M, which is ``--harmonics`` or the tail rule.  An M above
-    :data:`MAX_SPECTRUM_HARMONICS` is a config error, raised before
-    anything of size M is allocated."""
+    M, from :func:`_harmonic_count`."""
     alpha = rc.er.power_density_kw_per_m
     demand = rc.demand_kw if rc.demand_kw is not None else alpha * rc.rx_len_m
     ev = EvParams(rc.rx_len_m, demand, rc.speed_mps)
     c0 = fs_harmonic(rc.er, ev, 0)
-    n_harmonics = rc.harmonics or harmonic_count_for_dc(rc.er, c0)
-    if n_harmonics > MAX_SPECTRUM_HARMONICS:
-        cause = (
-            f"harmonics {n_harmonics}"
-            if rc.harmonics
-            else f"demand_kw {demand!r} needs {n_harmonics} harmonics by the tail rule, which"
-        )
-        raise ConfigError(
-            f"{cause} is above the limit of {MAX_SPECTRUM_HARMONICS} for spectrum; "
-            f"pass --harmonics {MAX_SPECTRUM_HARMONICS} or fewer"
-        )
+    n_harmonics = _harmonic_count(rc, "spectrum", c0, f"demand_kw {demand!r}")
     m = np.arange(n_harmonics + 1)
     constant = constant_regime(rc.er, ev)
     thc = thc_single(rc.er, ev, n_harmonics)
@@ -419,9 +426,9 @@ def cmd_spectrum(rc: RunConfig) -> int:
 def _analytic_lines(rc: RunConfig, scenario: Scenario):
     """Per-speed-group line spectra for the vehicles actually generated:
     the DC line ``(sum c_0)^2`` and the line ``sum c_m^2`` at each harmonic
-    up to ``rc.harmonics`` or else :func:`harmonic_count_for_dc` of the
-    group's mean c_0, with one :func:`fs_harmonic_grid` call per receiver
-    length and order.  The scenario has validated every vehicle."""
+    up to the :func:`_harmonic_count` of the group's mean c_0, with one
+    :func:`fs_harmonic_grid` call per receiver length and order.  The
+    scenario has validated every vehicle."""
     cfg, evs = rc.er, scenario.evs
     lines, fundamentals = [], []
     for speed in sorted(set(evs.speed_mps.tolist())):
@@ -429,7 +436,9 @@ def _analytic_lines(rc: RunConfig, scenario: Scenario):
         rx, demand = evs.rx_len_m[group], evs.peak_demand_kw[group]
         receivers = [(r, demand[rx == r]) for r in np.unique(rx).tolist()]
         dc = sum(float(fs_harmonic_grid(cfg, r, d, 0).sum()) for r, d in receivers)
-        m = np.arange(1, (rc.harmonics or harmonic_count_for_dc(cfg, dc / rx.size)) + 1)
+        mean_dc = dc / rx.size
+        source = f"the mean DC term {mean_dc!r} kW of the vehicles at {speed!r} m/s"
+        m = np.arange(1, _harmonic_count(rc, "psd", mean_dc, source) + 1)
         powers = sum((fs_harmonic_grid(cfg, r, d, m) ** 2).sum(axis=0) for r, d in receivers)
         f0 = speed / cfg.period_m
         fundamentals.append(f0)

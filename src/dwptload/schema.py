@@ -152,13 +152,9 @@ def _column_text(column: Any) -> list[str]:
     if any(issubclass(t, float) for t in types):
         # -0.0 == 0.0, so floats are not looked up by value.
         return list(map(json.dumps, values))
-    if {bool, int} <= types:
-        # True == 1, so these are looked up with their type.
-        values = list(zip(map(type, values), values))
-        text = {key: json.dumps(key[1]) for key in set(values)}
-    else:
-        text = {value: json.dumps(value) for value in set(values)}
-    return list(map(text.__getitem__, values))
+    keys = list(zip(map(type, values), values))
+    text = {key: json.dumps(key[1]) for key in set(keys)}
+    return list(map(text.__getitem__, keys))
 
 
 def from_dict(cls: Any, doc: Any, where: str) -> Any:

@@ -421,12 +421,58 @@ def test_spectrum_refuses_more_harmonics_than_its_limit(tmp_path, capsys, args, 
     assert not out.exists()
 
 
-def test_spectrum_harmonic_limit_is_inclusive(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "MAX_SPECTRUM_HARMONICS", 12)
+TINY_DEMAND_TRAFFIC = {
+    "duration_s": 30.0,
+    "traffic": {
+        "rate_evps": 1.0,
+        "duration_s": 30.0,
+        "classes": [
+            {
+                "rx_len_m": 1.2,
+                "prob": 1.0,
+                "speed_mps": 29.0,
+                "demand": {"kind": "uniform", "lo_kw": 1e-10, "hi_kw": 1e-10},
+            }
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "args, doc, cause",
+    [
+        (["--harmonics", "30000000000"], {}, "harmonics 30000000000"),
+        (
+            [],
+            TINY_DEMAND_TRAFFIC,
+            "the mean DC term 1e-10 kW of the vehicles at 29.0 m/s needs 25760416736 "
+            "harmonics by the tail rule, which",
+        ),
+    ],
+    ids=["harmonics-huge", "demand"],
+)
+def test_psd_analytic_refuses_more_harmonics_than_the_limit(tmp_path, capsys, args, doc, cause):
+    out = tmp_path / "out"
+    config = write_config(tmp_path, doc)
+    argv = ["psd", "--analytic", "--config", config, "--out", str(out), *args]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {cause} is above the limit of 1048576 for psd; "
+        "pass --harmonics 1048576 or fewer\n"
+    )
+    assert not out.exists()
+
+
+def test_harmonic_limit_is_inclusive(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_HARMONICS", 12)
     assert main(["spectrum", "--harmonics", "12", "--out", str(tmp_path / "at")]) == EXIT_OK
     assert main(["spectrum", "--harmonics", "13", "--out", str(tmp_path / "over")]) == EXIT_CONFIG
     # The default vehicle's tail rule needs 189 harmonics.
     assert main(["spectrum", "--out", str(tmp_path / "rule")]) == EXIT_CONFIG
+    psd = ["psd", "--analytic", "--duration-s", "20"]
+    assert main([*psd, "--harmonics", "12", "--out", str(tmp_path / "psd-at")]) == EXIT_OK
+    assert main([*psd, "--harmonics", "13", "--out", str(tmp_path / "psd-over")]) == EXIT_CONFIG
+    assert main([*psd, "--out", str(tmp_path / "psd-rule")]) == EXIT_CONFIG
 
 
 # --- CSV rows ---------------------------------------------------------------
