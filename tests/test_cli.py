@@ -400,27 +400,6 @@ def test_spectrum_truncation_flag_and_constant_load(tmp_path):
     assert "first_harmonic_ratio" not in doc
 
 
-@pytest.mark.parametrize(
-    "args, doc, cause",
-    [
-        (["--harmonics", str(2**20 + 1)], {}, f"harmonics {2**20 + 1}"),
-        (["--harmonics", "30000000000"], {}, "harmonics 30000000000"),
-        # The tail rule's M for this DC is 2.6e10: 192 GiB as one array.
-        ([], {"demand_kw": 1e-10}, "demand_kw 1e-10 needs 25760416736 harmonics by the tail rule, which"),
-    ],
-    ids=["harmonics-over", "harmonics-huge", "demand-kw"],
-)
-def test_spectrum_refuses_more_harmonics_than_its_limit(tmp_path, capsys, args, doc, cause):
-    out = tmp_path / "out"
-    argv = ["spectrum", "--config", write_config(tmp_path, doc), "--out", str(out), *args]
-    assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr().err == (
-        f"config error: {cause} is above the limit of 1048576 for spectrum; "
-        "pass --harmonics 1048576 or fewer\n"
-    )
-    assert not out.exists()
-
-
 TINY_DEMAND_TRAFFIC = {
     "duration_s": 30.0,
     "traffic": {
@@ -441,23 +420,30 @@ TINY_DEMAND_TRAFFIC = {
 @pytest.mark.parametrize(
     "args, doc, cause",
     [
-        (["--harmonics", "30000000000"], {}, "harmonics 30000000000"),
+        (["spectrum", "--harmonics", str(2**20 + 1)], {}, f"harmonics {2**20 + 1}"),
+        (["spectrum", "--harmonics", "30000000000"], {}, "harmonics 30000000000"),
+        # The tail rule's M for this DC is 2.6e10: 192 GiB as one array.
         (
-            [],
+            ["spectrum"],
+            {"demand_kw": 1e-10},
+            "demand_kw 1e-10 needs 25760416736 harmonics by the tail rule, which",
+        ),
+        (["psd", "--analytic", "--harmonics", "30000000000"], {}, "harmonics 30000000000"),
+        (
+            ["psd", "--analytic"],
             TINY_DEMAND_TRAFFIC,
             "the mean DC term 1e-10 kW of the vehicles at 29.0 m/s needs 25760416736 "
             "harmonics by the tail rule, which",
         ),
     ],
-    ids=["harmonics-huge", "demand"],
+    ids=["harmonics-over", "harmonics-huge", "demand-kw", "psd-harmonics-huge", "psd-demand"],
 )
-def test_psd_analytic_refuses_more_harmonics_than_the_limit(tmp_path, capsys, args, doc, cause):
+def test_more_harmonics_than_the_limit_are_refused(tmp_path, capsys, args, doc, cause):
     out = tmp_path / "out"
-    config = write_config(tmp_path, doc)
-    argv = ["psd", "--analytic", "--config", config, "--out", str(out), *args]
+    argv = [*args, "--config", write_config(tmp_path, doc), "--out", str(out)]
     assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr().err == (
-        f"config error: {cause} is above the limit of 1048576 for psd; "
+        f"config error: {cause} is above the limit of 1048576 for {args[0]}; "
         "pass --harmonics 1048576 or fewer\n"
     )
     assert not out.exists()
