@@ -37,7 +37,9 @@ from .composition import SweepColumn, SweepConfig, default_sweep_config, run_swe
 from .fleet import MaxDemand
 from .invariants import CHECKS
 from .roadway import INDOT, ErConfig, EvParams, _require_finite, constant_regime
-from .signals import MIN_TRIALS, _grid, _scenario_blocks, _scenario_psd, detect_peaks, psd_plan
+from .signals import (
+    MIN_TRIALS, PsdPlan, _grid, _scenario_blocks, _scenario_psd, detect_peaks, psd_plan,
+)
 from .spectrum import (
     fs_harmonic, fs_harmonic_grid, harmonic_bound, harmonic_count_for_dc, thc_single,
 )
@@ -124,35 +126,16 @@ class RunConfig:
             raise ConfigError(f"n_ref must be >= 1, got {self.n_ref}")
 
 
-#: Keys of the Welch estimate, which a periodogram (one boxcar segment
-#: over the whole series) does not use.
-_WELCH_KEYS = ("psd_window", "segment_s", "overlap_frac")
-
-
 def runconfig_from_dict(doc: dict) -> RunConfig:
-    """Build a RunConfig from a parsed JSON document (rules in :mod:`.schema`).
-
-    A document with ``"psd_method": "periodogram"`` may not set a Welch
-    key: it would be ignored.
-    """
+    """Build a RunConfig from a parsed JSON document (rules in :mod:`.schema`)."""
     try:
-        rc = from_dict(RunConfig, doc, "config")
+        return from_dict(RunConfig, doc, "config")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if rc.psd_method == "periodogram":
-        for key in _WELCH_KEYS:
-            if key in doc:
-                raise ConfigError(
-                    f"config.{key}: not used by psd_method 'periodogram', "
-                    "which is one boxcar segment over the whole series"
-                )
-    return rc
 
 
 def runconfig_to_dict(rc: RunConfig) -> dict:
-    """Inverse of :func:`runconfig_from_dict`, used for hashing.  It holds
-    every field, so a periodogram config's document carries the Welch keys
-    at their defaults and is not read back."""
+    """Inverse of :func:`runconfig_from_dict`, used for hashing."""
     return to_dict(rc)
 
 
@@ -188,24 +171,36 @@ SUBCOMMAND_KEYS: dict[str, frozenset[str]] = {
         "ingest": "",
     }.items()
 }
-_NOT_READ_BECAUSE = {
-    "composition": f", whose sweep samples fixed {SweepConfig.window_s:g} s windows "
-    f"at {SweepConfig.sample_rate_hz:g} Hz",
-}
+
+
+def _unread_keys(command: str, rc: RunConfig, doc: dict) -> Iterator[tuple[str, str]]:
+    """The keys of ``doc`` that a ``command`` run with settings ``rc`` does
+    not read, each with the words that name the run, in the order they are
+    refused: a periodogram's Welch keys in a fixed order, then the keys the
+    subcommand never reads (:data:`SUBCOMMAND_KEYS`) in document order,
+    then the sampling and estimate keys of ``psd --analytic`` in a fixed
+    order."""
+    if rc.psd_method == "periodogram":
+        run = "psd_method 'periodogram', which is one boxcar segment over the whole series"
+        yield from ((k, run) for k in ("psd_window", "segment_s", "overlap_frac") if k in doc)
+    sweep = f"fixed {SweepConfig.window_s:g} s windows at {SweepConfig.sample_rate_hz:g} Hz"
+    run = f"{command}, whose sweep samples {sweep}" if command == "composition" else command
+    yield from ((k, run) for k in doc if k not in SUBCOMMAND_KEYS[command])
+    if command == "psd" and rc.analytic:
+        keys = ("sample_rate_hz", "psd_method", "segment_s", "overlap_frac", "psd_window")
+        yield from ((k, "psd --analytic, which samples no series") for k in keys if k in doc)
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge flag overrides (each flag sets the config key of its name) into
     the config file on top of defaults.  A document may set only the keys
-    its subcommand reads (:data:`SUBCOMMAND_KEYS`)."""
+    its run reads (:func:`_unread_keys`)."""
     doc = _load_config(getattr(args, "config", None))
     fields = {f.name for f in dataclasses.fields(RunConfig)}
     doc.update((k, v) for k, v in vars(args).items() if k in fields and v is not None)
     rc = runconfig_from_dict(doc)
-    for key in doc:
-        if key not in SUBCOMMAND_KEYS[args.command]:
-            why = _NOT_READ_BECAUSE.get(args.command, "")
-            raise ConfigError(f"config.{key}: not used by {args.command}{why}")
+    for key, run in _unread_keys(args.command, rc, doc):
+        raise ConfigError(f"config.{key}: not used by {run}")
     return rc
 
 
@@ -423,12 +418,20 @@ def cmd_spectrum(rc: RunConfig) -> int:
     return EXIT_OK
 
 
+#: The most harmonics :func:`_analytic_lines` evaluates at a time, so
+#: that ``psd --analytic`` holds vehicles x 1024 coefficients, whatever M.
+_HARMONIC_BLOCK = 1024
+
+
 def _analytic_lines(rc: RunConfig, scenario: Scenario):
     """Per-speed-group line spectra for the vehicles actually generated:
     the DC line ``(sum c_0)^2`` and the line ``sum c_m^2`` at each harmonic
     up to the :func:`_harmonic_count` of the group's mean c_0, with one
-    :func:`fs_harmonic_grid` call per receiver length and order.  The
-    scenario has validated every vehicle."""
+    :func:`fs_harmonic_grid` call per receiver length and order, for at most
+    ``_HARMONIC_BLOCK`` harmonics at a time, in blocks whose widths differ
+    by at most one: numpy would sum a block of one harmonic pairwise, not
+    in the order of one call over all M.  The scenario has validated every
+    vehicle."""
     cfg, evs = rc.er, scenario.evs
     lines, fundamentals = [], []
     for speed in sorted(set(evs.speed_mps.tolist())):
@@ -439,7 +442,10 @@ def _analytic_lines(rc: RunConfig, scenario: Scenario):
         mean_dc = dc / rx.size
         source = f"the mean DC term {mean_dc!r} kW of the vehicles at {speed!r} m/s"
         m = np.arange(1, _harmonic_count(rc, "psd", mean_dc, source) + 1)
-        powers = sum((fs_harmonic_grid(cfg, r, d, m) ** 2).sum(axis=0) for r, d in receivers)
+        powers = np.concatenate([
+            sum((fs_harmonic_grid(cfg, r, d, part) ** 2).sum(axis=0) for r, d in receivers)
+            for part in np.array_split(m, -(-m.size // _HARMONIC_BLOCK))
+        ])
         f0 = speed / cfg.period_m
         fundamentals.append(f0)
         lines.append((0.0, dc * dc, speed))
@@ -447,14 +453,34 @@ def _analytic_lines(rc: RunConfig, scenario: Scenario):
     return fundamentals, lines
 
 
+#: The most samples in a segment of the sampled ``psd``, a periodogram's
+#: being the whole series.  ``PsdPlan.estimate`` peaks at some 44 bytes
+#: per segment sample (traced), 704 MiB at the limit.
+MAX_SEGMENT_SAMPLES = 2**24
+
+
+def _psd_plan(rc: RunConfig) -> PsdPlan:
+    """The plan of the sampled ``psd`` (:func:`psd_plan`), whose segment
+    may hold at most :data:`MAX_SEGMENT_SAMPLES`, else a config error names
+    the keys that set it."""
+    _, n = _grid((0.0, rc.duration_s), rc.sample_rate_hz)
+    plan = psd_plan(
+        n, rc.sample_rate_hz, rc.psd_method, rc.segment_s, rc.overlap_frac, rc.psd_window
+    )
+    if plan.nperseg > MAX_SEGMENT_SAMPLES:
+        key = "duration_s" if plan.method == "periodogram" else "segment_s"
+        raise ConfigError(
+            f"{key} {getattr(rc, key)!r} at sample_rate_hz {rc.sample_rate_hz!r} makes a "
+            f"{plan.method} segment of {plan.nperseg} samples, above the limit of "
+            f"{MAX_SEGMENT_SAMPLES} for psd; lower {key} or sample_rate_hz"
+        )
+    return plan
+
+
 def cmd_psd(rc: RunConfig) -> int:
     if not rc.analytic:
-        # The estimate's settings, checked now, not after the whole horizon
-        # has been generated and sampled.
-        _, n = _grid((0.0, rc.duration_s), rc.sample_rate_hz)
-        plan = psd_plan(
-            n, rc.sample_rate_hz, rc.psd_method, rc.segment_s, rc.overlap_frac, rc.psd_window
-        )
+        # Checked now, not after the whole horizon has been generated.
+        plan = _psd_plan(rc)
     spec = _resolved_traffic(rc, _default_psd_traffic)
     scenario = generate(rc.er, spec, rc.seed)
     meta = run_metadata(rc)

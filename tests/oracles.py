@@ -664,6 +664,12 @@ def rowwise_scenario_dict(scenario: Scenario) -> dict:
     return doc
 
 
+def float_bits(evs: VehicleTable) -> list[list[int]]:
+    """The float columns of ``evs`` as the int64 views of their bits, so
+    that -0.0 and 0.0 differ, as they do not under ``VehicleTable ==``."""
+    return [getattr(evs, name).view(np.int64).tolist() for name in CSV_FIELDS]
+
+
 def json_text(obj) -> str:
     """``json.dumps(to_dict(obj), indent=2, sort_keys=True)``, with the
     items of a dict, list or tuple converted by ``to_dict`` too."""

@@ -36,6 +36,7 @@ from dwptload.cli import (
 from dwptload.composition import _sobol_directions
 from dwptload.invariants import CHECKS
 from dwptload.signals import WINDOWS
+from dwptload.spectrum import fs_harmonic_grid
 from oracles import csv_lines, point_class_analytic_lines
 
 GOOD_CSV = "entry_time_s,speed_mps,rx_len_m,peak_demand_kw\n0.0,24.6,1.83,200.0\n1.5,29.0,1.2,90.0\n"
@@ -310,11 +311,10 @@ print(json.dumps({"free": free, "imported": scipy_modules()}))
 def test_scipy_free_subcommands_load_no_scipy(tmp_path):
     # scipy.signal and scipy.stats each cost ~1 s and ~70 MB at start-up,
     # and scipy is only a test dependency, so no subcommand imports it.
-    # `psd --analytic` ignores the window, even one that the sampled `psd`
-    # would reject.  The sampled `psd` computes every window itself,
+    # The sampled `psd` computes every window itself,
     # `composition` reads the Sobol direction numbers shipped with the
     # package, and `validate`'s oracles are numpy code.
-    config = write_config(tmp_path, {"duration_s": 10.0, "psd_window": "bogus"})
+    config = write_config(tmp_path, {"duration_s": 10.0})
     hamming = write_config(
         tmp_path,
         {"duration_s": 10.0, "sample_rate_hz": 200.0, "psd_window": "hamming"},
@@ -766,6 +766,58 @@ def test_psd_rejects_unworkable_welch_settings_before_generating(
     assert not (tmp_path / "psd.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {},
+            "segment_s 8.0 at sample_rate_hz 1000000000000.0 makes a welch segment of "
+            "8000000000000 samples, above the limit of 16777216 for psd; lower segment_s "
+            "or sample_rate_hz",
+        ),
+        (
+            {"psd_method": "periodogram"},
+            "duration_s 10.0 at sample_rate_hz 1000000000000.0 makes a periodogram segment "
+            "of 10000000000000 samples, above the limit of 16777216 for psd; lower "
+            "duration_s or sample_rate_hz",
+        ),
+    ],
+    ids=["welch", "periodogram"],
+)
+def test_psd_refuses_a_segment_above_the_limit_before_generating(
+    tmp_path, capsys, monkeypatch, doc, message
+):
+    # Earlier builds generated the traffic, then asked numpy for the
+    # 8e12-sample window (58.2 TiB) or the 1e13-sample periodogram (72.8
+    # TiB) and ended in a traceback, exit 1.
+    def generate(*args):
+        raise AssertionError("generated traffic before checking the segment")
+
+    monkeypatch.setattr("dwptload.cli.generate", generate)
+    cfg = write_config(tmp_path, {"sample_rate_hz": 1e12, "duration_s": 10, **doc})
+    out = tmp_path / "out"
+    assert main(["psd", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "at, over",
+    [
+        ({"psd_method": "periodogram", "duration_s": 2.0**24}, {"duration_s": 2.0**24 + 1}),
+        ({"segment_s": 2.0**24, "duration_s": 2.0**24}, {"segment_s": 2.0**24 + 1}),
+    ],
+    ids=["periodogram", "welch"],
+)
+def test_segment_limit_is_inclusive(at, over):
+    # On the plan alone: nothing of the segment's size is allocated.
+    rc = RunConfig(sample_rate_hz=1.0, **at)
+    assert cli._psd_plan(rc).nperseg == cli.MAX_SEGMENT_SAMPLES == 2**24
+    rc = dataclasses.replace(rc, **{"duration_s": 2.0**24 + 1, **over})
+    with pytest.raises(ConfigError, match=f"segment of {2**24 + 1} samples, above the limit"):
+        cli._psd_plan(rc)
+
+
 def test_simulate_rejects_an_overflowing_sample_count_before_generating(
     tmp_path, capsys, monkeypatch
 ):
@@ -793,6 +845,44 @@ def test_periodogram_rejects_welch_keys(tmp_path, capsys, doc, key):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: config.{key}: not used by psd_method 'periodogram'")
     assert not (tmp_path / "psd.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("sample_rate_hz", 7.0),
+        ("psd_method", "welch"),
+        ("segment_s", 4.0),
+        ("overlap_frac", 0.25),
+        ("psd_window", "flattop"),
+    ],
+)
+def test_psd_analytic_rejects_sampling_keys(tmp_path, capsys, monkeypatch, key, value):
+    # The analytic lines come from the generated vehicles, not from a
+    # sampled series.  Earlier builds accepted these keys and wrote the
+    # same lines under another config hash.
+    def generate(*args):
+        raise AssertionError("generated traffic before checking the keys")
+
+    monkeypatch.setattr("dwptload.cli.generate", generate)
+    cfg = write_config(tmp_path, {key: value})
+    out = tmp_path / "out"
+    assert main(["psd", "--analytic", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: config.{key}: not used by psd --analytic, which samples no series\n"
+    )
+    assert not out.exists()
+
+
+def test_analytic_periodogram_is_refused_as_a_periodogram(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"psd_method": "periodogram", "segment_s": 4.0})
+    out = tmp_path / "out"
+    assert main(["psd", "--analytic", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: config.segment_s: not used by psd_method 'periodogram', "
+        "which is one boxcar segment over the whole series\n"
+    )
+    assert not out.exists()
 
 
 def test_periodogram_config_runs(tmp_path):
@@ -859,6 +949,44 @@ def test_psd_analytic_builds_no_evparams_per_vehicle(tmp_path, evparams_built):
         built.append(len(evparams_built) - before)
     assert n_evs[1] > 5 * n_evs[0]
     assert built[0] == built[1]
+
+
+@pytest.mark.parametrize("harmonics", [1025, 2049])
+def test_psd_analytic_blocks_sum_as_one_call(harmonics):
+    # A block of one harmonic would sum its vehicles in another order
+    # (numpy sums a column of one pairwise), and its line would move.
+    rc = runconfig_from_dict({**MIXED_CORRIDOR, "seed": 5, "analytic": True, "harmonics": harmonics})
+    scenario = generate(rc.er, rc.traffic, rc.seed)
+    _, lines = cli._analytic_lines(rc, scenario)
+    evs, m = scenario.evs, np.arange(1, harmonics + 1)
+    want = []
+    for speed in sorted(set(evs.speed_mps.tolist())):
+        rx, demand = (column[evs.speed_mps == speed] for column in (evs.rx_len_m, evs.peak_demand_kw))
+        grids = (fs_harmonic_grid(rc.er, r, demand[rx == r], m) for r in np.unique(rx).tolist())
+        want += sum((grid**2).sum(axis=0) for grid in grids).tolist()
+    got = np.array([power for f, power, _ in lines if f])  # less the DC lines
+    assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+
+
+def traced_analytic_peak(tmp_path, harmonics: int) -> int:
+    """Traced peak of ``psd --analytic`` over 600 s of default traffic."""
+    argv = [
+        "psd", "--analytic", "--duration-s", "600", "--harmonics", str(harmonics),
+        "--out", str(tmp_path / f"analytic{harmonics}"),
+    ]
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_psd_analytic_memory_does_not_grow_with_the_harmonics(tmp_path, capsys):
+    traced_analytic_peak(tmp_path, 10)  # caches outside the trace
+    # ~0.7 MiB measured, the lines written; one vehicles x M array per
+    # receiver length grew it by ~30 MiB.
+    assert traced_analytic_peak(tmp_path, 8000) - traced_analytic_peak(tmp_path, 2000) <= 2 * 2**20
 
 
 # --- composition ------------------------------------------------------------

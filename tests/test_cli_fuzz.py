@@ -96,11 +96,15 @@ def small_configs(draw) -> dict:
         n_ref=draw(st.integers(1, 6)),
     )
     doc = to_dict(rc)
-    # A periodogram document that sets a Welch key is refused; half the
-    # time leave them out so that the periodogram runs too.
+    # A periodogram document that sets a Welch key is refused, and so is
+    # an analytic one that sets a sampling or estimate key; half the time
+    # leave them out so that the periodogram and `psd --analytic` run too.
     if rc.psd_method == "periodogram" and draw(st.booleans()):
         for key in ("psd_window", "segment_s", "overlap_frac"):
             del doc[key]
+    if rc.analytic and draw(st.booleans()):
+        for key in ("sample_rate_hz", "psd_method", "segment_s", "overlap_frac", "psd_window"):
+            doc.pop(key, None)
     return doc
 
 

@@ -40,7 +40,7 @@ from dwptload import (
 )
 from dwptload import schema
 from dwptload.schema import dumps, members, to_dict
-from oracles import json_text
+from oracles import float_bits, json_text
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -202,13 +202,30 @@ def test_tables_are_written_as_json_dumps_writes_them(table):
 
 @SETTINGS
 @given(scenarios())
+@example(
+    Scenario(
+        INDOT,
+        VehicleTable(
+            entry_time_s=[-0.0, 0.0],
+            speed_mps=[24.6, 29.0],
+            rx_len_m=[1.83, 1.2],
+            peak_demand_kw=[-0.0, 0.0],
+            class_id=[None, "car"],
+        ),
+        60.0,
+        None,
+        IngestedFile("zeros.csv"),
+    )
+)
 def test_scenarios_are_written_as_json_dumps_writes_them(scenario):
     text = scenario_to_json(scenario)
     assert text == json_text(scenario)
     meta = {"config_sha256": "0" * 64, "seed": scenario.seed, "version": "x"}
     written = dumps({"meta": meta, **members(scenario)})
     assert written == json_text({"meta": meta, **to_dict(scenario)})
-    assert scenario_from_json(text) == scenario
+    back = scenario_from_json(text)
+    assert back == scenario
+    assert float_bits(back.evs) == float_bits(scenario.evs)  # -0.0 is not 0.0
 
 
 @SETTINGS

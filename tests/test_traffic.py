@@ -34,13 +34,23 @@ from dwptload import (
     write_scenario_csv,
 )
 from dwptload.traffic import CSV_FIELDS
-from oracles import checked_generate
+from oracles import checked_generate, float_bits
 
 TRUCK = TrafficClass(1.83, 1.0, 24.6, MaxDemand(), "truck")
 
 TWO_CLASS = (
     TrafficClass(1.83, 0.1775, 21.7, MaxDemand(), "truck"),
     TrafficClass(1.2, 0.8225, 29.0, UniformOnRange(), "sedan"),
+)
+
+
+#: A -0.0 entry time and a -0.0 demand beside 0.0.
+SIGNED_ZEROS = VehicleTable(
+    entry_time_s=[-0.0, 0.0, 2.5],
+    speed_mps=[24.6, 29.0, 24.6],
+    rx_len_m=[1.83, 1.2, 1.83],
+    peak_demand_kw=[200.0, -0.0, 0.0],
+    class_id=["truck", None, "car"],
 )
 
 
@@ -351,11 +361,18 @@ def test_csv_round_trip_is_exact(tmp_path):
     write_scenario_csv(sc, str(path))
     back = ingest(str(path), INDOT)
     assert back.evs == sc.evs  # float repr round-trips exactly
+    assert float_bits(back.evs) == float_bits(sc.evs)
     # Class ids that need quoting come back unchanged too.
     odd = [EvParams(1.83, 200.0, 24.6, float(i), cid) for i, cid in enumerate(["a,b", 'q"', None])]
     sc = Scenario(INDOT, VehicleTable.from_evs(odd), 10.0, None, IngestedFile("x"))
     write_scenario_csv(sc, str(path))
     assert ingest(str(path), INDOT).evs == sc.evs
+    # So do signed zeros, which ``==`` takes for 0.0.
+    sc = Scenario(INDOT, SIGNED_ZEROS, 10.0, None, IngestedFile("x"))
+    write_scenario_csv(sc, str(path))
+    back = ingest(str(path), INDOT)
+    assert back.evs == sc.evs
+    assert float_bits(back.evs) == float_bits(sc.evs)
     # Ids it could not give back are rejected where vehicles and classes are built.
     for cid in ("", " pad ", "pad\n"):
         with pytest.raises(ValueError, match="class_id"):
