@@ -41,7 +41,8 @@ from .signals import (
     MIN_TRIALS, PsdPlan, _grid, _scenario_blocks, _scenario_psd, detect_peaks, psd_plan,
 )
 from .spectrum import (
-    fs_harmonic, fs_harmonic_grid, harmonic_bound, harmonic_count_for_dc, thc_single,
+    MAX_HARMONICS, fs_harmonic, fs_harmonic_grid, harmonic_bound, harmonic_count_for_dc,
+    thc_single,
 )
 from .schema import dumps, from_dict, members, to_dict
 from .traffic import IngestError, Scenario, TrafficClass, TrafficSpec, generate, ingest
@@ -360,16 +361,11 @@ def cmd_simulate(rc: RunConfig) -> int:
     return EXIT_OK
 
 
-#: The most harmonics ``spectrum`` tabulates and ``psd --analytic`` sums
-#: per speed group.  ``fs_coeffs.csv`` holds one row of 30-50 bytes per
-#: harmonic, so at most some 50 MB.
-MAX_HARMONICS = 2**20
-
-
 def _harmonic_count(rc: RunConfig, command: str, dc_kw: float, source: str) -> int:
     """M: ``--harmonics``, or else the tail rule's count for a DC term of
-    ``dc_kw``, which ``source`` names.  An M above :data:`MAX_HARMONICS`
-    is a config error, raised before anything of size M is allocated."""
+    ``dc_kw``, which ``source`` names.  An M above :data:`MAX_HARMONICS`,
+    the most ``spectrum`` tabulates and ``psd --analytic`` sums per speed
+    group, is a config error, raised before anything of size M is allocated."""
     n_harmonics = rc.harmonics or harmonic_count_for_dc(rc.er, dc_kw)
     if n_harmonics > MAX_HARMONICS:
         cause = (
@@ -388,8 +384,7 @@ def cmd_spectrum(rc: RunConfig) -> int:
     """The table and the first-harmonic ratio from one row c_0..c_M of
     :func:`fs_harmonic`, and the THC of :func:`thc_single` over the same
     M, from :func:`_harmonic_count`."""
-    alpha = rc.er.power_density_kw_per_m
-    demand = rc.demand_kw if rc.demand_kw is not None else alpha * rc.rx_len_m
+    demand = rc.demand_kw if rc.demand_kw is not None else rc.er.full_kw(rc.rx_len_m)
     ev = EvParams(rc.rx_len_m, demand, rc.speed_mps)
     c0 = fs_harmonic(rc.er, ev, 0)
     n_harmonics = _harmonic_count(rc, "spectrum", c0, f"demand_kw {demand!r}")

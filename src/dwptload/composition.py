@@ -165,8 +165,7 @@ def matched_counts(sw: SweepConfig, col: SweepColumn) -> list[int]:
     has the same expected aggregate demand.
     """
     cfg = sw.cfg
-    alpha = cfg.power_density_kw_per_m
-    truck = EvParams(sw.truck_rx_len_m, alpha * sw.truck_rx_len_m, sw.truck_speed_mps)
+    truck = EvParams(sw.truck_rx_len_m, cfg.full_kw(sw.truck_rx_len_m), sw.truck_speed_mps)
     truck_dc = fs_harmonic(cfg, truck, 0)
     probe = FleetModel(
         cfg=cfg,
@@ -310,14 +309,13 @@ def run_sweep(sw: SweepConfig, seed: int) -> SweepResult:
     within its column's bounds.
     """
     cfg = sw.cfg
-    alpha = cfg.power_density_kw_per_m
     t0 = sw.window_start_s
     window = (t0, t0 + sw.window_s)
     f_truck = sw.truck_speed_mps / cfg.period_m
     f_sedan = sw.sedan_speed_mps / cfg.period_m
     k_truck = max_covering_periods(cfg, sw.truck_speed_mps, window)
     k_sedan = max_covering_periods(cfg, sw.sedan_speed_mps, window)
-    truck_demand = alpha * sw.truck_rx_len_m
+    truck_demand = cfg.full_kw(sw.truck_rx_len_m)
 
     bounds = _class_bounds(cfg, sw.columns)
     n_thetas = len(sw.thetas)

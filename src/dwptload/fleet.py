@@ -18,7 +18,7 @@ from typing import Callable, ClassVar, Optional, Sequence, Union
 import numpy as np
 
 from .roadway import ErConfig, EvParams, _check_deliverable, _require_class_id, _require_finite
-from .spectrum import fs_harmonic_grid, harmonic_count_for_dc
+from .spectrum import _tail_rule_count, fs_harmonic_grid
 
 
 @dataclass(frozen=True)
@@ -60,12 +60,11 @@ DEMAND_KEY = {"key": "demand"}
 
 def demand_bounds(dist: DemandDist, cfg: ErConfig, rx_len_m: float) -> tuple[float, float]:
     """Support [lo, hi] of a demand distribution for the given receiver."""
-    full = cfg.power_density_kw_per_m * rx_len_m
+    full = cfg.full_kw(rx_len_m)
     if isinstance(dist, MaxDemand):
         return full, full
     if isinstance(dist, UniformOnRange):
-        lo = max(0.0, cfg.power_density_kw_per_m * (rx_len_m - cfg.gap_m))
-        return lo, full
+        return cfg.floor_kw(rx_len_m), full
     return dist.lo_kw, dist.hi_kw
 
 
@@ -175,7 +174,7 @@ def class_moments(model: FleetModel, class_index: int, m) -> tuple[float, np.nda
     shape): weighted sums over demand nodes of one :func:`fs_harmonic_grid`
     call.  A point mass is one node.  A uniform demand takes
     :func:`_gauss_panels` on one panel below the constant-load threshold
-    ``alpha (rx_len - gap)`` (c_0 = demand, no harmonics) and above it on
+    :meth:`ErConfig.floor_kw` (c_0 = demand, no harmonics) and above it on
     panels of at most ``alpha D / (2 M)``, a period of c_M^2 for the largest
     M of ``m``, where c_0 is quadratic and c_m^2 a trigonometric polynomial
     in the demand: the moments are exact to the rounding of c_m itself.
@@ -184,10 +183,9 @@ def class_moments(model: FleetModel, class_index: int, m) -> tuple[float, np.nda
     if np.any(ma < 0):
         raise ValueError(f"m must be >= 0, got {m}")
     c, cfg = model.classes[class_index], model.cfg
-    alpha = cfg.power_density_kw_per_m
     lo, hi = demand_bounds(c.demand_dist, cfg, c.rx_len_m)
-    th = min(max(alpha * (c.rx_len_m - cfg.gap_m), lo), hi)
-    width = alpha * cfg.period_m / (2 * max(ma.max(initial=0), 1))
+    th = min(max(cfg.floor_kw(c.rx_len_m), lo), hi)
+    width = cfg.power_density_kw_per_m * cfg.period_m / (2 * max(ma.max(initial=0), 1))
     parts = [
         _gauss_panels(x0, x1, w) for x0, x1, w in ((lo, th, np.inf), (th, hi, width)) if x1 > x0
     ] or [(np.array([hi]), np.ones(1))]
@@ -245,13 +243,14 @@ class PsdModel:
 
 
 def _harmonic_moments(model: FleetModel, n_harmonics: int | None) -> tuple[float, np.ndarray]:
-    """(E[c_0], E[c_m^2] for m = 1..M), with M from :func:`harmonic_count_for_dc`
-    unless ``n_harmonics`` gives it; a given M must be at least 1."""
+    """(E[c_0], E[c_m^2] for m = 1..M), with M from the tail rule, at most
+    ``spectrum.MAX_HARMONICS``, unless ``n_harmonics`` gives it; a given M
+    must be at least 1."""
     if n_harmonics is not None and n_harmonics < 1:
         raise ValueError(f"n_harmonics must be >= 1, got {n_harmonics}")
     if n_harmonics is None:
         e0, _ = mixture_moments(model, 0)
-        n_harmonics = harmonic_count_for_dc(model.cfg, e0)
+        n_harmonics = _tail_rule_count(model.cfg, e0)
     return mixture_moments(model, np.arange(1, n_harmonics + 1))
 
 
@@ -370,10 +369,9 @@ def q_ratio(
         raise ValueError(f"n2 must be > 0, got {n2}")
     if not l_a < cfg.tx_len_m:
         raise ValueError(f"rx_len_m must be < tx_len_m ({cfg.tx_len_m}), got {l_a}")
-    alpha = cfg.power_density_kw_per_m
     # c_0 and c_1 of each receiver at full demand.
     (c0_a, c1_a), (c0_b, c1_b) = (
-        fs_harmonic_grid(cfg, l, alpha * l, np.arange(2)).tolist() for l in (l_a, l_b)
+        fs_harmonic_grid(cfg, l, cfg.full_kw(l), np.arange(2)).tolist() for l in (l_a, l_b)
     )
     h_a, h_b = c1_a * c1_a, c1_b * c1_b
     if n1 is None:

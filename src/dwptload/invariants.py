@@ -30,8 +30,8 @@ RX_LO, RX_HI = 0.2 / 3.66, 3.61 / 3.66
 def draw_vehicle(rng: np.random.Generator, cfg: ErConfig) -> EvParams:
     """A random receiver with a demand in the ripple range."""
     rx = rng.uniform(RX_LO * cfg.tx_len_m, RX_HI * cfg.tx_len_m)
-    lo = max(0.0, cfg.power_density_kw_per_m * (rx - cfg.gap_m))
-    demand = lo + (cfg.power_density_kw_per_m * rx - lo) * rng.uniform(0.05, 1.0)
+    lo = cfg.floor_kw(rx)
+    demand = lo + (cfg.full_kw(rx) - lo) * rng.uniform(0.05, 1.0)
     return EvParams(rx_len_m=rx, peak_demand_kw=demand, speed_mps=24.6)
 
 
@@ -112,10 +112,9 @@ def clipping_vs_scaling(cfg: ErConfig, rng: np.random.Generator, n: int) -> Opti
     is longer than half the period, where the lemma applies."""
     if not cfg.tx_len_m > cfg.period_m / 2:
         return None
-    alpha, u = cfg.power_density_kw_per_m, np.linspace(0.01, 0.999, n)
-    worst = -np.inf
+    u, worst = np.linspace(0.01, 0.999, n), -np.inf
     for rx in np.linspace(RX_LO * cfg.tx_len_m, RX_HI * cfg.tx_len_m, n):
-        lo, hi = max(0.0, alpha * (rx - cfg.gap_m)), alpha * rx
+        lo, hi = cfg.floor_kw(rx), cfg.full_kw(rx)
         c = fs_harmonic_grid(cfg, rx, np.append(lo + u * (hi - lo), hi), np.arange(2))
         ratio = np.abs(c[:, 1]) / c[:, 0]
         worst = max(worst, float(np.max(ratio[:-1] - ratio[-1])))

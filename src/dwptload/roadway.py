@@ -100,6 +100,18 @@ class ErConfig:
         """Length of the segment actually spanned by whole coil periods."""
         return self.n_coils * self.period_m
 
+    def full_kw(self, rx_len_m):
+        """Power at full overlap, ``alpha * rx_len``: the most a receiver
+        draws.  Both levels give a float for a float, an array for an array."""
+        return self.power_density_kw_per_m * rx_len_m
+
+    def floor_kw(self, rx_len_m):
+        """Power across a gap, ``alpha * max(rx_len - gap, 0)``: a demand at
+        or below it makes the load constant."""
+        over = rx_len_m - self.gap_m
+        over = np.maximum(over, 0.0) if np.ndim(over) else max(over, 0.0)
+        return self.power_density_kw_per_m * over
+
 
 #: Test-track parameters used as defaults throughout (4.57 m period,
 #: 109.36 kW/m): a 3.66 m coil, 0.91 m gap arrangement.
@@ -115,7 +127,7 @@ def _check_deliverable(cfg: ErConfig, rx_len_m: float, peak_demand_kw: float) ->
     """The checks of ``EvParams.validate_against``, on plain numbers."""
     if not rx_len_m < cfg.tx_len_m:
         raise ValueError(f"rx_len_m must be < tx_len_m ({cfg.tx_len_m}), got {rx_len_m}")
-    max_kw = cfg.power_density_kw_per_m * rx_len_m
+    max_kw = cfg.full_kw(rx_len_m)
     if peak_demand_kw > max_kw * (1 + 1e-12):
         raise ValueError(
             f"peak_demand_kw {peak_demand_kw} exceeds deliverable "
@@ -163,9 +175,6 @@ class EvParams:
         """Fundamental angular frequency (rad/s)."""
         return 2.0 * np.pi * self.speed_mps / cfg.period_m
 
-    def max_demand_kw(self, cfg: ErConfig) -> float:
-        return cfg.power_density_kw_per_m * self.rx_len_m
-
     def dwell_s(self, cfg: ErConfig) -> float:
         """Time the vehicle spends on the energized segment."""
         return cfg.energized_len_m / self.speed_mps
@@ -194,23 +203,18 @@ ControlScheme = Union[Clipping, Scaling]
 
 
 def constant_regime(cfg: ErConfig, ev: EvParams) -> bool:
-    """True when demand is low enough that the clipped load never varies.
-
-    This happens iff peak demand does not exceed the power available at the
-    minimum-overlap position, ``alpha * (rx_len - gap)``; for receivers not
-    longer than the gap the minimum overlap is zero and any positive demand
-    produces ripple.
+    """True when demand is low enough that the clipped load never varies:
+    peak demand does not exceed :meth:`ErConfig.floor_kw`, the power at the
+    minimum-overlap position.  For receivers not longer than the gap that
+    power is zero, so only a zero demand is constant.
     """
-    alpha = cfg.power_density_kw_per_m
-    if ev.peak_demand_kw == 0:
-        return True
-    return ev.peak_demand_kw <= alpha * (ev.rx_len_m - cfg.gap_m)
+    return ev.peak_demand_kw <= cfg.floor_kw(ev.rx_len_m)
 
 
 def _pulse_constants(cfg: ErConfig, rx_len_m, demand_kw):
     """The operands of :func:`_pulse` after its three arrays, for receivers
     of length ``rx_len_m`` drawing ``demand_kw``: ``1/D``, ``alpha D``,
-    ``alpha (tx_len + rx_len)``, ``alpha max(rx_len - gap, 0)`` and the
+    ``alpha (tx_len + rx_len)``, :meth:`ErConfig.floor_kw` and the
     demand.  ``rx_len_m`` and ``demand_kw`` may be arrays, one entry per
     vehicle, which gives each operand bit for bit as for one vehicle."""
     alpha = cfg.power_density_kw_per_m
@@ -219,7 +223,7 @@ def _pulse_constants(cfg: ErConfig, rx_len_m, demand_kw):
         1.0 / period,
         alpha * period,
         alpha * (cfg.tx_len_m + rx_len_m),
-        alpha * np.maximum(rx_len_m - cfg.gap_m, 0.0),
+        cfg.floor_kw(rx_len_m),
         demand_kw,
     )
 
@@ -295,7 +299,7 @@ def load_at_position(cfg: ErConfig, ev: EvParams, scheme: ControlScheme, x) -> n
     ev.validate_against(cfg)
     xa = np.asarray(x, dtype=float)
     on = (xa >= 0) & (xa < cfg.energized_len_m)
-    demand = ev.max_demand_kw(cfg) if isinstance(scheme, Scaling) else ev.peak_demand_kw
+    demand = cfg.full_kw(ev.rx_len_m) if isinstance(scheme, Scaling) else ev.peak_demand_kw
     vals = _pulse(
         xa, np.empty_like(xa), np.empty_like(xa), *_pulse_constants(cfg, ev.rx_len_m, demand)
     )

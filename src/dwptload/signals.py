@@ -407,9 +407,11 @@ def psd_plan(
         return PsdPlan(n, fs, method, n, 0, "boxcar")
     if method != "welch":
         raise ValueError(f"unknown method {method!r}")
+    if not 0 <= overlap_frac < 1:
+        raise ValueError(f"overlap_frac must lie in [0, 1), got {overlap_frac}")
     seg = segment_s * fs  # inf if it overflows: longer than any series
     nperseg = round(seg) if math.isfinite(seg) else seg
-    if nperseg < 2:
+    if not nperseg >= 2:  # NaN included
         raise ValueError(f"segment_s too short: {segment_s}")
     if nperseg > n:
         raise ValueError(f"segment of {nperseg} samples longer than series of {n}")

@@ -19,11 +19,10 @@ from .roadway import ErConfig, EvParams, constant_regime
 def _trapezoid(cfg: ErConfig, rx_len_m: float, p: np.ndarray):
     """Ramp width ``a = p / alpha``, full width at half plateau
     ``b = tx_len + rx_len - a``, and where the demand is at or below the
-    constant-load threshold ``alpha (rx_len - gap)``."""
-    alpha = cfg.power_density_kw_per_m
-    a = p / alpha
+    constant-load threshold :meth:`ErConfig.floor_kw`."""
+    a = p / cfg.power_density_kw_per_m
     b = cfg.tx_len_m + rx_len_m - a
-    return a, b, p <= alpha * (rx_len_m - cfg.gap_m)
+    return a, b, p <= cfg.floor_kw(rx_len_m)
 
 
 def fs_harmonic_grid(cfg: ErConfig, rx_len_m: float, demands_kw, m) -> np.ndarray:
@@ -39,14 +38,13 @@ def fs_harmonic_grid(cfg: ErConfig, rx_len_m: float, demands_kw, m) -> np.ndarra
     Demands at or below the constant-load threshold yield c_0 = demand and
     zero harmonics.
     """
-    alpha = cfg.power_density_kw_per_m
     d_per = cfg.period_m
     ma = np.asarray(m, dtype=float)
     p = np.asarray(demands_kw, dtype=float)
     p = p.reshape(p.shape + (1,) * ma.ndim)
     a, b, flat = _trapezoid(cfg, rx_len_m, p)
     dc = ma == 0
-    envelope = alpha * d_per / (np.pi * np.where(dc, 1.0, ma)) ** 2
+    envelope = harmonic_bound(cfg, np.where(dc, 1.0, np.abs(ma)))
     # The sine arguments round as those of the sinc form, pi * (m a / D),
     # so the two forms agree to a few ulps even next to a zero of c_m.
     out = envelope * np.sin(np.pi * (ma * a / d_per))
@@ -82,6 +80,7 @@ def _stepped_rows(
         if k > 1:
             np.multiply(two_cos, cur, out=spare)
             prev, cur, spare = cur, np.subtract(spare, prev, out=prev), spare
+        # Not harmonic_bound: Python's (pi k)**2 is not always (pi k)*(pi k).
         row = np.multiply(alpha * d_per / (np.pi * k) ** 2, cur[0], out=spare[0])
         row *= cur[1]
         row[flat] = 0.0
@@ -115,6 +114,11 @@ def harmonic_bound(cfg: ErConfig, m) -> np.ndarray | float:
 #: THC, in percentage points, that :func:`harmonic_count_for_dc` leaves to the tail.
 TAIL_TOL_PP = 0.01
 
+#: The most harmonics the tail rule may ask for where no count is given, and
+#: the most the CLI takes: ``spectrum`` writes one row of 30-50 bytes per
+#: harmonic to ``fs_coeffs.csv``, so at most some 50 MB.
+MAX_HARMONICS = 2**20
+
 
 def harmonic_count_for_dc(cfg: ErConfig, dc_kw: float) -> int:
     """Smallest M whose envelope-bounded spectral tail can add less than
@@ -126,7 +130,7 @@ def harmonic_count_for_dc(cfg: ErConfig, dc_kw: float) -> int:
     """
     if dc_kw <= 0:
         return 1
-    envelope = cfg.power_density_kw_per_m * cfg.period_m / np.pi**2
+    envelope = harmonic_bound(cfg, 1)
     # 100 * sqrt(2 * envelope^2 / (3 M^3)) / dc < TAIL_TOL_PP
     target = TAIL_TOL_PP / 100.0 * dc_kw / envelope
     try:
@@ -138,6 +142,18 @@ def harmonic_count_for_dc(cfg: ErConfig, dc_kw: float) -> int:
     return max(m, 1)
 
 
+def _tail_rule_count(cfg: ErConfig, dc_kw: float) -> int:
+    """:func:`harmonic_count_for_dc`, refused with ``ValueError`` above
+    :data:`MAX_HARMONICS`, before anything of that size is allocated."""
+    m = harmonic_count_for_dc(cfg, dc_kw)
+    if m > MAX_HARMONICS:
+        raise ValueError(
+            f"dc_kw {dc_kw} needs {m} harmonics by the tail rule, above the limit "
+            f"of {MAX_HARMONICS}; give a harmonic count"
+        )
+    return m
+
+
 def thc_single(
     cfg: ErConfig, ev: EvParams, n_harmonics: int | None = None
 ) -> float:
@@ -145,14 +161,16 @@ def thc_single(
 
     Defined as the RMS of the oscillatory part relative to the mean:
     ``100 * sqrt(2 * sum_m c_m^2) / c_0``.  In the constant-load regime the
-    waveform has no ripple and the THC is exactly zero.
+    waveform has no ripple and the THC is exactly zero.  Without
+    ``n_harmonics`` the count is the tail rule's, at most
+    :data:`MAX_HARMONICS`.
     """
     ev.validate_against(cfg)
     if constant_regime(cfg, ev):
         return 0.0
     c0 = fs_harmonic(cfg, ev, 0)
     if n_harmonics is None:
-        n_harmonics = harmonic_count_for_dc(cfg, c0)
+        n_harmonics = _tail_rule_count(cfg, c0)
     if n_harmonics < 1:
         raise ValueError(f"n_harmonics must be >= 1, got {n_harmonics}")
     cm = fs_harmonic(cfg, ev, np.arange(1, n_harmonics + 1))

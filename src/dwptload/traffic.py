@@ -108,8 +108,7 @@ def _rejected(entry, speed, rx, demand, class_id) -> np.ndarray:
 def _undeliverable(cfg: ErConfig, rx, demand) -> np.ndarray:
     """Where ``EvParams.validate_against`` rejects a vehicle."""
     with np.errstate(over="ignore", invalid="ignore"):
-        max_kw = cfg.power_density_kw_per_m * rx
-        return ~(rx < cfg.tx_len_m) | (demand > max_kw * (1 + 1e-12))
+        return ~(rx < cfg.tx_len_m) | (demand > cfg.full_kw(rx) * (1 + 1e-12))
 
 
 @dataclass(frozen=True, eq=False)

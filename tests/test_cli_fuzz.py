@@ -12,7 +12,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dwptload import (
@@ -110,6 +110,9 @@ def small_configs(draw) -> dict:
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(small_configs(), st.sampled_from(["simulate", "psd", "spectrum", "composition"]))
+# An analytic `psd` that keeps a sampling key, which it refuses: the
+# derandomized draws need not send one.
+@example({"analytic": True, "sample_rate_hz": 50.0, "duration_s": 1.0}, "psd")
 def test_random_configs_exit_with_a_documented_code(doc, command):
     # A subcommand refuses the keys it does not read (tests/test_cli.py);
     # without them it runs.

@@ -16,6 +16,7 @@ from dwptload import (
     Scaling,
     coil_pulse,
     constant_regime,
+    fs_harmonic,
     load_at_position,
     load_at_time,
 )
@@ -41,6 +42,14 @@ def test_segment_geometry_derived_quantities():
     assert INDOT.period_m == pytest.approx(4.57)
     assert INDOT.n_coils == 875
     assert INDOT.energized_len_m == pytest.approx(875 * 4.57)
+    # The pulse's two power levels: a float for a float, an array for an array.
+    assert INDOT.full_kw(1.83) == ALPHA * 1.83
+    assert INDOT.floor_kw(1.83) == ALPHA * (1.83 - INDOT.gap_m)
+    assert INDOT.floor_kw(0.58) == 0.0 and INDOT.floor_kw(INDOT.gap_m) == 0.0
+    assert type(INDOT.full_kw(1.83)) is float and type(INDOT.floor_kw(0.58)) is float
+    rx = np.array([0.58, 1.83])
+    np.testing.assert_array_equal(INDOT.full_kw(rx), [INDOT.full_kw(r) for r in rx.tolist()])
+    np.testing.assert_array_equal(INDOT.floor_kw(rx), [INDOT.floor_kw(r) for r in rx.tolist()])
 
 
 @pytest.mark.parametrize(
@@ -129,6 +138,17 @@ def test_constant_regime_threshold():
     # any positive demand produces ripple.
     assert not constant_regime(INDOT, ev(0.58, 1.0))
     assert constant_regime(INDOT, ev(0.58, 0.0))
+    # The regime and the spectrum read one threshold: on either side of the
+    # gap the load is constant exactly when every harmonic is +0.0.  A
+    # trapezoid of zero ramp gives zeros too, signed as its sines are, so
+    # the sign bit tells the two apart where == 0 does not.
+    for rx in (0.58, 1.83):
+        floor = INDOT.floor_kw(rx)
+        for demand in (0.0, floor, float(np.nextafter(floor, np.inf)), INDOT.full_kw(rx)):
+            vehicle = ev(rx, demand)
+            cm = fs_harmonic(INDOT, vehicle, np.arange(1, 9))
+            flat = not np.any(cm) and not np.any(np.signbit(cm))
+            assert constant_regime(INDOT, vehicle) == flat, (rx, demand)
 
 
 # --- the single-period pulse ----------------------------------------------

@@ -238,6 +238,13 @@ def test_estimate_psd_argument_errors():
         estimate_psd(LoadSeries(np.array([5.0]), 10.0), method="periodogram")
     with pytest.raises(ValueError):
         estimate_psd(ser, method="multitaper")
+    # psd_plan checks what RunConfig checks for the CLI: a negative overlap
+    # would skip samples between segments, and NaN is no number of samples.
+    for frac in (-0.5, 1.0, np.nan):
+        with pytest.raises(ValueError, match=rf"^overlap_frac must lie in \[0, 1\), got {frac}$"):
+            estimate_psd(ser, method="welch", segment_s=2.0, overlap_frac=frac)
+    with pytest.raises(ValueError, match="^segment_s too short: nan$"):
+        estimate_psd(ser, method="welch", segment_s=np.nan)
 
 
 def test_single_speed_fundamental_dominates():

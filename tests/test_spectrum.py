@@ -21,15 +21,21 @@ from dwptload import (
     INDOT,
     Clipping,
     ErConfig,
+    EvClass,
     EvParams,
+    FleetModel,
+    MaxDemand,
     Scaling,
+    analytic_psd,
     coil_pulse,
     fs_harmonic,
     fs_harmonic_grid,
     harmonic_bound,
     harmonic_count_for_dc,
     load_at_position,
+    spectrum,
     thc_single,
+    thc_total,
 )
 from dwptload.invariants import draw_vehicle
 
@@ -192,6 +198,24 @@ def test_auto_truncation_rule(truck):
     for dc in (5e-324, 1e-160):
         with pytest.raises(ValueError, match=f"^dc_kw {dc} is too small for the tail rule"):
             harmonic_count_for_dc(INDOT, dc)
+
+
+def test_tail_rule_above_the_limit_is_refused(monkeypatch, truck):
+    # Without a count, the truck's tail rule asks for 189 harmonics; above
+    # the limit it is refused before anything of that size is allocated.
+    monkeypatch.setattr(spectrum, "MAX_HARMONICS", 12)
+    refusal = (
+        rf"^dc_kw 160\.278207439824\d+ needs {TRUCK_AUTO_M} harmonics by the tail rule, "
+        "above the limit of 12; give a harmonic count$"
+    )
+    model = FleetModel(INDOT, (EvClass(1.83, 1.0, MaxDemand()),), 45, 24.6)
+    for compute, of in ((thc_single, (INDOT, truck)), (thc_total, (model,)), (analytic_psd, (model,))):
+        with pytest.raises(ValueError, match=refusal):
+            compute(*of)
+        compute(*of, TRUCK_AUTO_M + 1)  # a given count is not the rule's
+    monkeypatch.setattr(spectrum, "MAX_HARMONICS", TRUCK_AUTO_M)
+    assert thc_single(INDOT, truck) == thc_single(INDOT, truck, TRUCK_AUTO_M)
+    assert thc_total(model) == thc_total(model, TRUCK_AUTO_M)
 
 
 def test_coefficient_row(truck):
