@@ -48,7 +48,7 @@ from .fleet import (
     class_moments,
 )
 from .roadway import ErConfig, EvParams, _require_finite
-from .signals import _add_pulses, _collect, _phasor, _thc
+from .signals import _add_pulses, _collect, _grid, _phasor, _thc
 from .spectrum import fs_harmonic
 from .traffic import covering_entry_time, max_covering_periods
 
@@ -90,6 +90,16 @@ class SweepConfig:
             raise ValueError(f"n_windows must be >= 1, got {self.n_windows}")
         if self.n_ref < 1:
             raise ValueError(f"n_ref must be >= 1, got {self.n_ref}")
+        if self.m_max < 1:
+            raise ValueError(f"m_max must be >= 1, got {self.m_max}")
+        positive = ("truck_rx_len_m", "truck_speed_mps", "sedan_speed_mps", "window_s",
+                    "sample_rate_hz")
+        _require_finite(self, *positive, "window_start_s")
+        for name in positive:
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.window_start_s < 0:
+            raise ValueError(f"window_start_s must be >= 0, got {self.window_start_s}")
 
 
 def default_sweep_config(cfg: ErConfig, n_windows: int = 128) -> SweepConfig:
@@ -309,8 +319,9 @@ def run_sweep(sw: SweepConfig, seed: int) -> SweepResult:
     within its column's bounds.
     """
     cfg = sw.cfg
-    t0 = sw.window_start_s
-    window = (t0, t0 + sw.window_s)
+    fs = sw.sample_rate_hz
+    window = (sw.window_start_s, sw.window_start_s + sw.window_s)
+    t0, n_samples = _grid(window, fs)
     f_truck = sw.truck_speed_mps / cfg.period_m
     f_sedan = sw.sedan_speed_mps / cfg.period_m
     k_truck = max_covering_periods(cfg, sw.truck_speed_mps, window)
@@ -334,8 +345,6 @@ def run_sweep(sw: SweepConfig, seed: int) -> SweepResult:
     directions = _sobol_directions(2 * n_max)
     m = max(1, int(np.ceil(np.log2(sw.n_windows))))
     pools = [_scrambled_sobol(directions, rng, m) for _ in range(n_cols)]
-    fs = sw.sample_rate_hz
-    n_samples = int(round((window[1] - window[0]) * fs))
     phasors = [_phasor(n_samples, fs, f0) for f0 in (f_truck, f_sedan)]
     thc = np.empty((n_thetas, n_cols, sw.n_windows))
     rows = np.empty((n_thetas, n_samples))  # every cell fills all of it

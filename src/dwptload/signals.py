@@ -71,12 +71,6 @@ class LoadSeries:
 #: most this many samples per row, so none grows with the window.
 _BLOCK = 2**15
 
-#: Samples of segments whose ``|X|^2`` :func:`_welch` sums in order before
-#: adding the sum into its total: the groups in which Welch summed its
-#: segments when it transformed the whole series this many samples at a
-#: time, kept so that the estimate is unchanged bit for bit.
-_WELCH_BLOCK = 2**18
-
 #: Complex elements in each work array of a Monte Carlo tile (512 KiB):
 #: :func:`monte_carlo_psd` takes ``_MC_TILE // n_evs`` trials at a time.
 #: At least 2, so that no tile is a one-element array (see there).
@@ -193,11 +187,16 @@ def _collect(rows: np.ndarray, blocks: Iterator[tuple[int, np.ndarray]]) -> np.n
     return rows
 
 
+def _require_rate(sample_rate_hz: float) -> None:
+    """Raise ``ValueError`` unless ``sample_rate_hz`` is finite and > 0."""
+    if not (np.isfinite(sample_rate_hz) and sample_rate_hz > 0):
+        raise ValueError(f"sample_rate_hz must be finite and > 0, got {sample_rate_hz}")
+
+
 def _grid(window: tuple[float, float], sample_rate_hz: float) -> tuple[float, int]:
     """Start time and sample count of the grid that samples ``window`` at
     ``sample_rate_hz``."""
-    if not (np.isfinite(sample_rate_hz) and sample_rate_hz > 0):
-        raise ValueError(f"sample_rate_hz must be finite and > 0, got {sample_rate_hz}")
+    _require_rate(sample_rate_hz)
     t0, t1 = window
     if not (0.0 <= t0 < t1 and np.isfinite((t1 - t0) * sample_rate_hz)):
         raise ValueError(
@@ -280,41 +279,6 @@ def _window(name: str, n: int) -> np.ndarray:
     return w[:-1]
 
 
-def _add_power(
-    segments: np.ndarray, count: int, per_group: int, group: np.ndarray, power: np.ndarray
-) -> int:
-    """Add ``|X|^2`` of every row of ``segments``, windowed, into the
-    running sums of :func:`_welch`, which has summed ``count`` segments
-    before them; return the new count.
-
-    Welch on the whole series summed ``|X|^2`` over each group of
-    ``per_group`` consecutive segments, row after row, and added each
-    group's sum into ``power``.  Here the rows add into ``group``, the sum
-    of the current group so far, and a group that is full adds into
-    ``power``; numpy sums a 2-D array over its first axis row after row,
-    so the sums are those of the whole group bit for bit.  The rows then
-    hold the squares, so ``segments`` is scratch afterwards; the only new
-    work array is the transform.
-    """
-    spec = np.fft.rfft(segments, axis=-1)
-    squares = segments.reshape(-1)[: spec.size].reshape(spec.shape)
-    np.multiply(spec.real, spec.real, out=squares)
-    np.multiply(spec.imag, spec.imag, out=spec.imag)
-    squares += spec.imag
-    i = 0
-    while i < len(squares):
-        summed = count % per_group
-        part = squares[i : i + per_group - summed]
-        if summed:
-            part[0] += group
-        np.sum(part, axis=0, out=group)
-        count += len(part)
-        i += len(part)
-        if count % per_group == 0:
-            power += group
-    return count
-
-
 def _welch(
     blocks: Iterable[np.ndarray], fs: float, win: np.ndarray, nperseg: int, noverlap: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -334,19 +298,19 @@ def _welch(
     piece that completes a segment is joined to them, and the whole
     segments of the join are windowed ``max(1, _BLOCK // nperseg)`` at a
     time into one reused buffer (in place in the join when segments do
-    not overlap), transformed and added into the running ``|X|^2`` sums
-    (:func:`_add_power`), so memory holds one sampling block and one
-    segment, whatever the series.  The sums run in the groups of
-    ``_WELCH_BLOCK`` samples of segments that Welch on the whole series
-    used, so the result is that of the whole series bit for bit, however
-    it is cut.  A periodogram's one segment is the whole series, which it
-    holds.  Requires ``noverlap < nperseg <=`` the number of samples.
+    not overlap) and transformed, so memory holds one sampling block and
+    one segment, whatever the series.  Their ``|X|^2`` go into the rows of
+    that buffer, and the first row takes the running sum: numpy sums a
+    2-D array over its first axis row after row, so the segments add into
+    one running sum in segment order, and the estimate does not depend on
+    how the series is cut.  A periodogram's one segment is the whole
+    series, which it holds.  Requires ``noverlap < nperseg <=`` the number
+    of samples.
     """
     step = nperseg - noverlap
-    per_group = max(1, _WELCH_BLOCK // nperseg)
     rows = max(1, _BLOCK // nperseg)
     segs = np.empty((rows, nperseg)) if noverlap else None
-    group, power = np.zeros(nperseg // 2 + 1), np.zeros(nperseg // 2 + 1)
+    power = np.zeros(nperseg // 2 + 1)
     # Segments summed; the series from the next segment's start, and its samples.
     count, pending, held = 0, [], 0
     for x in blocks:
@@ -364,11 +328,16 @@ def _welch(
         for k in range(0, r, rows):
             part = windows[k : k + rows]
             part = np.multiply(part, win, out=segs[: len(part)] if noverlap else part)
-            count = _add_power(part, count, per_group, group, power)
+            spec = np.fft.rfft(part, axis=-1)
+            squares = part.reshape(-1)[: spec.size].reshape(spec.shape)
+            np.multiply(spec.real, spec.real, out=squares)
+            np.multiply(spec.imag, spec.imag, out=spec.imag)
+            squares += spec.imag
+            squares[0] += power
+            np.sum(squares, axis=0, out=power)
+            count += len(squares)
         pending = [join[r * step :]]
         held = pending[0].size
-    if count % per_group:
-        power += group
     psd = power / (count * fs * np.sum(win * win))
     psd[1 : None if nperseg % 2 else -1] *= 2.0
     return np.fft.rfftfreq(nperseg, 1.0 / fs), psd
@@ -401,6 +370,7 @@ def psd_plan(
     one place that checks the settings, raising ``ValueError``.  A
     periodogram is one boxcar segment over the whole series, so it ignores
     ``segment_s``, ``overlap_frac`` and ``window``."""
+    _require_rate(fs)
     if method == "periodogram":
         if n < 2:
             raise ValueError(f"series of {n} samples too short for a periodogram")

@@ -65,7 +65,7 @@ from dwptload import (
 )
 from dwptload.composition import matched_counts, truck_count_schedules
 from dwptload.invariants import fourier_coeffs_quadrature, mean_square_exact, pulse_kinks
-from dwptload.signals import _BLOCK, _WELCH_BLOCK, _phasor, _thc
+from dwptload.signals import _BLOCK, _phasor, _thc
 from dwptload.schema import to_dict
 from dwptload.spectrum import _stepped_rows
 from dwptload.traffic import CSV_FIELDS, covering_entry_time, max_covering_periods
@@ -284,17 +284,13 @@ def blocked_synthesize(
 def in_memory_welch(
     x: np.ndarray, fs: float, win: np.ndarray, nperseg: int, noverlap: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Welch density of the whole series ``x`` held in memory, as
-    :func:`dwptload.signals._welch` computes it from blocks: segments taken
-    as a strided view of ``x``, windowed and transformed
-    ``max(1, _WELCH_BLOCK // nperseg)`` at a time, ``|X|^2`` summed per
-    group into the running sums.  The package's Welch before it streamed."""
+    """Textbook Welch density of the whole series ``x`` held in memory:
+    every segment of a strided view of ``x`` windowed and transformed in
+    one call, and ``|X|^2`` summed over the segments in segment order, the
+    last entry of their running sum."""
     segments = np.lib.stride_tricks.sliding_window_view(x, nperseg)[:: nperseg - noverlap]
-    per_block = max(1, _WELCH_BLOCK // nperseg)
-    power = np.zeros(nperseg // 2 + 1)
-    for a in range(0, len(segments), per_block):
-        spec = np.fft.rfft(segments[a : a + per_block] * win, axis=-1)
-        power += (spec.real**2 + spec.imag**2).sum(axis=0)
+    spec = np.fft.rfft(segments * win, axis=-1)
+    power = np.cumsum(spec.real**2 + spec.imag**2, axis=0)[-1]
     psd = power / (len(segments) * fs * np.sum(win * win))
     psd[1 : None if nperseg % 2 else -1] *= 2.0
     return np.fft.rfftfreq(nperseg, 1.0 / fs), psd

@@ -54,6 +54,22 @@ def test_sweep_config_validation():
         SweepConfig(
             cfg=INDOT, columns=(SweepColumn(1.2, MaxDemand()),), thetas=(0.1, 1.5)
         )
+    # The sampling fields are refused where the config is built.
+    sw = default_sweep_config(INDOT, n_windows=1)
+    bad = [(name, value, "must be finite") for value in (np.nan, np.inf, -np.inf) for name in (
+        "truck_rx_len_m", "truck_speed_mps", "sedan_speed_mps", "window_s",
+        "window_start_s", "sample_rate_hz",
+    )]
+    bad += [(name, value, "must be > 0") for value in (0.0, -500.0) for name in (
+        "truck_rx_len_m", "truck_speed_mps", "sedan_speed_mps", "window_s", "sample_rate_hz",
+    )]
+    bad += [("window_start_s", -1.0, "must be >= 0"), ("m_max", 0, "must be >= 1")]
+    for name, value, rule in bad:
+        with pytest.raises(ValueError, match=rf"^{name} {rule}, got {value}$"):
+            dataclasses.replace(sw, **{name: value})
+    # A window whose end overflows is refused by the grid, before any draw.
+    with pytest.raises(ValueError, match=r"^bad window"):
+        run_sweep(dataclasses.replace(sw, window_start_s=1e308, window_s=1e308), seed=0)
 
 
 def test_matched_counts_reference_values():

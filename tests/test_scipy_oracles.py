@@ -76,6 +76,19 @@ def test_welch_matches_scipy(case, window):
     )
 
 
+def test_welch_of_many_segments_matches_scipy():
+    # The segments add into one running sum in order: an hour at 1 kHz in
+    # 50-sample Hann segments at 50 % overlap is 143,999 of them, where
+    # the property cases above hold at most ~3,000.
+    fs, nperseg, noverlap = 1000.0, 50, 25
+    x = np.random.default_rng(0).normal(50.0, 20.0, 3_600_000)
+    chunks = (x[a : a + 2**15] for a in range(0, x.size, 2**15))
+    assert_same_psd(
+        _welch(chunks, fs, _window("hann", nperseg), nperseg, noverlap),
+        sps.welch(x, fs=fs, window="hann", nperseg=nperseg, noverlap=noverlap, detrend=False),
+    )
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(case=welch_cases())
 def test_periodogram_matches_scipy(case):

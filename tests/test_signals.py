@@ -31,7 +31,7 @@ from dwptload import (
     synthesize,
 )
 from dwptload.roadway import EvParams
-from dwptload.signals import _line_powers, _phasor
+from dwptload.signals import _line_powers, _phasor, psd_plan
 from oracles import period_coefficients_fft
 
 F0_246 = 24.6 / INDOT.period_m  # 5.3829... Hz
@@ -245,6 +245,12 @@ def test_estimate_psd_argument_errors():
             estimate_psd(ser, method="welch", segment_s=2.0, overlap_frac=frac)
     with pytest.raises(ValueError, match="^segment_s too short: nan$"):
         estimate_psd(ser, method="welch", segment_s=np.nan)
+    # The rate is refused before the segment it scales.
+    for fs in (np.nan, np.inf, 0.0, -100.0):
+        message = rf"^sample_rate_hz must be finite and > 0, got {fs}$"
+        for method in ("welch", "periodogram"):
+            with pytest.raises(ValueError, match=message):
+                psd_plan(10_000, fs, method, 8.0, 0.5, "hann")
 
 
 def test_single_speed_fundamental_dominates():

@@ -27,7 +27,6 @@ from dwptload import (
 )
 from dwptload.signals import (
     _BLOCK,
-    _WELCH_BLOCK,
     _add_pulses,
     _collect,
     _sample_spans,
@@ -69,8 +68,9 @@ def stream(n: int, nperseg: int, noverlap: int, sizes: list[int], seed: int = 0)
 @st.composite
 def welch_streams(draw):
     """A series with a Welch segmentation or the periodogram, and the chunk
-    sizes to feed it in.  Welch series hold up to three groups of
-    segments, so the groups' edges fall anywhere among the chunks."""
+    sizes to feed it in.  Welch series hold up to 400,000 samples and
+    their segments up to 4,000,000 in all, so the batches that Welch
+    transforms at a time end anywhere among the chunks."""
     sizes = draw(
         st.lists(st.integers(1, 8) | st.integers(1, 2 * _BLOCK), min_size=1, max_size=6)
     )
@@ -81,18 +81,17 @@ def welch_streams(draw):
     nperseg = draw(st.sampled_from([2, 3, 5001, 8000, _BLOCK + 1]) | st.integers(2, 3 * _BLOCK))
     noverlap = draw(st.sampled_from([0, nperseg - 1]) | st.integers(0, nperseg - 1))
     step = nperseg - noverlap
-    groups = max(1, _WELCH_BLOCK // nperseg)
-    most = min(3 * groups + 2, 4_000_000 // nperseg, (400_000 - nperseg) // step + 1)
+    most = min(4_000_000 // nperseg, (400_000 - nperseg) // step + 1)
     n = nperseg + (draw(st.integers(1, most)) - 1) * step + draw(st.integers(0, step - 1))
     return stream(n, nperseg, noverlap, sizes, seed)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(case=welch_streams())
-# Segments longer than a sampling block, odd and not dividing the Welch
-# block, fed in sampling blocks: one segment per group.
+# Segments longer than a sampling block, odd, fed in sampling blocks: one
+# segment per transform.
 @example(case=stream(3 * (_BLOCK + 1) + 5, _BLOCK + 1, 0, [_BLOCK]))
-# The default 8 s Hann segments at 1 kHz over 150 s: groups of 32.
+# The default 8 s Hann segments at 1 kHz over 150 s: 4 per transform.
 @example(case=stream(150_000, 8000, 4000, [_BLOCK]))
 # One sample at a time, every segment overlapping the last but one sample.
 @example(case=stream(5201, 5001, 5000, [1]))
@@ -209,7 +208,7 @@ def test_sampling_evaluates_each_vehicle_once_per_block_it_meets(monkeypatch, ho
 
 def traced_psd_peak(tmp_path, duration_s: float) -> int:
     """Traced peak of the sampled ``psd`` at 200 Hz on the benchmark
-    corridor at 0.5 vehicles/s (8 s segments: groups of 163)."""
+    corridor at 0.5 vehicles/s (8 s segments: 20 per transform)."""
     config = tmp_path / f"corridor{duration_s}.json"
     spec = corridor_spec(duration_s, 0.5)
     config.write_text(json.dumps({
