@@ -32,17 +32,14 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, spectrum
 from .composition import SweepColumn, SweepConfig, default_sweep_config, run_sweep
 from .fleet import MaxDemand
 from .invariants import CHECKS
 from .roadway import INDOT, ErConfig, EvParams, _require_finite, constant_regime
-from .signals import (
-    MIN_TRIALS, PsdPlan, _grid, _scenario_blocks, _scenario_psd, detect_peaks, psd_plan,
-)
+from .signals import MIN_TRIALS, _grid, _scenario_blocks, _scenario_psd, detect_peaks, psd_plan
 from .spectrum import (
-    MAX_HARMONICS, fs_harmonic, fs_harmonic_grid, harmonic_bound, harmonic_count_for_dc,
-    thc_single,
+    fs_harmonic, fs_harmonic_grid, harmonic_bound, harmonic_count_for_dc, thc_single,
 )
 from .schema import dumps, from_dict, members, to_dict
 from .traffic import IngestError, Scenario, TrafficClass, TrafficSpec, generate, ingest
@@ -113,6 +110,10 @@ class RunConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.harmonics is not None and self.harmonics < 1:
             raise ConfigError(f"harmonics must be >= 1, got {self.harmonics}")
+        if self.harmonics is not None and self.harmonics > spectrum.MAX_HARMONICS:
+            raise ConfigError(
+                f"harmonics must be <= {spectrum.MAX_HARMONICS}, got {self.harmonics}"
+            )
         if self.rx_len_m <= 0:
             raise ConfigError(f"rx_len_m must be > 0, got {self.rx_len_m}")
         if self.speed_mps <= 0:
@@ -361,35 +362,17 @@ def cmd_simulate(rc: RunConfig) -> int:
     return EXIT_OK
 
 
-def _harmonic_count(rc: RunConfig, command: str, dc_kw: float, source: str) -> int:
-    """M: ``--harmonics``, or else the tail rule's count for a DC term of
-    ``dc_kw``, which ``source`` names.  An M above :data:`MAX_HARMONICS`,
-    the most ``spectrum`` tabulates and ``psd --analytic`` sums per speed
-    group, is a config error, raised before anything of size M is allocated."""
-    n_harmonics = rc.harmonics or harmonic_count_for_dc(rc.er, dc_kw)
-    if n_harmonics > MAX_HARMONICS:
-        cause = (
-            f"harmonics {n_harmonics}"
-            if rc.harmonics
-            else f"{source} needs {n_harmonics} harmonics by the tail rule, which"
-        )
-        raise ConfigError(
-            f"{cause} is above the limit of {MAX_HARMONICS} for {command}; "
-            f"pass --harmonics {MAX_HARMONICS} or fewer"
-        )
-    return n_harmonics
-
-
 def cmd_spectrum(rc: RunConfig) -> int:
     """The table and the first-harmonic ratio from one row c_0..c_M of
     :func:`fs_harmonic`, and the THC of :func:`thc_single` over the same
-    M, from :func:`_harmonic_count`."""
+    M, from ``harmonics``, or else 1 for a constant load and
+    :func:`harmonic_count_for_dc` for any other."""
     demand = rc.demand_kw if rc.demand_kw is not None else rc.er.full_kw(rc.rx_len_m)
     ev = EvParams(rc.rx_len_m, demand, rc.speed_mps)
     c0 = fs_harmonic(rc.er, ev, 0)
-    n_harmonics = _harmonic_count(rc, "spectrum", c0, f"demand_kw {demand!r}")
+    constant = constant_regime(rc.er, ev)  # every c_m is 0: no tail to bound
+    n_harmonics = rc.harmonics or (1 if constant else harmonic_count_for_dc(rc.er, c0))
     m = np.arange(n_harmonics + 1)
-    constant = constant_regime(rc.er, ev)
     thc = thc_single(rc.er, ev, n_harmonics)
     meta = run_metadata(rc)
     out = Path(rc.out_dir)
@@ -421,12 +404,13 @@ _HARMONIC_BLOCK = 1024
 def _analytic_lines(rc: RunConfig, scenario: Scenario):
     """Per-speed-group line spectra for the vehicles actually generated:
     the DC line ``(sum c_0)^2`` and the line ``sum c_m^2`` at each harmonic
-    up to the :func:`_harmonic_count` of the group's mean c_0, with one
-    :func:`fs_harmonic_grid` call per receiver length and order, for at most
-    ``_HARMONIC_BLOCK`` harmonics at a time, in blocks whose widths differ
-    by at most one: numpy would sum a block of one harmonic pairwise, not
-    in the order of one call over all M.  The scenario has validated every
-    vehicle."""
+    up to ``harmonics``, or else 1 for a group of constant loads and the
+    :func:`harmonic_count_for_dc` of the group's mean c_0 for any other,
+    with one :func:`fs_harmonic_grid` call per receiver length and order,
+    for at most ``_HARMONIC_BLOCK`` harmonics at a time, in blocks whose
+    widths differ by at most one: numpy would sum a block of one harmonic
+    pairwise, not in the order of one call over all M.  The scenario has
+    validated every vehicle."""
     cfg, evs = rc.er, scenario.evs
     lines, fundamentals = [], []
     for speed in sorted(set(evs.speed_mps.tolist())):
@@ -434,9 +418,9 @@ def _analytic_lines(rc: RunConfig, scenario: Scenario):
         rx, demand = evs.rx_len_m[group], evs.peak_demand_kw[group]
         receivers = [(r, demand[rx == r]) for r in np.unique(rx).tolist()]
         dc = sum(float(fs_harmonic_grid(cfg, r, d, 0).sum()) for r, d in receivers)
-        mean_dc = dc / rx.size
-        source = f"the mean DC term {mean_dc!r} kW of the vehicles at {speed!r} m/s"
-        m = np.arange(1, _harmonic_count(rc, "psd", mean_dc, source) + 1)
+        constant = np.all(demand <= cfg.floor_kw(rx))  # every c_m is 0
+        m_max = rc.harmonics or (1 if constant else harmonic_count_for_dc(cfg, dc / rx.size))
+        m = np.arange(1, m_max + 1)
         powers = np.concatenate([
             sum((fs_harmonic_grid(cfg, r, d, part) ** 2).sum(axis=0) for r, d in receivers)
             for part in np.array_split(m, -(-m.size // _HARMONIC_BLOCK))
@@ -448,34 +432,13 @@ def _analytic_lines(rc: RunConfig, scenario: Scenario):
     return fundamentals, lines
 
 
-#: The most samples in a segment of the sampled ``psd``, a periodogram's
-#: being the whole series.  ``PsdPlan.estimate`` peaks at some 44 bytes
-#: per segment sample (traced), 704 MiB at the limit.
-MAX_SEGMENT_SAMPLES = 2**24
-
-
-def _psd_plan(rc: RunConfig) -> PsdPlan:
-    """The plan of the sampled ``psd`` (:func:`psd_plan`), whose segment
-    may hold at most :data:`MAX_SEGMENT_SAMPLES`, else a config error names
-    the keys that set it."""
-    _, n = _grid((0.0, rc.duration_s), rc.sample_rate_hz)
-    plan = psd_plan(
-        n, rc.sample_rate_hz, rc.psd_method, rc.segment_s, rc.overlap_frac, rc.psd_window
-    )
-    if plan.nperseg > MAX_SEGMENT_SAMPLES:
-        key = "duration_s" if plan.method == "periodogram" else "segment_s"
-        raise ConfigError(
-            f"{key} {getattr(rc, key)!r} at sample_rate_hz {rc.sample_rate_hz!r} makes a "
-            f"{plan.method} segment of {plan.nperseg} samples, above the limit of "
-            f"{MAX_SEGMENT_SAMPLES} for psd; lower {key} or sample_rate_hz"
-        )
-    return plan
-
-
 def cmd_psd(rc: RunConfig) -> int:
     if not rc.analytic:
         # Checked now, not after the whole horizon has been generated.
-        plan = _psd_plan(rc)
+        _, n = _grid((0.0, rc.duration_s), rc.sample_rate_hz)
+        plan = psd_plan(
+            n, rc.sample_rate_hz, rc.psd_method, rc.segment_s, rc.overlap_frac, rc.psd_window
+        )
     spec = _resolved_traffic(rc, _default_psd_traffic)
     scenario = generate(rc.er, spec, rc.seed)
     meta = run_metadata(rc)

@@ -66,6 +66,12 @@ class SweepColumn:
             raise ValueError(f"rx_len_m must be > 0, got {self.rx_len_m}")
 
 
+#: The most windows a sweep takes.  Each column's Sobol pool holds
+#: ``2^ceil(log2 n_windows) x 2 n_max`` points of 8 bytes: at the default
+#: ``n_ref`` of 45 (``n_max`` 45), 11.8 MB a column at the limit.
+MAX_WINDOWS = 2**14
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     cfg: ErConfig
@@ -88,6 +94,8 @@ class SweepConfig:
             raise ValueError(f"thetas must be non-empty and lie in [0, 1], got {self.thetas}")
         if self.n_windows < 1:
             raise ValueError(f"n_windows must be >= 1, got {self.n_windows}")
+        if self.n_windows > MAX_WINDOWS:
+            raise ValueError(f"n_windows must be <= {MAX_WINDOWS}, got {self.n_windows}")
         if self.n_ref < 1:
             raise ValueError(f"n_ref must be >= 1, got {self.n_ref}")
         if self.m_max < 1:
@@ -342,7 +350,13 @@ def run_sweep(sw: SweepConfig, seed: int) -> SweepResult:
     rng = np.random.default_rng(seed)
     # One scrambled Sobol stream of (phase, demand) pairs per column; row w
     # seeds window w.  Drawn in a power-of-two block to keep the net balanced.
-    directions = _sobol_directions(2 * n_max)
+    try:
+        directions = _sobol_directions(2 * n_max)
+    except ValueError as exc:  # more dimensions than the shipped table
+        raise ValueError(
+            f"n_ref {sw.n_ref} matches up to {n_max} vehicles a window, whose phases and "
+            f"demands need {2 * n_max} Sobol dimensions: {exc}"
+        ) from None
     m = max(1, int(np.ceil(np.log2(sw.n_windows))))
     pools = [_scrambled_sobol(directions, rng, m) for _ in range(n_cols)]
     phasors = [_phasor(n_samples, fs, f0) for f0 in (f_truck, f_sedan)]

@@ -18,7 +18,7 @@ from typing import Callable, ClassVar, Optional, Sequence, Union
 import numpy as np
 
 from .roadway import ErConfig, EvParams, _check_deliverable, _require_class_id, _require_finite
-from .spectrum import _tail_rule_count, fs_harmonic_grid
+from .spectrum import fs_harmonic_grid, harmonic_count_for_dc
 
 
 @dataclass(frozen=True)
@@ -250,7 +250,7 @@ def _harmonic_moments(model: FleetModel, n_harmonics: int | None) -> tuple[float
         raise ValueError(f"n_harmonics must be >= 1, got {n_harmonics}")
     if n_harmonics is None:
         e0, _ = mixture_moments(model, 0)
-        n_harmonics = _tail_rule_count(model.cfg, e0)
+        n_harmonics = harmonic_count_for_dc(model.cfg, e0)
     return mixture_moments(model, np.arange(1, n_harmonics + 1))
 
 

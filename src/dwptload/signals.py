@@ -193,9 +193,15 @@ def _require_rate(sample_rate_hz: float) -> None:
         raise ValueError(f"sample_rate_hz must be finite and > 0, got {sample_rate_hz}")
 
 
+#: The most samples on one grid: 2^27, some 37 h at 1 kHz.  It bounds
+#: every sampled route, ``synthesize``, ``simulate``, the sampled ``psd``
+#: and :func:`dwptload.composition.run_sweep`, before any vehicle is drawn.
+MAX_SAMPLES = 2**27
+
+
 def _grid(window: tuple[float, float], sample_rate_hz: float) -> tuple[float, int]:
     """Start time and sample count of the grid that samples ``window`` at
-    ``sample_rate_hz``."""
+    ``sample_rate_hz``: at most :data:`MAX_SAMPLES`, else ``ValueError``."""
     _require_rate(sample_rate_hz)
     t0, t1 = window
     if not (0.0 <= t0 < t1 and np.isfinite((t1 - t0) * sample_rate_hz)):
@@ -203,7 +209,13 @@ def _grid(window: tuple[float, float], sample_rate_hz: float) -> tuple[float, in
             f"bad window {window}: need 0 <= t0 < t1 and a finite number of "
             f"samples at {sample_rate_hz} Hz"
         )
-    return t0, int(round((t1 - t0) * sample_rate_hz))
+    n = int(round((t1 - t0) * sample_rate_hz))
+    if n > MAX_SAMPLES:
+        raise ValueError(
+            f"window {window} at {sample_rate_hz} Hz makes {n} samples, above the limit "
+            f"of {MAX_SAMPLES}"
+        )
+    return t0, n
 
 
 def _scenario_blocks(
@@ -363,17 +375,29 @@ class PsdPlan:
         return PsdEstimate(freqs, psd, float(freqs[1] - freqs[0]), self.method, self.n)
 
 
+#: The most samples in one segment of a PSD estimate, a periodogram's being
+#: the whole series.  :meth:`PsdPlan.estimate` peaks at some 44 bytes per
+#: segment sample (traced), 704 MiB at the limit.
+MAX_SEGMENT_SAMPLES = 2**24
+
+
 def psd_plan(
     n: int, fs: float, method: str, segment_s: float, overlap_frac: float, window: str
 ) -> PsdPlan:
     """The plan of ``method`` for an ``n``-sample series at ``fs`` Hz: the
-    one place that checks the settings, raising ``ValueError``.  A
-    periodogram is one boxcar segment over the whole series, so it ignores
-    ``segment_s``, ``overlap_frac`` and ``window``."""
+    one place that checks the settings, raising ``ValueError``, a segment
+    above :data:`MAX_SEGMENT_SAMPLES` included.  A periodogram is one
+    boxcar segment over the whole series, so it ignores ``segment_s``,
+    ``overlap_frac`` and ``window``."""
     _require_rate(fs)
     if method == "periodogram":
         if n < 2:
             raise ValueError(f"series of {n} samples too short for a periodogram")
+        if n > MAX_SEGMENT_SAMPLES:
+            raise ValueError(
+                f"a periodogram of {n} samples at {fs} Hz is one segment above the limit "
+                f"of {MAX_SEGMENT_SAMPLES}"
+            )
         return PsdPlan(n, fs, method, n, 0, "boxcar")
     if method != "welch":
         raise ValueError(f"unknown method {method!r}")
@@ -390,6 +414,11 @@ def psd_plan(
         raise ValueError(f"noverlap={noverlap} must be less than nperseg={nperseg}!")
     if window not in WINDOWS:
         raise ValueError(f"Invalid window name {window!r}; the windows are {', '.join(WINDOWS)}")
+    if nperseg > MAX_SEGMENT_SAMPLES:
+        raise ValueError(
+            f"segment_s {segment_s} at {fs} Hz makes a segment of {nperseg} samples, "
+            f"above the limit of {MAX_SEGMENT_SAMPLES}"
+        )
     return PsdPlan(n, fs, method, nperseg, noverlap, window)
 
 

@@ -114,9 +114,9 @@ def harmonic_bound(cfg: ErConfig, m) -> np.ndarray | float:
 #: THC, in percentage points, that :func:`harmonic_count_for_dc` leaves to the tail.
 TAIL_TOL_PP = 0.01
 
-#: The most harmonics the tail rule may ask for where no count is given, and
-#: the most the CLI takes: ``spectrum`` writes one row of 30-50 bytes per
-#: harmonic to ``fs_coeffs.csv``, so at most some 50 MB.
+#: The most harmonics the tail rule may ask for, and the most a run of the
+#: CLI takes: ``spectrum`` writes one row of 30-50 bytes per harmonic to
+#: ``fs_coeffs.csv``, so at most some 50 MB.
 MAX_HARMONICS = 2**20
 
 
@@ -126,7 +126,8 @@ def harmonic_count_for_dc(cfg: ErConfig, dc_kw: float) -> int:
 
     Uses ``sum_{m>M} m^-4 <= 1/(3 M^3)`` with the demand-independent
     envelope on |c_m|, so the returned M is conservative.  A DC term so
-    small that M overflows a float raises ``ValueError``.
+    small that M overflows a float, or exceeds :data:`MAX_HARMONICS`,
+    raises ``ValueError`` before anything of size M is allocated.
     """
     if dc_kw <= 0:
         return 1
@@ -139,19 +140,12 @@ def harmonic_count_for_dc(cfg: ErConfig, dc_kw: float) -> int:
         raise ValueError(
             f"dc_kw {dc_kw} is too small for the tail rule; give a harmonic count"
         ) from None
-    return max(m, 1)
-
-
-def _tail_rule_count(cfg: ErConfig, dc_kw: float) -> int:
-    """:func:`harmonic_count_for_dc`, refused with ``ValueError`` above
-    :data:`MAX_HARMONICS`, before anything of that size is allocated."""
-    m = harmonic_count_for_dc(cfg, dc_kw)
     if m > MAX_HARMONICS:
         raise ValueError(
             f"dc_kw {dc_kw} needs {m} harmonics by the tail rule, above the limit "
             f"of {MAX_HARMONICS}; give a harmonic count"
         )
-    return m
+    return max(m, 1)
 
 
 def thc_single(
@@ -170,7 +164,7 @@ def thc_single(
         return 0.0
     c0 = fs_harmonic(cfg, ev, 0)
     if n_harmonics is None:
-        n_harmonics = _tail_rule_count(cfg, c0)
+        n_harmonics = harmonic_count_for_dc(cfg, c0)
     if n_harmonics < 1:
         raise ValueError(f"n_harmonics must be >= 1, got {n_harmonics}")
     cm = fs_harmonic(cfg, ev, np.arange(1, n_harmonics + 1))

@@ -19,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dwptload
-from dwptload import INDOT, cli, generate, ingest, scenario_from_json, synthesize
+from dwptload import (
+    INDOT, cli, composition, generate, ingest, scenario_from_json, spectrum, synthesize,
+)
 from dwptload.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -35,7 +37,7 @@ from dwptload.cli import (
 )
 from dwptload.composition import _sobol_directions
 from dwptload.invariants import CHECKS
-from dwptload.signals import WINDOWS
+from dwptload.signals import MAX_SEGMENT_SAMPLES, WINDOWS, LoadSeries, estimate_psd, psd_plan
 from dwptload.spectrum import fs_harmonic_grid
 from oracles import csv_lines, point_class_analytic_lines
 
@@ -400,65 +402,120 @@ def test_spectrum_truncation_flag_and_constant_load(tmp_path):
     assert "first_harmonic_ratio" not in doc
 
 
-TINY_DEMAND_TRAFFIC = {
-    "duration_s": 30.0,
-    "traffic": {
-        "rate_evps": 1.0,
-        "duration_s": 30.0,
-        "classes": [
-            {
-                "rx_len_m": 1.2,
-                "prob": 1.0,
-                "speed_mps": 29.0,
-                "demand": {"kind": "uniform", "lo_kw": 1e-10, "hi_kw": 1e-10},
-            }
-        ],
-    },
-}
+def tiny_demand_traffic(rx_len_m: float) -> dict:
+    """A psd document of one class drawing 1e-10 kW: a constant load on a
+    receiver longer than the gap, a pulse on a shorter one."""
+    demand = {"kind": "uniform", "lo_kw": 1e-10, "hi_kw": 1e-10}
+    classes = [{"rx_len_m": rx_len_m, "prob": 1.0, "speed_mps": 29.0, "demand": demand}]
+    return {"duration_s": 30.0, "traffic": {"rate_evps": 1.0, "duration_s": 30.0, "classes": classes}}
+
+
+def tail_rule_refusal(dc_kw: float, m: int, limit: int = 2**20) -> str:
+    """The tail rule's refusal of a DC term of ``dc_kw``, which needs ``m``
+    harmonics."""
+    return (
+        f"dc_kw {dc_kw!r} needs {m} harmonics by the tail rule, above the limit of "
+        f"{limit}; give a harmonic count"
+    )
 
 
 @pytest.mark.parametrize(
-    "args, doc, cause",
+    "args, doc, message",
     [
-        (["spectrum", "--harmonics", str(2**20 + 1)], {}, f"harmonics {2**20 + 1}"),
-        (["spectrum", "--harmonics", "30000000000"], {}, "harmonics 30000000000"),
-        # The tail rule's M for this DC is 2.6e10: 192 GiB as one array.
+        (
+            ["spectrum", "--harmonics", str(2**20 + 1)],
+            {},
+            f"config: harmonics must be <= 1048576, got {2**20 + 1}",
+        ),
+        (
+            ["spectrum", "--harmonics", "30000000000"],
+            {},
+            "config: harmonics must be <= 1048576, got 30000000000",
+        ),
+        # A receiver shorter than the gap is never a constant load, so the
+        # tail rule bounds its harmonics: 2.7e10 of them, 204 GiB as one array.
         (
             ["spectrum"],
-            {"demand_kw": 1e-10},
-            "demand_kw 1e-10 needs 25760416736 harmonics by the tail rule, which",
+            {"rx_len_m": 0.5, "demand_kw": 1e-10},
+            tail_rule_refusal(9.10284463894767e-11, 27426357379),
         ),
-        (["psd", "--analytic", "--harmonics", "30000000000"], {}, "harmonics 30000000000"),
+        (
+            ["psd", "--analytic", "--harmonics", "30000000000"],
+            {},
+            "config: harmonics must be <= 1048576, got 30000000000",
+        ),
         (
             ["psd", "--analytic"],
-            TINY_DEMAND_TRAFFIC,
-            "the mean DC term 1e-10 kW of the vehicles at 29.0 m/s needs 25760416736 "
-            "harmonics by the tail rule, which",
+            tiny_demand_traffic(0.5),
+            tail_rule_refusal(9.10284463894767e-11, 27426357379),
         ),
     ],
     ids=["harmonics-over", "harmonics-huge", "demand-kw", "psd-harmonics-huge", "psd-demand"],
 )
-def test_more_harmonics_than_the_limit_are_refused(tmp_path, capsys, args, doc, cause):
+def test_more_harmonics_than_the_limit_are_refused(tmp_path, capsys, args, doc, message):
     out = tmp_path / "out"
     argv = [*args, "--config", write_config(tmp_path, doc), "--out", str(out)]
     assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr().err == (
-        f"config error: {cause} is above the limit of 1048576 for {args[0]}; "
-        "pass --harmonics 1048576 or fewer\n"
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_harmonic_limit_is_inclusive(tmp_path, capsys, monkeypatch):
+    # The CLI binds no copy of the limit: patching the library's moves it.
+    monkeypatch.setattr(spectrum, "MAX_HARMONICS", 12)
+    over = "config error: config: harmonics must be <= 12, got 13\n"
+    # The default vehicle's tail rule needs 189 harmonics.
+    rule = f"config error: {tail_rule_refusal(160.27820743982497, 189, 12)}\n"
+    psd = ["psd", "--analytic", "--duration-s", "20"]
+    for i, (args, code, err) in enumerate([
+        (["spectrum", "--harmonics", "12"], EXIT_OK, ""),
+        (["spectrum", "--harmonics", "13"], EXIT_CONFIG, over),
+        (["spectrum"], EXIT_CONFIG, rule),
+        ([*psd, "--harmonics", "12"], EXIT_OK, ""),
+        ([*psd, "--harmonics", "13"], EXIT_CONFIG, over),
+    ]):
+        out = tmp_path / f"out{i}"
+        assert main([*args, "--out", str(out)]) == code
+        assert capsys.readouterr().err == err
+        assert out.exists() == (code == EXIT_OK)
+    # Each speed group's mean DC term asks for more than 12 harmonics.
+    out = tmp_path / "psd-rule"
+    assert main([*psd, "--out", str(out)]) == EXIT_CONFIG
+    assert "harmonics by the tail rule, above the limit of 12; give a harmonic count\n" in (
+        capsys.readouterr().err
     )
     assert not out.exists()
 
 
-def test_harmonic_limit_is_inclusive(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "MAX_HARMONICS", 12)
-    assert main(["spectrum", "--harmonics", "12", "--out", str(tmp_path / "at")]) == EXIT_OK
-    assert main(["spectrum", "--harmonics", "13", "--out", str(tmp_path / "over")]) == EXIT_CONFIG
-    # The default vehicle's tail rule needs 189 harmonics.
-    assert main(["spectrum", "--out", str(tmp_path / "rule")]) == EXIT_CONFIG
-    psd = ["psd", "--analytic", "--duration-s", "20"]
-    assert main([*psd, "--harmonics", "12", "--out", str(tmp_path / "psd-at")]) == EXIT_OK
-    assert main([*psd, "--harmonics", "13", "--out", str(tmp_path / "psd-over")]) == EXIT_CONFIG
-    assert main([*psd, "--out", str(tmp_path / "psd-rule")]) == EXIT_CONFIG
+def test_runconfig_harmonics_limit_is_inclusive():
+    assert RunConfig(harmonics=2**20).harmonics == 2**20
+    with pytest.raises(ConfigError, match=rf"^harmonics must be <= 1048576, got {2**20 + 1}$"):
+        RunConfig(harmonics=2**20 + 1)
+
+
+def test_a_constant_load_takes_one_harmonic(tmp_path, capsys):
+    # Every harmonic of a constant load is 0, so no tail rule applies: the
+    # parent asked for --harmonics at 1e-5 kW and wrote 409 zero rows at 50 kW.
+    for demand_kw in (1e-5, 50.0):
+        out = tmp_path / f"spectrum{demand_kw}"
+        cfg = write_config(tmp_path, {"demand_kw": demand_kw})
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == "spectrum: THC 0 % over 1 harmonics\n"
+        doc = json.loads((out / "thc.json").read_text())
+        assert (doc["harmonics_used"], doc["constant_load"], doc["dc_kw"]) == (1, True, demand_kw)
+        _, _, rows = read_meta_csv(out / "fs_coeffs.csv")
+        assert [row.split(",")[:3] for row in rows] == [
+            ["0", "0", f"{demand_kw:.10g}"], ["1", "5.382932166", "0"]
+        ]
+    # A speed group whose vehicles are all constant loads: its DC line and one line of 0.
+    out = tmp_path / "psd"
+    cfg = write_config(tmp_path, tiny_demand_traffic(1.2))
+    assert main(["psd", "--analytic", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    _, _, rows = read_meta_csv(out / "psd.csv")
+    assert [row.split(",")[1:] for row in rows][1:] == [["0", "29"]]
+    assert main(["psd", "--analytic", "--harmonics", "3", "--config", cfg, "--out", str(out)]) == 0
+    _, _, rows = read_meta_csv(out / "psd.csv")
+    assert len(rows) == 4
 
 
 # --- CSV rows ---------------------------------------------------------------
@@ -770,16 +827,14 @@ def test_psd_rejects_unworkable_welch_settings_before_generating(
     "doc, message",
     [
         (
-            {},
-            "segment_s 8.0 at sample_rate_hz 1000000000000.0 makes a welch segment of "
-            "8000000000000 samples, above the limit of 16777216 for psd; lower segment_s "
-            "or sample_rate_hz",
+            {"segment_s": 18.0},
+            "segment_s 18.0 at 1000000.0 Hz makes a segment of 18000000 samples, above the "
+            "limit of 16777216",
         ),
         (
             {"psd_method": "periodogram"},
-            "duration_s 10.0 at sample_rate_hz 1000000000000.0 makes a periodogram segment "
-            "of 10000000000000 samples, above the limit of 16777216 for psd; lower "
-            "duration_s or sample_rate_hz",
+            "a periodogram of 20000000 samples at 1000000.0 Hz is one segment above the "
+            "limit of 16777216",
         ),
     ],
     ids=["welch", "periodogram"],
@@ -789,12 +844,13 @@ def test_psd_refuses_a_segment_above_the_limit_before_generating(
 ):
     # Earlier builds generated the traffic, then asked numpy for the
     # 8e12-sample window (58.2 TiB) or the 1e13-sample periodogram (72.8
-    # TiB) and ended in a traceback, exit 1.
+    # TiB) and ended in a traceback, exit 1.  The series here is within
+    # `signals.MAX_SAMPLES`, so the segment is what is refused.
     def generate(*args):
         raise AssertionError("generated traffic before checking the segment")
 
     monkeypatch.setattr("dwptload.cli.generate", generate)
-    cfg = write_config(tmp_path, {"sample_rate_hz": 1e12, "duration_s": 10, **doc})
+    cfg = write_config(tmp_path, {"sample_rate_hz": 1e6, "duration_s": 20, **doc})
     out = tmp_path / "out"
     assert main(["psd", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {message}\n"
@@ -802,20 +858,81 @@ def test_psd_refuses_a_segment_above_the_limit_before_generating(
 
 
 @pytest.mark.parametrize(
-    "at, over",
+    "method, message",
     [
-        ({"psd_method": "periodogram", "duration_s": 2.0**24}, {"duration_s": 2.0**24 + 1}),
-        ({"segment_s": 2.0**24, "duration_s": 2.0**24}, {"segment_s": 2.0**24 + 1}),
+        ("periodogram", "a periodogram of 16777217 samples at 1.0 Hz is one segment above"),
+        ("welch", "segment_s 16777217.0 at 1.0 Hz makes a segment of 16777217 samples, above"),
     ],
     ids=["periodogram", "welch"],
 )
-def test_segment_limit_is_inclusive(at, over):
-    # On the plan alone: nothing of the segment's size is allocated.
-    rc = RunConfig(sample_rate_hz=1.0, **at)
-    assert cli._psd_plan(rc).nperseg == cli.MAX_SEGMENT_SAMPLES == 2**24
-    rc = dataclasses.replace(rc, **{"duration_s": 2.0**24 + 1, **over})
-    with pytest.raises(ConfigError, match=f"segment of {2**24 + 1} samples, above the limit"):
-        cli._psd_plan(rc)
+def test_segment_limit_is_inclusive(method, message):
+    # A segment as long as the series, at 1 Hz: 2^24 samples are planned
+    # (nothing of that size is allocated), 2^24 + 1 are refused by the plan
+    # and by the in-memory estimate alike, which reads no sample of them.
+    n = MAX_SEGMENT_SAMPLES
+    assert psd_plan(n, 1.0, method, float(n), 0.5, "hann").nperseg == n == 2**24
+    refusal = f"^{message} the limit of 16777216$"
+    with pytest.raises(ValueError, match=refusal):
+        psd_plan(n + 1, 1.0, method, float(n + 1), 0.5, "hann")
+    series = LoadSeries(np.broadcast_to(0.0, (n + 1,)), 1.0)
+    with pytest.raises(ValueError, match=refusal):
+        estimate_psd(series, method, segment_s=float(n + 1))
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        # The parent was still writing a `*.tmp` of 332 MB and growing.
+        (
+            "simulate",
+            {"sample_rate_hz": 1e12, "duration_s": 10},
+            "window (0.0, 10.0) at 1000000000000.0 Hz makes 10000000000000 samples",
+        ),
+        # The parent was still sampling after 30 s.
+        (
+            "psd",
+            {"sample_rate_hz": 1e6, "duration_s": 1e5, "segment_s": 1.0},
+            "window (0.0, 100000.0) at 1000000.0 Hz makes 100000000000 samples",
+        ),
+    ],
+    ids=["simulate", "psd"],
+)
+def test_a_grid_above_the_sample_limit_is_refused_before_generating(
+    tmp_path, capsys, monkeypatch, command, doc, message
+):
+    def generate(*args):
+        raise AssertionError("generated traffic before checking the sample count")
+
+    monkeypatch.setattr("dwptload.cli.generate", generate)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {message}, above the limit of 134217728\n"
+    )
+    assert not out.exists()
+
+
+def test_composition_refuses_sizes_it_cannot_serve(tmp_path, capsys, monkeypatch):
+    # The parent ended --trials 1000000000 in a 67.1 GiB allocation
+    # traceback, exit 1, and refused n_ref 20000 without naming the key.
+    def draw(*args):
+        raise AssertionError("drew Sobol points before checking the sweep's size")
+
+    monkeypatch.setattr(composition, "_scrambled_sobol", draw)
+    for args, message in [
+        (["--trials", "1000000000"], "n_windows must be <= 16384, got 1000000000"),
+        (["--trials", "16385"], "n_windows must be <= 16384, got 16385"),
+        (
+            ["--config", write_config(tmp_path, {"n_ref": 20000})],
+            "n_ref 20000 matches up to 20000 vehicles a window, whose phases and demands "
+            "need 40000 Sobol dimensions: Maximum supported dimensionality is 21201.",
+        ),
+    ]:
+        out = tmp_path / "out"
+        assert main(["composition", *args, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
 
 def test_simulate_rejects_an_overflowing_sample_count_before_generating(

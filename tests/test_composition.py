@@ -21,7 +21,9 @@ from dwptload import (
     fs_harmonic,
     run_sweep,
 )
+from dwptload import composition
 from dwptload.composition import (
+    MAX_WINDOWS,
     _accumulated_counts,
     matched_counts,
     truck_count_schedules,
@@ -70,6 +72,41 @@ def test_sweep_config_validation():
     # A window whose end overflows is refused by the grid, before any draw.
     with pytest.raises(ValueError, match=r"^bad window"):
         run_sweep(dataclasses.replace(sw, window_start_s=1e308, window_s=1e308), seed=0)
+    # So is one of more samples than any grid takes: the parent asked for
+    # 3 rows of 5e8 samples (12 GB), or numpy's "Maximum allowed size
+    # exceeded" at window_s 1e300.
+    with pytest.raises(ValueError, match=(
+        r"^window \(130\.0, 1000130\.0\) at 500\.0 Hz makes 500000000 samples, "
+        r"above the limit of 134217728$"
+    )):
+        run_sweep(dataclasses.replace(sw, window_s=1e6), seed=0)
+
+
+def test_sweep_size_limits(monkeypatch):
+    assert MAX_WINDOWS == 2**14
+    assert default_sweep_config(INDOT, n_windows=MAX_WINDOWS).n_windows == MAX_WINDOWS
+    with pytest.raises(ValueError, match=rf"^n_windows must be <= 16384, got 16385$"):
+        default_sweep_config(INDOT, n_windows=MAX_WINDOWS + 1)
+
+    # n_ref 10600 matches 10600 vehicles a window, 21200 Sobol dimensions:
+    # the shipped table serves them; one more vehicle is refused before any
+    # point is drawn.
+    class Drew(Exception):
+        pass
+
+    def draw(directions, rng, m):
+        raise Drew(directions.shape)
+
+    monkeypatch.setattr(composition, "_scrambled_sobol", draw)
+    sw = default_sweep_config(INDOT, n_windows=1)
+    with pytest.raises(Drew) as drew:
+        run_sweep(dataclasses.replace(sw, n_ref=10600), seed=0)
+    assert drew.value.args == ((21200, 30),)
+    with pytest.raises(ValueError, match=(
+        r"^n_ref 10601 matches up to 10601 vehicles a window, whose phases and demands "
+        r"need 21202 Sobol dimensions: Maximum supported dimensionality is 21201\.$"
+    )):
+        run_sweep(dataclasses.replace(sw, n_ref=10601), seed=0)
 
 
 def test_matched_counts_reference_values():

@@ -31,7 +31,7 @@ from dwptload import (
     synthesize,
 )
 from dwptload.roadway import EvParams
-from dwptload.signals import _line_powers, _phasor, psd_plan
+from dwptload.signals import MAX_SAMPLES, _grid, _line_powers, _phasor, psd_plan
 from oracles import period_coefficients_fft
 
 F0_246 = 24.6 / INDOT.period_m  # 5.3829... Hz
@@ -499,3 +499,17 @@ def test_monte_carlo_validation():
         monte_carlo_psd(fleet(5), trials=50, seed=0)
     with pytest.raises(ValueError):
         monte_carlo_psd(fleet(5), trials=100, seed=0, m_max=-1)
+
+
+def test_grid_sample_limit_is_inclusive():
+    assert _grid((0.0, 2.0**27), 1.0) == (0.0, MAX_SAMPLES) == (0.0, 2**27)
+    refusal = (
+        r"^window \(0\.0, 134217729\.0\) at 1\.0 Hz makes 134217729 samples, above the "
+        r"limit of 134217728$"
+    )
+    with pytest.raises(ValueError, match=refusal):
+        _grid((0.0, 2.0**27 + 1), 1.0)
+    # synthesize refuses its grid before it holds a sample: the parent
+    # asked numpy for 1e13 floats (72.8 TiB).
+    with pytest.raises(ValueError, match=r"^window \(0\.0, 10\.0\) at 1000000000000\.0 Hz makes"):
+        synthesize(trucks_cover(1, 0), 1e12, window=(0.0, 10.0))

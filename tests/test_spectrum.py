@@ -12,6 +12,8 @@ random geometry.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -198,6 +200,23 @@ def test_auto_truncation_rule(truck):
     for dc in (5e-324, 1e-160):
         with pytest.raises(ValueError, match=f"^dc_kw {dc} is too small for the tail rule"):
             harmonic_count_for_dc(INDOT, dc)
+
+
+def test_tail_rule_limit_is_inclusive():
+    # The DC terms whose tail rule lands half a harmonic below and above
+    # 2^20 + 1/2: M = 2^20 is taken, M = 2^20 + 1 refused.
+    def dc_for(m):
+        return float(np.sqrt(2.0 / (3.0 * m**3))) * harmonic_bound(INDOT, 1) / (spectrum.TAIL_TOL_PP / 100.0)
+
+    assert spectrum.MAX_HARMONICS == 2**20
+    assert harmonic_count_for_dc(INDOT, dc_for(2**20 - 0.5)) == 2**20
+    over = dc_for(2**20 + 0.5)
+    refusal = (
+        f"dc_kw {over!r} needs {2**20 + 1} harmonics by the tail rule, above the limit "
+        "of 1048576; give a harmonic count"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+        harmonic_count_for_dc(INDOT, over)
 
 
 def test_tail_rule_above_the_limit_is_refused(monkeypatch, truck):
