@@ -362,6 +362,15 @@ def cmd_simulate(rc: RunConfig) -> int:
     return EXIT_OK
 
 
+def _tail_rule(cfg: ErConfig, dc_kw: float, setting: str) -> int:
+    """:func:`harmonic_count_for_dc`, whose refusal names the ``setting``
+    that asked and the option that replaces the rule."""
+    try:
+        return harmonic_count_for_dc(cfg, dc_kw)
+    except ValueError as exc:
+        raise ValueError(f"{setting}: {exc} (--harmonics)") from None
+
+
 def cmd_spectrum(rc: RunConfig) -> int:
     """The table and the first-harmonic ratio from one row c_0..c_M of
     :func:`fs_harmonic`, and the THC of :func:`thc_single` over the same
@@ -371,7 +380,8 @@ def cmd_spectrum(rc: RunConfig) -> int:
     ev = EvParams(rc.rx_len_m, demand, rc.speed_mps)
     c0 = fs_harmonic(rc.er, ev, 0)
     constant = constant_regime(rc.er, ev)  # every c_m is 0: no tail to bound
-    n_harmonics = rc.harmonics or (1 if constant else harmonic_count_for_dc(rc.er, c0))
+    setting = f"demand_kw {demand!r} on rx_len_m {rc.rx_len_m!r}"
+    n_harmonics = rc.harmonics or (1 if constant else _tail_rule(rc.er, c0, setting))
     m = np.arange(n_harmonics + 1)
     thc = thc_single(rc.er, ev, n_harmonics)
     meta = run_metadata(rc)
@@ -419,7 +429,8 @@ def _analytic_lines(rc: RunConfig, scenario: Scenario):
         receivers = [(r, demand[rx == r]) for r in np.unique(rx).tolist()]
         dc = sum(float(fs_harmonic_grid(cfg, r, d, 0).sum()) for r, d in receivers)
         constant = np.all(demand <= cfg.floor_kw(rx))  # every c_m is 0
-        m_max = rc.harmonics or (1 if constant else harmonic_count_for_dc(cfg, dc / rx.size))
+        setting = f"the {speed!r} m/s speed group"
+        m_max = rc.harmonics or (1 if constant else _tail_rule(cfg, dc / rx.size, setting))
         m = np.arange(1, m_max + 1)
         powers = np.concatenate([
             sum((fs_harmonic_grid(cfg, r, d, part) ** 2).sum(axis=0) for r, d in receivers)

@@ -18,7 +18,7 @@ from .fleet import (
     EvClass, FleetModel, MaxDemand, UniformOnRange, _gauss_panels, analytic_psd,
     composition_condition, mixture_moments, q_ratio,
 )
-from .roadway import ErConfig, EvParams, coil_pulse
+from .roadway import ErConfig, EvParams, _pulse_kinks, coil_pulse
 from .signals import monte_carlo_psd
 from .spectrum import fs_harmonic_grid, harmonic_bound, harmonic_count_for_dc
 
@@ -36,11 +36,12 @@ def draw_vehicle(rng: np.random.Generator, cfg: ErConfig) -> EvParams:
 
 
 def pulse_kinks(cfg: ErConfig, ev: EvParams) -> np.ndarray:
-    """Breakpoints of the clipped-trapezoid pulse within [0, period]."""
-    ramp = ev.peak_demand_kw / cfg.power_density_kw_per_m
-    end = ev.rx_len_m + cfg.tx_len_m  # within the period below the gap
-    pts = {0.0, cfg.period_m, max(0.0, ev.rx_len_m - cfg.gap_m), ramp, end - ramp, end}
-    return np.array(sorted(p for p in pts if p <= cfg.period_m))
+    """Breakpoints of the clipped-trapezoid pulse within [0, period]: the
+    period's ends and the kinks of :func:`dwptload.roadway._pulse_kinks`
+    that lie within it, sorted, each once."""
+    offsets, _ = _pulse_kinks(cfg, ev.rx_len_m, ev.peak_demand_kw)
+    points = np.unique(np.append(offsets, (0.0, cfg.period_m)))
+    return points[points <= cfg.period_m]
 
 
 def mean_square_exact(cfg: ErConfig, ev: EvParams) -> float:

@@ -228,6 +228,33 @@ def _pulse_constants(cfg: ErConfig, rx_len_m, demand_kw):
     )
 
 
+def _pulse_kinks(cfg: ErConfig, rx_len_m, demand_kw):
+    """Where the pulse of :func:`_pulse` bends within a coil period, and
+    its base level: ``(offsets, base_kw)``.
+
+    From the coil start the load holds ``base_kw``, ramps up at alpha kW
+    per metre from ``offsets[..., 0]`` (``max(rx_len - gap, 0)``) to the
+    demand at ``offsets[..., 1]`` (``demand / alpha``), holds it to
+    ``offsets[..., 2]`` (``tx_len + rx_len - demand / alpha``), ramps down
+    to ``base_kw`` at ``offsets[..., 3]`` (``min(tx_len + rx_len, D)``)
+    and holds that to the period's end.  The base is
+    :meth:`ErConfig.floor_kw`, or the demand where it is not above the
+    floor: that is the constant regime, whose load is its base everywhere
+    and whose offsets mean nothing.  ``rx_len_m`` and ``demand_kw`` may be
+    arrays, one entry per vehicle; the offsets then have a last axis of 4.
+    """
+    alpha = cfg.power_density_kw_per_m
+    end = cfg.tx_len_m + rx_len_m
+    ramp = demand_kw / alpha
+    offsets = np.stack(
+        np.broadcast_arrays(
+            np.maximum(rx_len_m - cfg.gap_m, 0.0), ramp, end - ramp, np.minimum(end, cfg.period_m)
+        ),
+        axis=-1,
+    )
+    return offsets, np.minimum(cfg.floor_kw(rx_len_m), demand_kw)
+
+
 def _pulse(
     x: np.ndarray,
     out: np.ndarray,

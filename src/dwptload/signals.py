@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .fleet import FleetModel, demand_bounds
-from .roadway import ErConfig, _pulse, _pulse_constants, _require_finite
+from .roadway import ErConfig, _pulse_kinks, _require_finite
 from .spectrum import _stepped_rows, fs_harmonic_grid
 from .traffic import Scenario
 
@@ -64,12 +64,22 @@ class LoadSeries:
         return float(np.mean(self.samples_kw)) if self.n_samples else 0.0
 
 
-#: Samples per block of an output grid (256 KiB of floats).  Every work
-#: array of the sampled path (a block's times, its rows of load, the two
-#: work rows that one vehicle's pulse is evaluated in, and the segments
-#: that Welch transforms at a time, unless one segment is longer) has at
-#: most this many samples per row, so none grows with the window.
+#: Samples per block of an output grid, over all its rows (256 KiB of
+#: floats).  Every work array of the sampled path (a block's rows of load
+#: and of slopes, and the segments that Welch transforms at a time, unless
+#: one segment is longer) has at most this many samples, so none grows
+#: with the window.
 _BLOCK = 2**15
+
+#: Samples per chunk of a sampling block, a power of two: each piece of
+#: a vehicle's load takes its intercept from the start of its chunk.
+_CHUNK = 2**8
+
+#: Coil periods whose kinks :func:`_add_pulses` turns into events at a
+#: time (each row that holds their vehicles adds a part of the same
+#: events), so no event array grows with the number of vehicles on the
+#: segment.
+_GROUP = 2**10
 
 #: Complex elements in each work array of a Monte Carlo tile (512 KiB):
 #: :func:`monte_carlo_psd` takes ``_MC_TILE // n_evs`` trials at a time.
@@ -96,8 +106,9 @@ def _sample_spans(
     with the float operations that sampling uses, so the ranges are exact.
     A vehicle that is never on the segment gets ``j0 == j1``.  All the
     vehicles are bisected at once, so these work arrays, like the table,
-    grow with the horizon: with the pulse operands of :func:`_add_pulses`,
-    ~100 B a vehicle.
+    grow with the horizon: a few int64 arrays of the table's length while
+    they run, and the 16 B a vehicle of the spans that :func:`_add_pulses`
+    keeps.
     """
 
     def first(bound: float) -> np.ndarray:
@@ -132,50 +143,203 @@ def _add_pulses(
     Vehicle i of ``vehicles``, the columns (speed, entry time, receiver
     length, demand), is added into each row r in ``holders[i]`` (into row
     0 if ``holders`` is None) over its exact on-segment samples
-    (:func:`_sample_spans`).  The grid is taken in blocks of ``_BLOCK``
-    samples; each block's times are computed once, and the vehicles whose
-    span meets the block add their load there in ascending index, which
-    is table order, so each sample receives its vehicles in that order
-    whether or not the table is sorted by entry time.  Their spans and
-    operands of the pulse kernel :func:`dwptload.roadway._pulse`, computed
-    once per call for all vehicles, are read for those vehicles alone, so
-    the Python state of a block is its vehicles on the segment, whatever
-    the horizon.
+    (:func:`_sample_spans`).  The grid is taken in blocks of
+    ``_BLOCK // n_rows`` samples, ``_BLOCK`` in all their rows.  At
+    constant speed a vehicle's load is piecewise linear in time: its base
+    level over its span and, in every coil period, a ramp up, a plateau
+    and a ramp down between the kinks of
+    :func:`dwptload.roadway._pulse_kinks`.  So a block is built from the
+    kinks in it, not from its samples: each piece adds its slope and its
+    intercept into two difference arrays at its first sample and takes
+    them out at its past-the-end sample (:func:`_add_kinks`), and two
+    cumulative sums give the load.  That costs a few passes per sample
+    and row and a few operations per kink and holder, however many
+    vehicles are on the segment.
 
-    A vehicle's load on a block is its position ``(t - entry) * speed``
-    and the kernel's seven steps, nine ufunc calls in place into two work
-    rows of one block, so no sample is masked and every sample equals
-    :func:`dwptload.roadway.load_at_time` bit for bit.
+    The sums are exact: the weights are whole multiples of a power of two
+    ``q`` (the slopes of ``q / _CHUNK``), set per block so that no partial
+    sum reaches ``2^53`` of them.  Each piece's intercept is its value at
+    the start of its ``_CHUNK``-sample chunk of the block, below
+    ``alpha v (_CHUNK + 2 period)``, and carried from chunk to chunk by
+    the exact slope sums, so ``q`` is small.  A sample with no vehicle on
+    the segment, or with every vehicle in a gap, is thus exactly 0.0, and
+    the result does not depend on the order of the table.  For each
+    vehicle on the segment a sample is within ``q (2 + period / (2
+    _CHUNK))`` of the continuous pulse (its rounded weights), plus
+    ``alpha v / fs`` times the rounding of its kink's position in samples
+    (a few ``2^-53`` times its distance from the grid's start); the last
+    addition rounds once more.  ``tests/oracles.py`` (``sampling_bound``)
+    writes the bound out.  Samples are then clipped below at 0, which only
+    moves them towards the pulse.
 
     Yields ``(a, block)`` for each finished block: ``block`` is the
     ``(n_rows, b - a)`` load on samples ``[a, b)``.  It is a view of one
     buffer that every block reuses, so a caller copies or consumes it
-    before taking the next; no work array grows with the grid.
+    before taking the next; no work array grows with the grid, and the
+    kinks are taken ``_GROUP`` coil periods at a time.  Besides the table,
+    a call keeps 16 B a vehicle (its span), and with ``holders`` 8 B more
+    and 8 B per row of the most rows that hold one vehicle.
     """
     speed, entry, rx, demand = (np.asarray(v, dtype=float) for v in vehicles)
     j0, j1 = _sample_spans(cfg, speed, entry, t0, sample_rate_hz, n)
-    inv_period, alpha_period, span_kw, floor_kw, demand = _pulse_constants(cfg, rx, demand)
-    columns = (j0, j1, speed, entry, span_kw, floor_kw, demand)
-    size = min(n, _BLOCK)
-    rows, work, scratch = np.empty((n_rows, size)), np.empty(size), np.empty(size)
-    for a in range(0, n, _BLOCK):
-        b = min(a + _BLOCK, n)
-        block = rows[:, : b - a]
-        block.fill(0.0)
-        t = np.arange(a, b, dtype=float)  # sample numbers, exact
-        np.divide(t, sample_rate_hz, out=t)
-        np.add(t0, t, out=t)
-        on = np.flatnonzero((j0 < np.minimum(j1, b)) & (j1 > a))
-        for i, first, last, v, e, span, floor, d in zip(
-            on.tolist(), *(c[on].tolist() for c in columns)
-        ):
-            lo, hi = max(first - a, 0), min(last, b) - a
-            x = np.subtract(t[lo:hi], e, out=work[: hi - lo])
-            np.multiply(x, v, out=x)
-            load = _pulse(x, x, scratch[: hi - lo], inv_period, alpha_period, span, floor, d)
-            for r in holders[i] if holders is not None else (0,):
-                block[r, lo:hi] += load
+    step = max(1, _BLOCK // n_rows)  # a block holds _BLOCK samples in all
+    size = min(n, step)
+    if holders is not None:
+        # How many rows hold each vehicle, and their flat starts in the
+        # block buffer, padded to the most rows any vehicle has.
+        held = np.array([len(h) for h in holders], dtype=np.int64)
+        starts = np.zeros((held.size, max(1, held.max(initial=0))), dtype=np.int64)
+        for i, h in enumerate(holders):
+            starts[i, : len(h)] = h
+        starts *= size + 1
+        j1 = np.where(held > 0, j1, j0)  # a vehicle no row holds adds nothing
+    # Intercepts (then the load) and slopes, as real and imaginary parts,
+    # with a past-the-end column.
+    sums = np.empty((n_rows, size + 1), dtype=complex)
+    in_chunk = np.arange(size, dtype=float)  # each sample's place in its chunk
+    np.mod(in_chunk, _CHUNK, out=in_chunk)
+    in_chunk *= 1.0 / _CHUNK
+    for a in range(0, n, step):
+        m = min(a + step, n) - a
+        both = sums[:, : m + 1]
+        both.fill(0.0)
+        levels, slopes = both.real, both.imag
+        on = np.flatnonzero((j0 < np.minimum(j1, a + m)) & (j1 > a))
+        q = 1.0
+        if on.size:
+            rows = None
+            if holders is not None:  # the vehicles held most often first
+                on = on[np.argsort(-held[on], kind="stable")]
+                rows = held[on], starts[on]
+            q = _add_kinks(
+                cfg,
+                (np.maximum(j0[on], a) - a, np.minimum(j1[on], a + m) - a),
+                (
+                    sample_rate_hz / speed[on],
+                    (entry[on] - t0) * sample_rate_hz - a,
+                    rx[on],
+                    demand[on],
+                ),
+                rows,
+                sums.reshape(-1),
+            )
+        np.cumsum(slopes, axis=1, out=slopes)
+        # A chunk's intercepts start where the last chunk's pieces end: the
+        # open slopes times _CHUNK samples, which in units of q is their sum.
+        levels[:, _CHUNK:m:_CHUNK] += slopes[:, _CHUNK - 1 : m - 1 : _CHUNK]
+        np.cumsum(levels, axis=1, out=levels)
+        block, ramp = levels[:, :m], slopes[:, :m]
+        np.multiply(ramp, in_chunk[:m], out=ramp)
+        np.add(block, ramp, out=block)
+        np.multiply(block, q, out=block)
+        np.maximum(block, 0.0, out=block)
         yield a, block
+
+
+def _add_kinks(
+    cfg: ErConfig,
+    spans: tuple[np.ndarray, np.ndarray],
+    vehicles: tuple[np.ndarray, ...],
+    rows: Optional[tuple[np.ndarray, np.ndarray]],
+    sums: np.ndarray,
+) -> float:
+    """Add the pieces of the vehicles on the segment during one block into
+    ``sums``, the block's buffer flattened, whose real parts are the
+    difference array of intercepts and imaginary parts that of slopes
+    (see :func:`_add_pulses`), in whole units of the returned ``q`` kW and
+    of ``q / _CHUNK`` kW per sample.
+
+    ``spans`` are the vehicles' on-segment samples ``[lo, hi)`` in the
+    block; ``vehicles`` their samples per metre, entry in samples from the
+    block's start, receiver and demand; and ``rows`` how many rows hold
+    each vehicle, in non-increasing order, and their flat starts in
+    ``sums``, padded (None: each vehicle is held once, by row 0).  A piece
+    opens at the first sample at or after the position of its kink in
+    samples and closes at that of the next kink, both clipped to the
+    span.  Its intercept, its value at the start of the chunk of its
+    opening sample, is rounded once; its closing weight is that plus the
+    slope times the chunks between, exactly.
+    """
+    lo, hi = spans
+    per_m, start, rx, demand = vehicles
+    held, starts = (np.ones(lo.size, dtype=np.int64), None) if rows is None else rows
+    offsets, base = _pulse_kinks(cfg, rx, demand)
+    rise = demand - base  # the plateau above the base; 0 in the constant regime
+    slope = cfg.power_density_kw_per_m / per_m  # kW per sample on a ramp
+    period = cfg.period_m * per_m
+    # No partial sum exceeds this.  A holder adds its base, and it opens
+    # one piece at a time, of value below rise + slope (_CHUNK + period).
+    # Its weights go in period after period: within one sample its whole
+    # periods add to 0, and the periods the sample cuts (two, or three
+    # about a span's edge) leave sums of a few pieces' values, each below
+    # rise + slope (2 _CHUNK + 2 period + 2).  Summed exactly, so that it
+    # does not depend on the order of the table.
+    bound = math.fsum(held * (base + 4.0 * (rise + slope * (2 * _CHUNK + 2.0 * period + 2.0))))
+    q = math.ldexp(1.0, max(math.frexp(bound)[1] - 52, -1066))
+    # Levels round down or up as the entry's fraction of a sample says, so
+    # that the many vehicles of one class do not all err the same way.
+    dither = np.abs(np.fmod(start, 1.0))  # in [0, 1), exactly
+    base, rise = np.floor(base / q + dither), np.floor(rise / q + dither)
+    slope = np.rint(slope * (_CHUNK / q)) / _CHUNK  # in q per sample, to 1/_CHUNK
+    # The vehicles held more than j times are the first held_by[j], as
+    # they come held most often first.
+    held_by = [int(np.count_nonzero(held > j)) for j in range(int(held[0]))]
+    for j, stop in enumerate(held_by):
+        row = 0 if starts is None else starts[:stop, j]
+        np.add.at(sums, row + lo[:stop], base[:stop])
+        np.add.at(sums, row + hi[:stop], -base[:stop])
+    # The coil periods that meet each span, one more either side against
+    # rounding; none in the constant regime.
+    first = np.maximum(np.floor((lo - start) / period) - 1.0, 0.0)
+    last = np.minimum(np.floor((hi - 1 - start) / period) + 1.0, cfg.n_coils - 1)
+    count = np.where(rise > 0.0, np.maximum(last - first + 1.0, 0.0), 0.0).astype(np.int64)
+    ends = np.cumsum(count)
+    skip = ends - count - first  # a vehicle's flat index less its period
+    periods_by = [int(ends[stop - 1]) for stop in held_by]  # where their periods end
+    kinks = np.ascontiguousarray((start[:, None] + offsets * per_m[:, None]).T)  # period 0's
+    lo, hi = lo.astype(float), hi.astype(float)
+    for g in range(0, int(ends[-1]), _GROUP):
+        flat = np.arange(g, min(g + _GROUP, int(ends[-1])))
+        v = np.searchsorted(ends, flat, side="right")
+        pos = np.take(kinks, v, axis=1)
+        pos += (flat - skip[v]) * period[v]
+        k = np.ceil(pos)
+        np.maximum(k, lo[v], out=k)
+        np.minimum(k, hi[v], out=k)
+        chunk = np.multiply(k, 1.0 / _CHUNK)
+        np.floor(chunk, out=chunk)
+        chunk *= _CHUNK  # the start of each kink's chunk
+        s, r = slope[v], rise[v]
+        np.subtract(chunk, pos, out=pos)
+        # Weights (real) and slope steps (imaginary) period after period,
+        # so that a sample's partial sums hold at most a few periods' worth.
+        events = np.empty(pos.shape[::-1], dtype=complex)
+        weights = events.real.T
+        up = np.rint(s * pos[0])
+        down = np.rint(r - s * pos[2])
+        weights[0] = up
+        weights[1] = r - up - s * (chunk[1] - chunk[0])
+        weights[2] = down - r
+        weights[3] = s * (chunk[3] - chunk[2]) - down
+        steps = events.imag.T
+        np.multiply(s, _CHUNK, out=steps[0])
+        steps[3] = steps[0]
+        np.negative(steps[0], out=steps[1])
+        steps[2] = steps[1]
+        at = np.empty(events.shape, dtype=np.int64)
+        at.T[...] = k
+        if starts is None:
+            np.add.at(sums, at.ravel(), events.ravel())
+            continue
+        # Into each holder's row: the j-th of the vehicles held more than
+        # j times, whose periods come first.
+        for j, stop in enumerate(periods_by):
+            stop = min(stop - g, flat.size)
+            if stop <= 0:
+                break
+            where = at[:stop] + starts[v[:stop], j][:, None]
+            np.add.at(sums, where.ravel(), events[:stop].ravel())
+    return q
 
 
 def _collect(rows: np.ndarray, blocks: Iterator[tuple[int, np.ndarray]]) -> np.ndarray:
@@ -212,7 +376,7 @@ def _grid(window: tuple[float, float], sample_rate_hz: float) -> tuple[float, in
     n = int(round((t1 - t0) * sample_rate_hz))
     if n > MAX_SAMPLES:
         raise ValueError(
-            f"window {window} at {sample_rate_hz} Hz makes {n} samples, above the limit "
+            f"window {window} at {sample_rate_hz} Hz makes {n:.10g} samples, above the limit "
             f"of {MAX_SAMPLES}"
         )
     return t0, n
@@ -237,8 +401,11 @@ def synthesize(
     The window defaults to the whole scenario horizon.  Choose a sample
     rate comfortably above twice the highest harmonic you intend to read
     off the result; the clipped waveforms have spectral content rolling
-    off only quadratically.  The vehicles add their load in table order,
-    each only over its exact on-segment samples (:func:`_add_pulses`).
+    off only quadratically.  Each vehicle adds its load only over its
+    exact on-segment samples, within the bound that :func:`_add_pulses`
+    states of the continuous pulse (:func:`dwptload.load_at_time` is
+    within rounding of it too), and the series does not depend on the
+    order of the table.
     """
     if window is None:
         window = (0.0, scenario.duration_s)

@@ -65,7 +65,7 @@ from dwptload import (
 )
 from dwptload.composition import matched_counts, truck_count_schedules
 from dwptload.invariants import fourier_coeffs_quadrature, mean_square_exact, pulse_kinks
-from dwptload.signals import _BLOCK, _phasor, _thc
+from dwptload.signals import _BLOCK, _CHUNK, _phasor, _thc
 from dwptload.schema import to_dict
 from dwptload.spectrum import _stepped_rows
 from dwptload.traffic import CSV_FIELDS, covering_entry_time, max_covering_periods
@@ -281,6 +281,74 @@ def blocked_synthesize(
     return LoadSeries(samples_kw=total, sample_rate_hz=sample_rate_hz, t0_s=t0)
 
 
+#: The unit roundoff of a float: half an ulp of 1.
+EPS = 2.0**-53
+
+
+def sampling_bound(
+    cfg: ErConfig, vehicles, sample_rate_hz: float, window: tuple[float, float], holders: int = 1
+) -> float:
+    """The most any sample of ``dwptload.signals._add_pulses`` on the grid
+    of ``window`` may differ from :func:`blocked_synthesize`, in kW, for
+    ``vehicles`` (speed, entry, receiver, demand) each held by at most
+    ``holders`` rows, worked out from the inputs alone.
+
+    Each vehicle on the segment contributes, at most:
+
+    * the sampler's rounded weights, ``q (2 + P / (2 _CHUNK))`` with ``P``
+      its period in samples (its base and plateau each round by up to
+      ``q``, its ramp's intercept by ``q / 2`` and its slope by
+      ``q / (2 _CHUNK)`` a sample), where ``q <= 2^-51 M`` and ``M``, the bound on
+      the block's partial sums, is the sum over holders of
+      ``base + 4 (rise + s (2 _CHUNK + 2 P + 2))``, ``s = alpha v / fs`` the
+      ramp per sample;
+    * the rounding of its kink positions in samples times ``s``: each is
+      ``(start + offset / v fs) + n P`` from the entry ``(e - t0) fs - a``,
+      a handful of roundings each at most ``EPS`` of a term no larger than
+      ``R = |e - t0| fs + n_grid + (E + D) fs / v``, so ``8 EPS R``;
+    * the oracle's kernel, ``EPS alpha D (3 E / D + 16)`` (the kernel
+      against the chain it replaced, at positions up to the segment's
+      length ``E``), and its position ``v (t - e)``, whose time and
+      difference round by ``EPS`` of ``|t|`` and ``|t - e| <= E / v``
+      twice, so ``4 EPS alpha v (T + E / v)`` with ``T`` the window's end.
+
+    The sampler's sums are exact, and its last addition rounds once, by
+    ``EPS`` of the total, whose largest possible value, the sum of the
+    demands, is added too.
+    """
+    speed, entry, rx, demand = (np.asarray(c, dtype=float) for c in vehicles)
+    if not speed.size:
+        return 0.0
+    t0, t1 = window
+    fs = sample_rate_hz
+    n = int(round((t1 - t0) * fs))
+    alpha, period_m, length = cfg.power_density_kw_per_m, cfg.period_m, cfg.energized_len_m
+    base = np.minimum(cfg.floor_kw(rx), demand)
+    rise = demand - base
+    s = alpha * speed / fs
+    p = period_m * fs / speed
+    q = 2.0**-51 * holders * float(np.sum(base + 4.0 * (rise + s * (2 * _CHUNK + 2.0 * p + 2.0))))
+    reach = np.abs(entry - t0) * fs + n + (length + period_m) * fs / speed
+    sampler = q * (2.0 + p / (2.0 * _CHUNK)) + s * 8.0 * EPS * reach
+    kernel = EPS * alpha * period_m * (3.0 * length / period_m + 16.0)
+    position = 4.0 * EPS * alpha * speed * (abs(t1) + length / speed)
+    return float(np.sum(sampler + kernel + position) + EPS * np.sum(demand) * holders)
+
+
+def thc_bound(rows: np.ndarray, thc: np.ndarray, eps: float, n_lines: int) -> np.ndarray:
+    """How far the THC of :func:`dwptload.signals._thc` (in percent) can
+    move when each sample of ``rows`` (the last axis) moves by at most
+    ``eps`` kW: each of its ``n_lines`` projections ``c`` moves by at most
+    ``eps`` plus the rounding of two dot products of ``n`` terms, each at
+    most ``n EPS`` times the mean ``dc`` (the samples are not negative), as
+    ``dc`` does, so ``100 sqrt(2 sum |c|^2) / dc`` moves by at most
+    ``(100 sqrt(2 n_lines) + THC) d / (dc - d)`` with ``d`` that sum."""
+    n = rows.shape[-1]
+    dc = rows.mean(axis=-1)
+    d = eps + 2.0 * n * EPS * dc
+    return (100.0 * math.sqrt(2.0 * n_lines) + thc) * d / (dc - d)
+
+
 def in_memory_welch(
     x: np.ndarray, fs: float, win: np.ndarray, nperseg: int, noverlap: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -308,20 +376,27 @@ def per_row_sweep(sw: SweepConfig, seed: int) -> np.ndarray:
     return thc
 
 
-def blocked_sweep(sw: SweepConfig, seed: int) -> np.ndarray:
-    """:func:`per_row_sweep` with every row synthesized by
-    :func:`blocked_synthesize` and the rows of a (window, column) projected
-    together.  Each row sums its vehicles in the slot order of
-    :func:`dwptload.run_sweep`, so this is, number for number, the
-    slot-shared sweep before it took exact spans."""
+def blocked_sweep(sw: SweepConfig, seed: int):
+    """Yield ``(w, j, rows, vehicles, thc)`` for each cell of the sweep:
+    :func:`per_row_series` with every row synthesized by
+    :func:`blocked_synthesize`, the rows of the (window, column) stacked,
+    the (speed, entry, receiver, demand) columns of each row, and the
+    rows' THC, projected together.  Each row sums its vehicles in the
+    slot order of :func:`dwptload.run_sweep`, so this is, number for
+    number, the slot-shared sweep before it took exact spans."""
     fundamentals = (sw.truck_speed_mps / sw.cfg.period_m, sw.sedan_speed_mps / sw.cfg.period_m)
-    thc = np.empty((len(sw.thetas), len(sw.columns), sw.n_windows))
-    for w, j, rows in per_row_series(sw, seed, blocked_synthesize):
+    vehicles = []
+
+    def keep(scenario, fs, window):
+        evs = scenario.evs
+        vehicles.append((evs.speed_mps, evs.entry_time_s, evs.rx_len_m, evs.peak_demand_kw))
+        return blocked_synthesize(scenario, fs, window)
+
+    for w, j, rows in per_row_series(sw, seed, keep):
         stacked = np.stack([series.samples_kw for series in rows])
         fs, n = sw.sample_rate_hz, stacked.shape[-1]
         phasors = [_phasor(n, fs, f0) for f0 in fundamentals]
-        thc[:, j, w] = _thc(stacked, phasors, sw.m_max)
-    return thc
+        yield w, j, stacked, vehicles[-len(rows) :], _thc(stacked, phasors, sw.m_max)
 
 
 def per_row_series(sw: SweepConfig, seed: int, synthesize):

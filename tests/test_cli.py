@@ -410,13 +410,15 @@ def tiny_demand_traffic(rx_len_m: float) -> dict:
     return {"duration_s": 30.0, "traffic": {"rate_evps": 1.0, "duration_s": 30.0, "classes": classes}}
 
 
-def tail_rule_refusal(dc_kw: float, m: int, limit: int = 2**20) -> str:
+def tail_rule_refusal(dc_kw: float, m: int, limit: int = 2**20, setting: str = "") -> str:
     """The tail rule's refusal of a DC term of ``dc_kw``, which needs ``m``
-    harmonics."""
-    return (
+    harmonics; through the CLI, after the ``setting`` that asked and with
+    the option that replaces the rule."""
+    message = (
         f"dc_kw {dc_kw!r} needs {m} harmonics by the tail rule, above the limit of "
         f"{limit}; give a harmonic count"
     )
+    return f"{setting}: {message} (--harmonics)" if setting else message
 
 
 @pytest.mark.parametrize(
@@ -437,7 +439,9 @@ def tail_rule_refusal(dc_kw: float, m: int, limit: int = 2**20) -> str:
         (
             ["spectrum"],
             {"rx_len_m": 0.5, "demand_kw": 1e-10},
-            tail_rule_refusal(9.10284463894767e-11, 27426357379),
+            tail_rule_refusal(
+                9.10284463894767e-11, 27426357379, setting="demand_kw 1e-10 on rx_len_m 0.5"
+            ),
         ),
         (
             ["psd", "--analytic", "--harmonics", "30000000000"],
@@ -447,7 +451,9 @@ def tail_rule_refusal(dc_kw: float, m: int, limit: int = 2**20) -> str:
         (
             ["psd", "--analytic"],
             tiny_demand_traffic(0.5),
-            tail_rule_refusal(9.10284463894767e-11, 27426357379),
+            tail_rule_refusal(
+                9.10284463894767e-11, 27426357379, setting="the 29.0 m/s speed group"
+            ),
         ),
     ],
     ids=["harmonics-over", "harmonics-huge", "demand-kw", "psd-harmonics-huge", "psd-demand"],
@@ -465,7 +471,8 @@ def test_harmonic_limit_is_inclusive(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(spectrum, "MAX_HARMONICS", 12)
     over = "config error: config: harmonics must be <= 12, got 13\n"
     # The default vehicle's tail rule needs 189 harmonics.
-    rule = f"config error: {tail_rule_refusal(160.27820743982497, 189, 12)}\n"
+    setting = "demand_kw 200.1288 on rx_len_m 1.83"
+    rule = f"config error: {tail_rule_refusal(160.27820743982497, 189, 12, setting)}\n"
     psd = ["psd", "--analytic", "--duration-s", "20"]
     for i, (args, code, err) in enumerate([
         (["spectrum", "--harmonics", "12"], EXIT_OK, ""),
@@ -481,8 +488,10 @@ def test_harmonic_limit_is_inclusive(tmp_path, capsys, monkeypatch):
     # Each speed group's mean DC term asks for more than 12 harmonics.
     out = tmp_path / "psd-rule"
     assert main([*psd, "--out", str(out)]) == EXIT_CONFIG
-    assert "harmonics by the tail rule, above the limit of 12; give a harmonic count\n" in (
-        capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the ") and " m/s speed group: dc_kw " in err
+    assert err.endswith(
+        "harmonics by the tail rule, above the limit of 12; give a harmonic count (--harmonics)\n"
     )
     assert not out.exists()
 
@@ -886,13 +895,13 @@ def test_segment_limit_is_inclusive(method, message):
         (
             "simulate",
             {"sample_rate_hz": 1e12, "duration_s": 10},
-            "window (0.0, 10.0) at 1000000000000.0 Hz makes 10000000000000 samples",
+            "window (0.0, 10.0) at 1000000000000.0 Hz makes 1e+13 samples",
         ),
         # The parent was still sampling after 30 s.
         (
             "psd",
             {"sample_rate_hz": 1e6, "duration_s": 1e5, "segment_s": 1.0},
-            "window (0.0, 100000.0) at 1000000.0 Hz makes 100000000000 samples",
+            "window (0.0, 100000.0) at 1000000.0 Hz makes 1e+11 samples",
         ),
     ],
     ids=["simulate", "psd"],

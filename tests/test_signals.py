@@ -32,7 +32,7 @@ from dwptload import (
 )
 from dwptload.roadway import EvParams
 from dwptload.signals import MAX_SAMPLES, _grid, _line_powers, _phasor, psd_plan
-from oracles import period_coefficients_fft
+from oracles import period_coefficients_fft, sampling_bound
 
 F0_246 = 24.6 / INDOT.period_m  # 5.3829... Hz
 ALPHA = INDOT.power_density_kw_per_m
@@ -162,7 +162,12 @@ def test_superposition_of_scenarios():
     ser_a = synthesize(manual_scenario([a]), 500.0, window)
     ser_b = synthesize(manual_scenario([b]), 500.0, window)
     ser_ab = synthesize(manual_scenario([a, b]), 500.0, window)
-    assert np.array_equal(ser_ab.samples_kw, ser_a.samples_kw + ser_b.samples_kw)
+    # Each series is within the sampling bound of the continuous pulses,
+    # which superpose exactly; the sum of two rounds once more.
+    both = manual_scenario([a, b]).evs
+    columns = (both.speed_mps, both.entry_time_s, both.rx_len_m, both.peak_demand_kw)
+    bound = 2.0 * sampling_bound(INDOT, columns, 500.0, window)
+    assert np.all(np.abs(ser_ab.samples_kw - (ser_a.samples_kw + ser_b.samples_kw)) <= bound)
     assert np.all(ser_ab.samples_kw >= 0.0)
 
 
@@ -509,6 +514,14 @@ def test_grid_sample_limit_is_inclusive():
     )
     with pytest.raises(ValueError, match=refusal):
         _grid((0.0, 2.0**27 + 1), 1.0)
+    # A finite but absurd window: the count in short float form, not as a
+    # 300-digit integer.
+    huge = (
+        r"^window \(130\.0, 1e\+300\) at 500\.0 Hz makes 5e\+302 samples, above the "
+        r"limit of 134217728$"
+    )
+    with pytest.raises(ValueError, match=huge):
+        _grid((130.0, 1e300), 500.0)
     # synthesize refuses its grid before it holds a sample: the parent
     # asked numpy for 1e13 floats (72.8 TiB).
     with pytest.raises(ValueError, match=r"^window \(0\.0, 10\.0\) at 1000000000000\.0 Hz makes"):

@@ -151,27 +151,29 @@ def test_sampling_blocks_reuse_one_buffer():
     assert starts == list(range(0, n, _BLOCK))
 
 
-def pulse_calls(monkeypatch) -> collections.Counter:
-    """Calls of the pulse kernel from the sampling loop, counted by the
-    demand they are made for (the tests give each vehicle its own)."""
+def kink_calls(monkeypatch) -> collections.Counter:
+    """How many blocks hand each vehicle to the kink sampler, counted by
+    the demand it is given (the tests give each vehicle its own)."""
     calls = collections.Counter()
-    kernel = signals._pulse
+    add = signals._add_kinks
 
-    def counted(*args):
-        calls[args[-1]] += 1
-        return kernel(*args)
+    def counted(cfg, spans, vehicles, *rest):
+        calls.update(vehicles[-1].tolist())
+        return add(cfg, spans, vehicles, *rest)
 
-    monkeypatch.setattr(signals, "_pulse", counted)
+    monkeypatch.setattr(signals, "_add_kinks", counted)
     return calls
 
 
-def blocks_met(cfg, vehicles, t0, fs, n) -> list[int]:
-    """How many sampling blocks each vehicle's on-segment span meets."""
+def blocks_met(cfg, vehicles, t0, fs, n, n_rows) -> list[int]:
+    """How many sampling blocks, of ``_BLOCK`` samples over ``n_rows``
+    rows, each vehicle's on-segment span meets."""
     speed, entry = (np.asarray(c, dtype=float) for c in vehicles[:2])
     j0, j1 = _sample_spans(cfg, speed, entry, t0, fs, n)
-    starts = range(0, n, _BLOCK)
+    step = _BLOCK // n_rows
+    starts = range(0, n, step)
     return [
-        sum(max(a0, a) < min(a1, a + _BLOCK, n) for a in starts)
+        sum(max(a0, a) < min(a1, a + step, n) for a in starts)
         for a0, a1 in zip(j0.tolist(), j1.tolist())
     ]
 
@@ -183,10 +185,9 @@ SHORT_CFG = ErConfig(3.66, 0.91, 109.36, 100.0)
 
 @pytest.mark.parametrize("holders", [None, "sweep"])
 def test_sampling_evaluates_each_vehicle_once_per_block_it_meets(monkeypatch, holders):
-    """The pulse is evaluated once for each (vehicle, block its span
-    meets), whatever rows hold the vehicle, and never for a vehicle that
-    is not on the segment during the grid; the table is not in entry
-    order."""
+    """Each vehicle's kinks are taken once for each block its span meets,
+    whatever rows hold it, and never for a vehicle that is not on the
+    segment during the grid; the table is not in entry order."""
     rng = np.random.default_rng(7)
     t0, fs, n = 50.0, 1000.0, 3 * _BLOCK + 5
     count = 60
@@ -196,12 +197,12 @@ def test_sampling_evaluates_each_vehicle_once_per_block_it_meets(monkeypatch, ho
     entry[3:5] = t0 - 50.0, t0 + n / fs  # off the segment before and after the grid
     demand = 100.0 + np.arange(count)  # the key of each vehicle's calls
     vehicles = (speed, entry, np.full(count, 1.83), demand)
-    met = blocks_met(SHORT_CFG, vehicles, t0, fs, n)
-    assert sorted(entry.tolist()) != entry.tolist()
-    assert 0 in met and 1 in met and 2 in met and 4 in met
     n_rows = 1 if holders is None else 3
+    met = blocks_met(SHORT_CFG, vehicles, t0, fs, n, n_rows)
+    assert sorted(entry.tolist()) != entry.tolist()
+    assert 0 in met and 1 in met and 2 in met and max(met) == -(-n // (_BLOCK // n_rows))
     rows = None if holders is None else [[r for r in range(3) if (i + r) % 2] for i in range(count)]
-    calls = pulse_calls(monkeypatch)
+    calls = kink_calls(monkeypatch)
     _collect(np.empty((n_rows, n)), _add_pulses(SHORT_CFG, n_rows, n, rows, t0, fs, vehicles))
     assert [calls[d] for d in demand.tolist()] == met
 
@@ -230,8 +231,8 @@ def test_sampled_psd_memory_does_not_grow_with_the_horizon(tmp_path, capsys):
     short, long_ = traced_psd_peak(tmp_path, 900.0), traced_psd_peak(tmp_path, 3600.0)
     # 180k against 720k samples: synthesizing the series first grew the
     # peak by ~6.1 MiB.  What may grow is the vehicle table, with the
-    # spans and pulse operands of the sampling loop (~100 B a vehicle
-    # measured; ~200 B when it held them as lists) for the ~1,350 more
+    # spans the sampler keeps (16 B a vehicle) and the work arrays of
+    # their bisection (:func:`_sample_spans`), for the ~1,350 more
     # vehicles.
     extra_vehicles = 0.5 * (3600.0 - 900.0)
     assert long_ - short <= 512 * extra_vehicles
