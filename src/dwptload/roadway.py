@@ -16,13 +16,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-#: The ``clip`` ufunc that :func:`numpy.clip` wraps.  Called bare, it
-#: skips the wrapper's argument handling, a few microseconds per call.
-try:
-    from numpy._core.umath import clip as _clip
-except ImportError:  # numpy < 2
-    from numpy.core.umath import clip as _clip
-
 
 class ConstantRegimeError(ValueError):
     """Raised when a pulse-train quantity is requested for a demand so low
@@ -211,88 +204,27 @@ def constant_regime(cfg: ErConfig, ev: EvParams) -> bool:
     return ev.peak_demand_kw <= cfg.floor_kw(ev.rx_len_m)
 
 
-def _pulse_constants(cfg: ErConfig, rx_len_m, demand_kw):
-    """The operands of :func:`_pulse` after its three arrays, for receivers
-    of length ``rx_len_m`` drawing ``demand_kw``: ``1/D``, ``alpha D``,
-    ``alpha (tx_len + rx_len)``, :meth:`ErConfig.floor_kw` and the
-    demand.  ``rx_len_m`` and ``demand_kw`` may be arrays, one entry per
-    vehicle, which gives each operand bit for bit as for one vehicle."""
-    alpha = cfg.power_density_kw_per_m
-    period = cfg.period_m
-    return (
-        1.0 / period,
-        alpha * period,
-        alpha * (cfg.tx_len_m + rx_len_m),
-        cfg.floor_kw(rx_len_m),
-        demand_kw,
-    )
-
-
 def _pulse_kinks(cfg: ErConfig, rx_len_m, demand_kw):
-    """Where the pulse of :func:`_pulse` bends within a coil period, and
-    its base level: ``(offsets, base_kw)``.
+    """Where the pulse bends within a coil period, and its base level:
+    ``(kinks, base_kw)``.  Every route to a load or a coefficient reads
+    the pulse from here.
 
     From the coil start the load holds ``base_kw``, ramps up at alpha kW
-    per metre from ``offsets[..., 0]`` (``max(rx_len - gap, 0)``) to the
-    demand at ``offsets[..., 1]`` (``demand / alpha``), holds it to
-    ``offsets[..., 2]`` (``tx_len + rx_len - demand / alpha``), ramps down
-    to ``base_kw`` at ``offsets[..., 3]`` (``min(tx_len + rx_len, D)``)
-    and holds that to the period's end.  The base is
-    :meth:`ErConfig.floor_kw`, or the demand where it is not above the
-    floor: that is the constant regime, whose load is its base everywhere
-    and whose offsets mean nothing.  ``rx_len_m`` and ``demand_kw`` may be
-    arrays, one entry per vehicle; the offsets then have a last axis of 4.
+    per metre from ``kinks[0]`` (``max(rx_len - gap, 0)``) to the demand
+    at ``kinks[1]`` (``demand / alpha``), holds it to ``kinks[2]``
+    (``tx_len + rx_len - demand / alpha``), ramps down to ``base_kw`` at
+    ``kinks[3]`` (``min(tx_len + rx_len, D)``) and holds that to the
+    period's end.  The base is :meth:`ErConfig.floor_kw`, or the demand
+    where it is not above the floor: that is the constant regime, whose
+    load is its base everywhere and whose kinks mean nothing.
+    ``rx_len_m`` and ``demand_kw`` may be arrays, one entry per vehicle;
+    each kink then has the shape of the operands it comes from.
     """
     alpha = cfg.power_density_kw_per_m
     end = cfg.tx_len_m + rx_len_m
     ramp = demand_kw / alpha
-    offsets = np.stack(
-        np.broadcast_arrays(
-            np.maximum(rx_len_m - cfg.gap_m, 0.0), ramp, end - ramp, np.minimum(end, cfg.period_m)
-        ),
-        axis=-1,
-    )
-    return offsets, np.minimum(cfg.floor_kw(rx_len_m), demand_kw)
-
-
-def _pulse(
-    x: np.ndarray,
-    out: np.ndarray,
-    scratch: np.ndarray,
-    inv_period: float,
-    alpha_period: float,
-    span_kw: float,
-    floor_kw: float,
-    demand_kw: float,
-) -> np.ndarray:
-    """The clipped-trapezoid pulse at segment positions ``x``, with no
-    on-segment mask, written into ``out`` and returned: the one pulse
-    kernel, which every route to a load calls.
-
-    The phase in periods is ``u = x * (1/D)`` and the in-period position,
-    in kW of overlap, ``z = (u - floor(u)) * alpha D``.  The overlap ramps
-    up from the coil start and down to the end of the span
-    ``tx_len + rx_len``, ``min(z, alpha (tx_len + rx_len) - z)``; it never
-    falls below the minimum overlap ``rx_len - gap`` (zero for receivers
-    not longer than the gap) and the converter caps it at the demand.  The
-    clip bounds are in kW, so a demand at or below the minimum-overlap
-    power gives the demand itself everywhere (the constant-load regime) and
-    a short receiver dips to exactly 0.  The phase may round up to a whole
-    period, where the continuous, periodic pulse takes its value at 0.
-    The operands after the arrays come from :func:`_pulse_constants`.
-
-    ``out`` and ``scratch`` are float arrays of ``x``'s shape, and ``out``
-    may be ``x`` itself.  Each of the seven steps is one ufunc call into
-    them, with no divide, so a caller that reuses its buffers allocates
-    nothing here.
-    """
-    np.multiply(x, inv_period, out=out)
-    np.floor(out, out=scratch)
-    np.subtract(out, scratch, out=out)
-    np.multiply(out, alpha_period, out=out)
-    np.subtract(span_kw, out, out=scratch)
-    np.minimum(out, scratch, out=out)
-    return _clip(out, floor_kw, demand_kw, out=out)
+    kinks = (np.maximum(rx_len_m - cfg.gap_m, 0.0), ramp, end - ramp, np.minimum(end, cfg.period_m))
+    return kinks, np.minimum(cfg.floor_kw(rx_len_m), demand_kw)
 
 
 def coil_pulse(cfg: ErConfig, ev: EvParams, x) -> np.ndarray | float:
@@ -310,29 +242,40 @@ def coil_pulse(cfg: ErConfig, ev: EvParams, x) -> np.ndarray | float:
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0) or np.any(xa >= cfg.period_m):
         raise ValueError(f"position must be in [0, {cfg.period_m}), got {x}")
-    out = _pulse(
-        xa, np.empty_like(xa), np.empty_like(xa),
-        *_pulse_constants(cfg, ev.rx_len_m, ev.peak_demand_kw),
-    )
-    return out if np.ndim(x) else float(out)
+    return load_at_position(cfg, ev, Clipping(), x)
 
 
 def load_at_position(cfg: ErConfig, ev: EvParams, scheme: ControlScheme, x) -> np.ndarray | float:
     """Load drawn when the receiver front edge is at roadway position ``x``.
 
     Zero outside the energized span [0, n_coils * period).  Positions are
-    relative to the vehicle's segment entry point.
+    relative to the vehicle's segment entry point.  The in-period position
+    is ``(u - floor(u)) D`` with the phase ``u = x * (1/D)``; a phase that
+    rounds up to a whole period gives 0, where the continuous, periodic
+    pulse takes its value.  From there the load rises at alpha kW per
+    metre from the first kink of :func:`_pulse_kinks` and falls to its
+    last, clipped to its base and the demand, so a demand in the constant
+    regime gives the demand everywhere and a short receiver dips to
+    exactly 0.
     """
     ev.validate_against(cfg)
     xa = np.asarray(x, dtype=float)
-    on = (xa >= 0) & (xa < cfg.energized_len_m)
     demand = cfg.full_kw(ev.rx_len_m) if isinstance(scheme, Scaling) else ev.peak_demand_kw
-    vals = _pulse(
-        xa, np.empty_like(xa), np.empty_like(xa), *_pulse_constants(cfg, ev.rx_len_m, demand)
-    )
+    (first, _, _, last), base = _pulse_kinks(cfg, ev.rx_len_m, demand)
+    pos, down = np.empty_like(xa), np.empty_like(xa)
+    np.multiply(xa, 1.0 / cfg.period_m, out=pos)
+    np.floor(pos, out=down)
+    pos -= down
+    pos *= cfg.period_m
+    np.subtract(last, pos, out=down)
+    pos -= first
+    np.minimum(pos, down, out=pos)
+    pos *= cfg.power_density_kw_per_m
+    pos += base
+    vals = np.minimum(np.maximum(pos, base, out=pos), demand, out=pos)
     if isinstance(scheme, Scaling):
-        vals = scheme.scale_factor * vals
-    out = np.where(on, vals, 0.0)
+        vals *= scheme.scale_factor
+    out = np.where((xa >= 0) & (xa < cfg.energized_len_m), vals, 0.0)
     return out if np.ndim(x) else float(out)
 
 

@@ -223,11 +223,17 @@ def _add_pulses(
                 rows,
                 sums.reshape(-1),
             )
-        np.cumsum(slopes, axis=1, out=slopes)
+        np.cumsum(both, axis=1, out=both)
         # A chunk's intercepts start where the last chunk's pieces end: the
-        # open slopes times _CHUNK samples, which in units of q is their sum.
-        levels[:, _CHUNK:m:_CHUNK] += slopes[:, _CHUNK - 1 : m - 1 : _CHUNK]
-        np.cumsum(levels, axis=1, out=levels)
+        # open slopes times _CHUNK samples, in units of q the sum of the
+        # slope sums at the chunk edges before it.
+        carry = np.cumsum(slopes[:, _CHUNK - 1 : m - 1 : _CHUNK], axis=1)
+        whole = m // _CHUNK
+        # A view of the whole chunks, as a row's samples are evenly strided.
+        chunks = levels[:, : whole * _CHUNK].reshape(n_rows, whole, _CHUNK)
+        chunks[:, 1:] += carry[:, : whole - 1, None]
+        if m % _CHUNK and whole:  # a part chunk at the block's end
+            levels[:, whole * _CHUNK : m] += carry[:, -1:]
         block, ramp = levels[:, :m], slopes[:, :m]
         np.multiply(ramp, in_chunk[:m], out=ramp)
         np.add(block, ramp, out=block)
@@ -296,7 +302,7 @@ def _add_kinks(
     ends = np.cumsum(count)
     skip = ends - count - first  # a vehicle's flat index less its period
     periods_by = [int(ends[stop - 1]) for stop in held_by]  # where their periods end
-    kinks = np.ascontiguousarray((start[:, None] + offsets * per_m[:, None]).T)  # period 0's
+    kinks = start + np.stack(offsets) * per_m  # period 0's, a row per kink
     lo, hi = lo.astype(float), hi.astype(float)
     for g in range(0, int(ends[-1]), _GROUP):
         flat = np.arange(g, min(g + _GROUP, int(ends[-1])))
@@ -711,8 +717,9 @@ def _line_powers(rows: np.ndarray, z: np.ndarray, m_max: int) -> np.ndarray:
     powers = np.empty(rows.shape[:-1] + (m_max,))
     zm = np.ones_like(z)
     for i in range(m_max):
-        zm = zm * z
-        # Two real matrix-vector products: no complex temporary of x's shape.
+        np.multiply(zm, z, out=zm)
+        # Two real matrix-vector products, no complex temporary of x's shape;
+        # a contiguous copy of the parts would sum one row in another order.
         re = (x @ zm.real) / n_trim
         im = (x @ zm.imag) / n_trim
         powers[..., i] = re * re + im * im
@@ -804,9 +811,16 @@ def _tile_powers(
             used[g] += idx.size
             rows = _stepped_rows(cfg, c.rx_len_m, mine, len(out) - 1)
         members.append((g, idx, rows))
-    # e^(-2 pi i u) from one tangent, in half the time of a complex exp.
+    # e^(-2 pi i u) from one tangent, in half the time of a complex exp:
+    # (1 - t^2 + 2 i t) times 1 / (1 + t^2), the reciprocal that numpy's
+    # complex division takes, with no complex temporary.
     t = np.tan(-np.pi * u)
-    z = (1.0 - t * t + 2j * t) / (1.0 + t * t)
+    s = t * t
+    z = np.empty(u.shape, dtype=complex)
+    np.subtract(1.0, s, out=z.real)
+    np.multiply(2.0, t, out=z.imag)
+    s += 1.0
+    z *= np.divide(1.0, s, out=s)
     zk = np.ones_like(z)
     coeff = np.empty(u.size, dtype=complex)
     per_trial = coeff.reshape(u.shape)

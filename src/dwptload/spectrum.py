@@ -13,16 +13,16 @@ from typing import Iterator
 
 import numpy as np
 
-from .roadway import ErConfig, EvParams, constant_regime
+from .roadway import ErConfig, EvParams, _pulse_kinks, constant_regime
 
 
 def _trapezoid(cfg: ErConfig, rx_len_m: float, p: np.ndarray):
-    """Ramp width ``a = p / alpha``, full width at half plateau
-    ``b = tx_len + rx_len - a``, and where the demand is at or below the
-    constant-load threshold :meth:`ErConfig.floor_kw`."""
-    a = p / cfg.power_density_kw_per_m
-    b = cfg.tx_len_m + rx_len_m - a
-    return a, b, p <= cfg.floor_kw(rx_len_m)
+    """The ramp width ``a = p / alpha`` and full width at half plateau
+    ``b = tx_len + rx_len - a``, the second and third kinks of
+    :func:`dwptload.roadway._pulse_kinks`, and where the demand is at or
+    below its base: the constant regime."""
+    (_, a, b, _), base = _pulse_kinks(cfg, rx_len_m, p)
+    return a, b, p <= base
 
 
 def fs_harmonic_grid(cfg: ErConfig, rx_len_m: float, demands_kw, m) -> np.ndarray:

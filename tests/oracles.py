@@ -188,30 +188,12 @@ def pulse_expression(
     )
 
 
-def pulse_at_expression(
-    cfg: ErConfig, rx_len_m: float, demand_kw: float, x: np.ndarray
-) -> np.ndarray:
-    """The pulse kernel's chain at segment positions ``x``, written as one
-    expression of new arrays: the phase ``u = x * (1/D)``, the in-period
-    overlap power ``z = (u - floor(u)) * alpha D``, then
-    ``clip(min(z, alpha (tx + rx) - z), alpha max(rx - gap, 0), demand)``."""
-    alpha = cfg.power_density_kw_per_m
-    u = x * (1.0 / cfg.period_m)
-    z = (u - np.floor(u)) * (alpha * cfg.period_m)
-    return np.clip(
-        np.minimum(z, alpha * (cfg.tx_len_m + rx_len_m) - z),
-        alpha * max(rx_len_m - cfg.gap_m, 0.0),
-        demand_kw,
-    )
-
-
 def divided_pulse_at_expression(
     cfg: ErConfig, rx_len_m: float, demand_kw: float, x: np.ndarray
 ) -> np.ndarray:
     """:func:`pulse_expression` at segment positions ``x``, with the
     in-period position ``(u - floor(u)) * D`` from the phase ``u = x / D``:
-    the package's chain before it multiplied by ``1/D`` and scaled the
-    phase by ``alpha D`` in one step."""
+    the package's chain before it took the phase as ``x * (1/D)``."""
     u = x / cfg.period_m
     return pulse_expression(cfg, rx_len_m, demand_kw, (u - np.floor(u)) * cfg.period_m)
 
@@ -306,8 +288,8 @@ def sampling_bound(
       ``(start + offset / v fs) + n P`` from the entry ``(e - t0) fs - a``,
       a handful of roundings each at most ``EPS`` of a term no larger than
       ``R = |e - t0| fs + n_grid + (E + D) fs / v``, so ``8 EPS R``;
-    * the oracle's kernel, ``EPS alpha D (3 E / D + 16)`` (the kernel
-      against the chain it replaced, at positions up to the segment's
+    * the oracle's pulse, ``EPS alpha D (3 E / D + 16)`` (the load
+      against the divided chain, at positions up to the segment's
       length ``E``), and its position ``v (t - e)``, whose time and
       difference round by ``EPS`` of ``|t|`` and ``|t - e| <= E / v``
       twice, so ``4 EPS alpha v (T + E / v)`` with ``T`` the window's end.

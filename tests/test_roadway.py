@@ -21,8 +21,7 @@ from dwptload import (
     load_at_time,
 )
 from dwptload.invariants import draw_vehicle
-from dwptload.roadway import _pulse, _pulse_constants
-from oracles import divided_pulse_at_expression, overlap_load, pulse_at_expression
+from oracles import divided_pulse_at_expression, overlap_load
 
 ALPHA = INDOT.power_density_kw_per_m
 
@@ -351,7 +350,7 @@ def test_load_periodic_in_time_while_on_segment():
     np.testing.assert_allclose(a, b, rtol=0, atol=1e-6)
 
 
-# --- the in-place pulse kernel ---------------------------------------------
+# --- the pulse at segment positions -----------------------------------------
 
 
 def below_whole_periods(period: float, ks) -> list[float]:
@@ -400,61 +399,39 @@ def kernel_cases(draw):
     )
     x = draw(st.lists(position, min_size=1, max_size=40))
     x += below_whole_periods(period, draw(st.lists(ks, max_size=4)))
-    return cfg, rx, demand, np.array(x), draw(st.integers(0, 5))
+    return cfg, rx, demand, np.array(x)
 
 
-def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
-    assert got.dtype == want.dtype == np.float64
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(kernel_cases())
-def test_in_place_pulse_kernel_matches_oracle_expression(case):
-    cfg, rx, demand, x, spare = case
-    n = x.size
-    constants = _pulse_constants(cfg, rx, demand)
-    want = pulse_at_expression(cfg, rx, demand, x)
-    # Buffers longer than the slice the kernel fills: the rest stays put.
-    out, scratch = np.full(n + spare, -7.0), np.full(n + spare, -7.0)
-
-    got = _pulse(x, out[:n], scratch[:n], *constants)
-    assert np.shares_memory(got, out)
-    assert_same_bits(got, want)
-    assert np.all(out[n:] == -7.0) and np.all(scratch[n:] == -7.0)
-
-    # In place over the positions themselves.
-    buf = np.concatenate([x, np.full(spare, -7.0)])
-    assert_same_bits(_pulse(buf[:n], buf[:n], scratch[:n], *constants), want)
-    assert np.all(buf[n:] == -7.0)
-
-    if demand <= cfg.power_density_kw_per_m * max(rx - cfg.gap_m, 0.0):
-        assert np.all(got == demand)  # the constant regime, exactly
+def clipping_load(cfg: ErConfig, rx: float, demand: float, x: np.ndarray) -> np.ndarray:
+    return load_at_position(cfg, ev(rx, demand), Clipping(), x)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(kernel_cases())
 def test_pulse_kernel_within_rounding_of_the_divided_chain(case):
-    """The kernel and the chain it replaced (``x / D``, ``* D``, ``* alpha``)
-    evaluate one continuous, periodic pulse of slope at most ``alpha`` per
-    metre, so they differ by at most ``alpha D`` times their phase errors
-    plus the roundings after the phase, each at most ``eps = 2^-53`` times
-    ``alpha D``.  The phase ``|x| / D`` takes one rounding there and two
-    here, so the fractional phases are within ``3 eps |x| / D`` of each
-    other on the circle.  After it the old chain rounds ``(u - floor u) D``,
-    ``tx + rx``, the difference and the product by alpha (6 eps alpha D,
-    the span being below ``2 D``), and the kernel ``alpha D``, its product,
-    ``alpha (tx + rx)`` and the difference (8 eps alpha D); a phase that
-    wraps in one chain and not the other adds at most 2 eps alpha D.  Both
-    clip to the same bounds."""
-    cfg, rx, demand, x, _ = case
+    """The load and the chain the package once evaluated (``x / D``,
+    ``* D``, ``* alpha``) are one continuous, periodic pulse of slope at
+    most ``alpha`` per metre, so on the segment they differ by at most
+    ``alpha D`` times their phase errors plus the roundings after the
+    phase, each at most ``eps = 2^-53`` times ``alpha D``.  The phase
+    ``|x| / D`` takes one rounding there and two here, so the fractional
+    phases are within ``3 eps |x| / D`` of each other on the circle.
+    After it the old chain rounds ``(u - floor u) D``, ``tx + rx``, the
+    difference and the product by alpha (6 eps alpha D, the span being
+    below ``2 D``), and the load ``(u - floor u) D``, the kink (two for
+    ``min(tx + rx, D)``), the difference, the product by alpha, the base
+    (two) and the sum (8 eps alpha D); a phase that wraps in one chain and
+    not the other adds at most 2 eps alpha D.  Both clip to the same
+    bounds."""
+    cfg, rx, demand, x = case
     alpha_period = cfg.power_density_kw_per_m * cfg.period_m
-    got = _pulse(x, np.empty_like(x), np.empty_like(x), *_pulse_constants(cfg, rx, demand))
-    old = divided_pulse_at_expression(cfg, rx, demand, x)
+    got = clipping_load(cfg, rx, demand, x)
+    on = x >= 0  # the segment is 100 periods, longer than any position
+    old = np.where(on, divided_pulse_at_expression(cfg, rx, demand, x), 0.0)
     bound = 2.0**-53 * alpha_period * (3.0 * np.abs(x) / cfg.period_m + 16.0)
     assert np.all(np.abs(got - old) <= bound)
     if demand <= cfg.power_density_kw_per_m * max(rx - cfg.gap_m, 0.0):
-        assert np.all(got == demand) and np.all(old == demand)
+        assert np.all(got[on] == demand) and np.all(old[on] == demand)
 
 
 def test_positions_rounding_up_to_a_whole_period_take_the_pulse_at_zero():
@@ -463,5 +440,4 @@ def test_positions_rounding_up_to_a_whole_period_take_the_pulse_at_zero():
     assert x.size > 0
     assert np.all(x < np.round(x / period) * period)
     at_zero = coil_pulse(INDOT, ev(0.5, 30.0), 0.0)
-    got = _pulse(x, np.empty_like(x), np.empty_like(x), *_pulse_constants(INDOT, 0.5, 30.0))
-    assert np.all(got == at_zero)
+    assert np.all(clipping_load(INDOT, 0.5, 30.0, x) == at_zero)

@@ -165,14 +165,15 @@ RECEIVERS = st.sampled_from([0.2, 0.5, 0.91, 3.6, 3.659]) | st.floats(0.2, 3.65)
 
 @st.composite
 def sampler_cases(draw):
-    """A roadway, a grid of 100 Hz to 1 kHz cut near the edges of blocks
-    and chunks, vehicles with their own speeds in no particular order --
+    """A roadway, a grid of 0.5 Hz to 1 kHz cut near the edges of blocks
+    and chunks (below some 9 Hz a coil period can be shorter than one
+    sample), vehicles with their own speeds in no particular order --
     receivers from under the gap to just under the coil, demands from 0
     through the constant regime (at or below the floor) to full -- and
     the rows that hold each, for one row or several."""
     n_coils = draw(st.integers(3, 60))
     cfg = ErConfig(3.66, 0.91, 109.36, n_coils * 4.57)
-    fs = draw(st.sampled_from([100.0, 1000.0]) | st.floats(100.0, 1000.0))
+    fs = draw(st.sampled_from([0.5, 100.0, 1000.0]) | st.floats(0.5, 10.0) | st.floats(0.5, 1000.0))
     t0 = draw(st.floats(0.0, 100.0))
     edge = st.sampled_from([_BLOCK, 2 * _BLOCK, _CHUNK, 3 * _CHUNK])
     near_edge = st.builds(lambda e, d: e + d, edge, st.integers(-2, 2))
