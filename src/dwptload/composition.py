@@ -24,8 +24,13 @@ Variance control, so small trends survive a finite window budget:
 
 Because the rows of a window share their vehicle slots, each slot's
 truck waveform and sedan waveform is sampled at most once per (window,
-column), only over the slot's exact on-segment samples, and added into
-every penetration row that holds the slot.
+column), only over the slot's exact on-segment samples.  The rows that
+hold a slot mostly form one run (a truck slot from the row whose share
+first takes it to the last row, a sedan slot from row 0), so its events
+are scattered once per edge of the run, into the row where it starts
+and, negated, into the row past its end, and a running sum over the
+rows adds the slot into every row of the run
+(:func:`dwptload.signals._holder_edges`).
 """
 
 from __future__ import annotations
@@ -372,8 +377,7 @@ def run_sweep(sw: SweepConfig, seed: int) -> SweepResult:
             n_sedans = counts[:, j] - n_trucks
             # Row i holds truck slots [0, n_trucks[i]) and sedan slots
             # [n_max - n_sedans[i], n_max): each slot's waveform is sampled
-            # once and added to every row that holds it, trucks first, each
-            # kind in slot order, as a per-row sum would add them.
+            # once and added to every row that holds it.
             slots = []  # (speed, entry, rx, demand, rows holding the slot)
             for s in range(int(n_trucks.max())):
                 k = int(u_k[s] * (k_truck + 1))

@@ -13,6 +13,7 @@ periodic waveform.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -76,10 +77,14 @@ _BLOCK = 2**15
 _CHUNK = 2**8
 
 #: Coil periods whose kinks :func:`_add_pulses` turns into events at a
-#: time (each row that holds their vehicles adds a part of the same
+#: time (each edge of their vehicles' holder rows scatters the same
 #: events), so no event array grows with the number of vehicles on the
-#: segment.
-_GROUP = 2**10
+#: segment: a group's work arrays take about 1 MB.
+_GROUP = 2**12
+
+#: Vehicles whose spans :func:`_sample_spans` finds at a time, so that its
+#: work arrays do not grow with the table.
+_SPAN_CHUNK = 2**12
 
 #: Complex elements in each work array of a Monte Carlo tile (512 KiB):
 #: :func:`monte_carlo_psd` takes ``_MC_TILE // n_evs`` trials at a time.
@@ -102,29 +107,74 @@ def _sample_spans(
     ``x_k = speed * (t_k - entry)``; it is on the segment when
     ``0 <= x_k < energized_len_m``.  Each step of ``x_k`` rounds
     monotonically, so ``x_k`` never decreases in ``k`` and these samples
-    are contiguous.  Both edges are found by bisection on ``x_k`` computed
-    with the float operations that sampling uses, so the ranges are exact.
-    A vehicle that is never on the segment gets ``j0 == j1``.  All the
-    vehicles are bisected at once, so these work arrays, like the table,
-    grow with the horizon: a few int64 arrays of the table's length while
-    they run, and the 16 B a vehicle of the spans that :func:`_add_pulses`
-    keeps.
+    are contiguous.  Each edge, the least ``k`` in ``[0, n]`` with ``x_k``
+    at or above its bound (``n`` if there is none), is first guessed in
+    closed form, ``ceil((entry + bound / speed - t0) sample_rate_hz)``
+    clipped to ``[0, n]``, and the guess is kept where ``x_k`` computed
+    with the float operations that sampling uses is below the bound one
+    sample before it and not below it at it.  The rest, where rounding
+    moved the edge (``x_k`` flat over many samples far from ``t = 0``),
+    are found by bisection on ``[0, n]`` with the same operations, so the
+    ranges are exact.  A vehicle that is never on the segment gets
+    ``j0 == j1``.  The vehicles are taken ``_SPAN_CHUNK`` at a time, so
+    only the spans, 16 B a vehicle, grow with the table.
     """
 
-    def first(bound: float) -> np.ndarray:
+    def below(k, speed, entry, bound):
+        return speed * ((t0 + k / sample_rate_hz) - entry) < bound
+
+    def first(speed, entry, bound):
         """The least k in [0, n] with ``x_k >= bound``, or n if there is none."""
-        lo = np.zeros(speed_mps.shape, dtype=np.int64)
-        hi = np.full(speed_mps.shape, n, dtype=np.int64)
+        guess = np.ceil((entry + bound / speed - t0) * sample_rate_hz)
+        k = np.clip(guess, 0, n, out=guess).astype(np.int64)
+        late = (k > 0) & ~below(k - 1, speed, entry, bound)
+        miss = np.flatnonzero(late | ((k < n) & below(k, speed, entry, bound)))
+        speed, entry = speed[miss], entry[miss]
+        lo = np.zeros(miss.size, dtype=np.int64)
+        hi = np.full(miss.size, n, dtype=np.int64)
         while True:
             open_ = lo < hi
             if not open_.any():
-                return lo
+                k[miss] = lo
+                return k
             mid = (lo + hi) // 2
-            below = speed_mps * ((t0 + mid / sample_rate_hz) - entry_time_s) < bound
-            lo = np.where(open_ & below, mid + 1, lo)
-            hi = np.where(open_ & ~below, mid, hi)
+            under = below(mid, speed, entry, bound)
+            lo = np.where(open_ & under, mid + 1, lo)
+            hi = np.where(open_ & ~under, mid, hi)
 
-    return first(0.0), first(cfg.energized_len_m)
+    j0 = np.empty(speed_mps.shape, dtype=np.int64)
+    j1 = np.empty(speed_mps.shape, dtype=np.int64)
+    for a in range(0, speed_mps.size, _SPAN_CHUNK):
+        part = slice(a, a + _SPAN_CHUNK)
+        speed, entry = speed_mps[part], entry_time_s[part]
+        j0[part] = first(speed, entry, 0.0)
+        j1[part] = first(speed, entry, cfg.energized_len_m)
+    return j0, j1
+
+
+def _holder_edges(
+    holders: Sequence[Sequence[int]], n_rows: int, stride: int
+) -> tuple[np.ndarray, ...]:
+    """The holder rows of each vehicle as unit edges: where the number of
+    times row r holds the vehicle steps up from row r - 1 by c, c edges of
+    sign +1 into row r, and where it steps down, edges of sign -1; none
+    past the last row.  A running sum over the rows of what the edges add
+    then gives each row its holders.  A vehicle's edges come in row order,
+    so its first is always +1.
+
+    Returns how many rows hold each vehicle, its edge count, the index of
+    its first edge, and each edge's row as a flat start (``row *
+    stride``) and its sign."""
+    held = np.array([len(h) for h in holders], dtype=np.int64)
+    owner = np.repeat(np.arange(held.size), held)
+    rows = np.fromiter(itertools.chain.from_iterable(holders), dtype=np.int64, count=owner.size)
+    counts = np.bincount(owner * n_rows + rows, minlength=held.size * n_rows)
+    steps = np.diff(counts.reshape(held.size, n_rows), axis=1, prepend=0).reshape(-1)
+    cells = np.flatnonzero(steps)
+    cells = np.repeat(cells, np.abs(steps[cells]))
+    n_edges = np.bincount(cells // n_rows, minlength=held.size)
+    head = np.cumsum(n_edges) - n_edges
+    return held, n_edges, head, cells % n_rows * stride, np.sign(steps[cells]).astype(float)
 
 
 def _add_pulses(
@@ -152,9 +202,12 @@ def _add_pulses(
     kinks in it, not from its samples: each piece adds its slope and its
     intercept into two difference arrays at its first sample and takes
     them out at its past-the-end sample (:func:`_add_kinks`), and two
-    cumulative sums give the load.  That costs a few passes per sample
-    and row and a few operations per kink and holder, however many
-    vehicles are on the segment.
+    cumulative sums give the load.  A vehicle's events are scattered once
+    per edge of its holder rows (:func:`_holder_edges`), +1 into the row
+    where a run of holding rows starts and -1 into the row past its end,
+    and a running sum over the rows then gives every row its holders.
+    That costs a few passes per sample and row and a few operations per
+    kink and edge, however many vehicles are on the segment.
 
     The sums are exact: the weights are whole multiples of a power of two
     ``q`` (the slopes of ``q / _CHUNK``), set per block so that no partial
@@ -163,35 +216,30 @@ def _add_pulses(
     ``alpha v (_CHUNK + 2 period)``, and carried from chunk to chunk by
     the exact slope sums, so ``q`` is small.  A sample with no vehicle on
     the segment, or with every vehicle in a gap, is thus exactly 0.0, and
-    the result does not depend on the order of the table.  For each
-    vehicle on the segment a sample is within ``q (2 + period / (2
-    _CHUNK))`` of the continuous pulse (its rounded weights), plus
-    ``alpha v / fs`` times the rounding of its kink's position in samples
-    (a few ``2^-53`` times its distance from the grid's start); the last
-    addition rounds once more.  ``tests/oracles.py`` (``sampling_bound``)
-    writes the bound out.  Samples are then clipped below at 0, which only
-    moves them towards the pulse.
+    the result does not depend on the order of the table or on how its
+    events are scattered.  For each vehicle on the segment a sample is
+    within ``q (2 + period / (2 _CHUNK))`` of the continuous pulse (its
+    rounded weights), plus ``alpha v / fs`` times the rounding of its
+    kink's position in samples (a few ``2^-53`` times its distance from
+    the grid's start); the last addition rounds once more.
+    ``tests/oracles.py`` (``sampling_bound``) writes the bound out.
+    Samples are then clipped below at 0, which only moves them towards the
+    pulse.
 
     Yields ``(a, block)`` for each finished block: ``block`` is the
     ``(n_rows, b - a)`` load on samples ``[a, b)``.  It is a view of one
     buffer that every block reuses, so a caller copies or consumes it
     before taking the next; no work array grows with the grid, and the
     kinks are taken ``_GROUP`` coil periods at a time.  Besides the table,
-    a call keeps 16 B a vehicle (its span), and with ``holders`` 8 B more
-    and 8 B per row of the most rows that hold one vehicle.
+    a call keeps 16 B a vehicle (its span), and with ``holders`` 24 B more
+    and 16 B an edge.
     """
     speed, entry, rx, demand = (np.asarray(v, dtype=float) for v in vehicles)
     j0, j1 = _sample_spans(cfg, speed, entry, t0, sample_rate_hz, n)
     step = max(1, _BLOCK // n_rows)  # a block holds _BLOCK samples in all
     size = min(n, step)
     if holders is not None:
-        # How many rows hold each vehicle, and their flat starts in the
-        # block buffer, padded to the most rows any vehicle has.
-        held = np.array([len(h) for h in holders], dtype=np.int64)
-        starts = np.zeros((held.size, max(1, held.max(initial=0))), dtype=np.int64)
-        for i, h in enumerate(holders):
-            starts[i, : len(h)] = h
-        starts *= size + 1
+        held, n_edges, head, rows, signs = _holder_edges(holders, n_rows, size + 1)
         j1 = np.where(held > 0, j1, j0)  # a vehicle no row holds adds nothing
     # Intercepts (then the load) and slopes, as real and imaginary parts,
     # with a past-the-end column.
@@ -207,10 +255,7 @@ def _add_pulses(
         on = np.flatnonzero((j0 < np.minimum(j1, a + m)) & (j1 > a))
         q = 1.0
         if on.size:
-            rows = None
-            if holders is not None:  # the vehicles held most often first
-                on = on[np.argsort(-held[on], kind="stable")]
-                rows = held[on], starts[on]
+            edges = None if holders is None else (held[on], n_edges[on], head[on], rows, signs)
             q = _add_kinks(
                 cfg,
                 (np.maximum(j0[on], a) - a, np.minimum(j1[on], a + m) - a),
@@ -220,9 +265,12 @@ def _add_pulses(
                     rx[on],
                     demand[on],
                 ),
-                rows,
+                edges,
                 sums.reshape(-1),
             )
+            if holders is not None:  # each row takes the edges at and above it
+                for r in range(1, n_rows):
+                    both[r] += both[r - 1]
         np.cumsum(both, axis=1, out=both)
         # A chunk's intercepts start where the last chunk's pieces end: the
         # open slopes times _CHUNK samples, in units of q the sum of the
@@ -246,7 +294,7 @@ def _add_kinks(
     cfg: ErConfig,
     spans: tuple[np.ndarray, np.ndarray],
     vehicles: tuple[np.ndarray, ...],
-    rows: Optional[tuple[np.ndarray, np.ndarray]],
+    edges: Optional[tuple[np.ndarray, ...]],
     sums: np.ndarray,
 ) -> float:
     """Add the pieces of the vehicles on the segment during one block into
@@ -257,18 +305,39 @@ def _add_kinks(
 
     ``spans`` are the vehicles' on-segment samples ``[lo, hi)`` in the
     block; ``vehicles`` their samples per metre, entry in samples from the
-    block's start, receiver and demand; and ``rows`` how many rows hold
-    each vehicle, in non-increasing order, and their flat starts in
-    ``sums``, padded (None: each vehicle is held once, by row 0).  A piece
-    opens at the first sample at or after the position of its kink in
-    samples and closes at that of the next kink, both clipped to the
-    span.  Its intercept, its value at the start of the chunk of its
-    opening sample, is rounded once; its closing weight is that plus the
-    slope times the chunks between, exactly.
+    block's start, receiver and demand; and ``edges`` how many rows hold
+    each vehicle, its edge count and first edge, and every edge's flat row
+    start and sign (:func:`_holder_edges`; None: each vehicle is held
+    once, by row 0).  A piece opens at the first sample at or after the
+    position of its kink in samples and closes at that of the next kink,
+    both clipped to the span.  Its intercept, its value at the start of
+    the chunk of its opening sample, is rounded once; its closing weight
+    is that plus the slope times the chunks between, exactly.  A
+    vehicle's events are computed once and scattered once per edge, times
+    the edge's sign.
     """
     lo, hi = spans
     per_m, start, rx, demand = vehicles
-    held, starts = (np.ones(lo.size, dtype=np.int64), None) if rows is None else rows
+    held, n_edges, head, rows, signs = (1, None, None, None, None) if edges is None else edges
+    most = 1 if edges is None else int(n_edges.max())
+
+    def scatter(at: np.ndarray, values: np.ndarray, v: np.ndarray) -> None:
+        """Add ``values[i]`` at the offsets ``at[i]`` into the row of each
+        edge of vehicle ``v[i]``, times the edge's sign; ``at`` is
+        overwritten."""
+        if edges is None:
+            np.add.at(sums, at.ravel(), values.ravel())
+            return
+        for j in range(1, most):
+            sel = np.flatnonzero(n_edges[v] > j)
+            e = head[v[sel]] + j
+            where, part = at[sel], values[sel]
+            where += rows[e][:, None]
+            part *= signs[e][:, None]
+            np.add.at(sums, where.ravel(), part.ravel())
+        at += rows[head[v]][:, None]  # a vehicle's first edge, of sign +1
+        np.add.at(sums, at.ravel(), values.ravel())
+
     offsets, base = _pulse_kinks(cfg, rx, demand)
     rise = demand - base  # the plateau above the base; 0 in the constant regime
     slope = cfg.power_density_kw_per_m / per_m  # kW per sample on a ramp
@@ -278,8 +347,10 @@ def _add_kinks(
     # Its weights go in period after period: within one sample its whole
     # periods add to 0, and the periods the sample cuts (two, or three
     # about a span's edge) leave sums of a few pieces' values, each below
-    # rise + slope (2 _CHUNK + 2 period + 2).  Summed exactly, so that it
-    # does not depend on the order of the table.
+    # rise + slope (2 _CHUNK + 2 period + 2).  Before the running sum over
+    # the rows, a row has the events of the edges into it, a vehicle's no
+    # more times than rows hold it, so the same bound holds there.  Summed
+    # exactly, so that it does not depend on the order of the table.
     bound = math.fsum(held * (base + 4.0 * (rise + slope * (2 * _CHUNK + 2.0 * period + 2.0))))
     q = math.ldexp(1.0, max(math.frexp(bound)[1] - 52, -1066))
     # Levels round down or up as the entry's fraction of a sample says, so
@@ -287,13 +358,7 @@ def _add_kinks(
     dither = np.abs(np.fmod(start, 1.0))  # in [0, 1), exactly
     base, rise = np.floor(base / q + dither), np.floor(rise / q + dither)
     slope = np.rint(slope * (_CHUNK / q)) / _CHUNK  # in q per sample, to 1/_CHUNK
-    # The vehicles held more than j times are the first held_by[j], as
-    # they come held most often first.
-    held_by = [int(np.count_nonzero(held > j)) for j in range(int(held[0]))]
-    for j, stop in enumerate(held_by):
-        row = 0 if starts is None else starts[:stop, j]
-        np.add.at(sums, row + lo[:stop], base[:stop])
-        np.add.at(sums, row + hi[:stop], -base[:stop])
+    scatter(np.stack((lo, hi), axis=1), np.stack((base, -base), axis=1), np.arange(lo.size))
     # The coil periods that meet each span, one more either side against
     # rounding; none in the constant regime.
     first = np.maximum(np.floor((lo - start) / period) - 1.0, 0.0)
@@ -301,10 +366,13 @@ def _add_kinks(
     count = np.where(rise > 0.0, np.maximum(last - first + 1.0, 0.0), 0.0).astype(np.int64)
     ends = np.cumsum(count)
     skip = ends - count - first  # a vehicle's flat index less its period
-    periods_by = [int(ends[stop - 1]) for stop in held_by]  # where their periods end
     kinks = start + np.stack(offsets) * per_m  # period 0's, a row per kink
     lo, hi = lo.astype(float), hi.astype(float)
-    for g in range(0, int(ends[-1]), _GROUP):
+
+    def group(g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The offsets and events of the periods ``[g, g + _GROUP)`` of the
+        block, and the vehicle of each; a function of its own, so that its
+        work arrays are freed before the next group's are built."""
         flat = np.arange(g, min(g + _GROUP, int(ends[-1])))
         v = np.searchsorted(ends, flat, side="right")
         pos = np.take(kinks, v, axis=1)
@@ -312,14 +380,16 @@ def _add_kinks(
         k = np.ceil(pos)
         np.maximum(k, lo[v], out=k)
         np.minimum(k, hi[v], out=k)
-        chunk = np.multiply(k, 1.0 / _CHUNK)
+        at = np.empty(k.shape[::-1], dtype=np.int64)
+        at.T[...] = k
+        chunk = np.multiply(k, 1.0 / _CHUNK, out=k)
         np.floor(chunk, out=chunk)
         chunk *= _CHUNK  # the start of each kink's chunk
         s, r = slope[v], rise[v]
         np.subtract(chunk, pos, out=pos)
         # Weights (real) and slope steps (imaginary) period after period,
         # so that a sample's partial sums hold at most a few periods' worth.
-        events = np.empty(pos.shape[::-1], dtype=complex)
+        events = np.empty(at.shape, dtype=complex)
         weights = events.real.T
         up = np.rint(s * pos[0])
         down = np.rint(r - s * pos[2])
@@ -332,19 +402,10 @@ def _add_kinks(
         steps[3] = steps[0]
         np.negative(steps[0], out=steps[1])
         steps[2] = steps[1]
-        at = np.empty(events.shape, dtype=np.int64)
-        at.T[...] = k
-        if starts is None:
-            np.add.at(sums, at.ravel(), events.ravel())
-            continue
-        # Into each holder's row: the j-th of the vehicles held more than
-        # j times, whose periods come first.
-        for j, stop in enumerate(periods_by):
-            stop = min(stop - g, flat.size)
-            if stop <= 0:
-                break
-            where = at[:stop] + starts[v[:stop], j][:, None]
-            np.add.at(sums, where.ravel(), events[:stop].ravel())
+        return at, events, v
+
+    for g in range(0, int(ends[-1]), _GROUP):
+        scatter(*group(g))
     return q
 
 

@@ -268,12 +268,20 @@ EPS = 2.0**-53
 
 
 def sampling_bound(
-    cfg: ErConfig, vehicles, sample_rate_hz: float, window: tuple[float, float], holders: int = 1
+    cfg: ErConfig,
+    vehicles,
+    sample_rate_hz: float,
+    window: tuple[float, float],
+    holders: int = 1,
+    block=None,
 ) -> float:
     """The most any sample of ``dwptload.signals._add_pulses`` on the grid
     of ``window`` may differ from :func:`blocked_synthesize`, in kW, for
     ``vehicles`` (speed, entry, receiver, demand) each held by at most
-    ``holders`` rows, worked out from the inputs alone.
+    ``holders`` rows, worked out from the inputs alone.  ``block`` holds
+    every vehicle that the sampler adds on the grid, in any row, once per
+    row that holds it (None: ``vehicles``, ``holders`` times each): the
+    block's partial sums, which set ``q``, take them all.
 
     Each vehicle on the segment contributes, at most:
 
@@ -281,7 +289,7 @@ def sampling_bound(
       its period in samples (its base and plateau each round by up to
       ``q``, its ramp's intercept by ``q / 2`` and its slope by
       ``q / (2 _CHUNK)`` a sample), where ``q <= 2^-51 M`` and ``M``, the bound on
-      the block's partial sums, is the sum over holders of
+      the block's partial sums, is the sum over ``block`` of
       ``base + 4 (rise + s (2 _CHUNK + 2 P + 2))``, ``s = alpha v / fs`` the
       ramp per sample;
     * the rounding of its kink positions in samples times ``s``: each is
@@ -305,11 +313,19 @@ def sampling_bound(
     fs = sample_rate_hz
     n = int(round((t1 - t0) * fs))
     alpha, period_m, length = cfg.power_density_kw_per_m, cfg.period_m, cfg.energized_len_m
-    base = np.minimum(cfg.floor_kw(rx), demand)
-    rise = demand - base
+
+    def partial_sums(speed, rx, demand):
+        base = np.minimum(cfg.floor_kw(rx), demand)
+        s, p = alpha * speed / fs, period_m * fs / speed
+        return float(np.sum(base + 4.0 * (demand - base + s * (2 * _CHUNK + 2.0 * p + 2.0))))
+
+    if block is None:
+        q = 2.0**-51 * holders * partial_sums(speed, rx, demand)
+    else:
+        speeds, _, receivers, demands = (np.asarray(c, dtype=float) for c in block)
+        q = 2.0**-51 * partial_sums(speeds, receivers, demands)
     s = alpha * speed / fs
     p = period_m * fs / speed
-    q = 2.0**-51 * holders * float(np.sum(base + 4.0 * (rise + s * (2 * _CHUNK + 2.0 * p + 2.0))))
     reach = np.abs(entry - t0) * fs + n + (length + period_m) * fs / speed
     sampler = q * (2.0 + p / (2.0 * _CHUNK)) + s * 8.0 * EPS * reach
     kernel = EPS * alpha * period_m * (3.0 * length / period_m + 16.0)

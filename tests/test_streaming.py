@@ -151,18 +151,63 @@ def test_sampling_blocks_reuse_one_buffer():
     assert starts == list(range(0, n, _BLOCK))
 
 
-def kink_calls(monkeypatch) -> collections.Counter:
+class CountedAdd:
+    """``np.add``, counting the events that ``np.add.at`` scatters."""
+
+    def __init__(self) -> None:
+        self.events = 0
+
+    def __call__(self, *args, **kwargs):
+        return np.add(*args, **kwargs)
+
+    def at(self, a, indices, values) -> None:
+        self.events += np.size(indices)
+        np.add.at(a, indices, values)
+
+
+class CountedNumpy:
+    """numpy, with a :class:`CountedAdd` as ``add``."""
+
+    def __init__(self, add: CountedAdd) -> None:
+        self.add = add
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def kink_calls(monkeypatch) -> tuple[collections.Counter, list]:
     """How many blocks hand each vehicle to the kink sampler, counted by
-    the demand it is given (the tests give each vehicle its own)."""
-    calls = collections.Counter()
-    add = signals._add_kinks
+    the demand it is given (the tests give each vehicle its own); and the
+    spans, vehicles and number of scattered events of each call."""
+    calls, scattered = collections.Counter(), []
+    add, counter = signals._add_kinks, CountedAdd()
+    monkeypatch.setattr(signals, "np", CountedNumpy(counter))
 
     def counted(cfg, spans, vehicles, *rest):
         calls.update(vehicles[-1].tolist())
-        return add(cfg, spans, vehicles, *rest)
+        before = counter.events
+        q = add(cfg, spans, vehicles, *rest)
+        scattered.append((spans, vehicles, counter.events - before))
+        return q
 
     monkeypatch.setattr(signals, "_add_kinks", counted)
-    return calls
+    return calls, scattered
+
+
+def edge_count(rows: list[int], n_rows: int) -> int:
+    """How often the number of times a row holds a vehicle changes from
+    the row before (row -1 holding none), over the ``n_rows`` rows."""
+    counts = [0] + [rows.count(r) for r in range(n_rows)]
+    return sum(abs(b - a) for a, b in zip(counts, counts[1:]))
+
+
+def periods_taken(cfg, spans, per_m, start) -> np.ndarray:
+    """The coil periods that meet each span of a block, one more either
+    side, at most the segment's coils."""
+    lo, hi = spans
+    period = cfg.period_m * per_m
+    meet = np.floor((hi - 1 - start) / period) - np.floor((lo - start) / period) + 1
+    return np.minimum(meet + 2, cfg.n_coils)
 
 
 def blocks_met(cfg, vehicles, t0, fs, n, n_rows) -> list[int]:
@@ -187,7 +232,11 @@ SHORT_CFG = ErConfig(3.66, 0.91, 109.36, 100.0)
 def test_sampling_evaluates_each_vehicle_once_per_block_it_meets(monkeypatch, holders):
     """Each vehicle's kinks are taken once for each block its span meets,
     whatever rows hold it, and never for a vehicle that is not on the
-    segment during the grid; the table is not in entry order."""
+    segment during the grid; the table is not in entry order.  A block
+    scatters a vehicle's events once per edge of its holder rows, not once
+    per row: its base's two and each coil period's four kinks.  The
+    sweep's rows hold a vehicle from the row of its share on, or up to it
+    (one run of rows, one edge or two)."""
     rng = np.random.default_rng(7)
     t0, fs, n = 50.0, 1000.0, 3 * _BLOCK + 5
     count = 60
@@ -201,10 +250,17 @@ def test_sampling_evaluates_each_vehicle_once_per_block_it_meets(monkeypatch, ho
     met = blocks_met(SHORT_CFG, vehicles, t0, fs, n, n_rows)
     assert sorted(entry.tolist()) != entry.tolist()
     assert 0 in met and 1 in met and 2 in met and max(met) == -(-n // (_BLOCK // n_rows))
-    rows = None if holders is None else [[r for r in range(3) if (i + r) % 2] for i in range(count)]
-    calls = kink_calls(monkeypatch)
+    rows = None
+    if holders is not None:
+        rows = [list(range(i % 3, 3)) if i % 2 else list(range(3 - i % 3)) for i in range(count)]
+    calls, scattered = kink_calls(monkeypatch)
     _collect(np.empty((n_rows, n)), _add_pulses(SHORT_CFG, n_rows, n, rows, t0, fs, vehicles))
     assert [calls[d] for d in demand.tolist()] == met
+    edges = [1] * count if rows is None else [edge_count(r, n_rows) for r in rows]
+    edges_of = dict(zip(demand.tolist(), edges))
+    for spans, (per_m, start, _, keys), events in scattered:
+        periods = periods_taken(SHORT_CFG, spans, per_m, start)
+        assert events <= sum(edges_of[d] * (2 + 4 * p) for d, p in zip(keys.tolist(), periods))
 
 
 def traced_psd_peak(tmp_path, duration_s: float) -> int:
@@ -231,8 +287,9 @@ def test_sampled_psd_memory_does_not_grow_with_the_horizon(tmp_path, capsys):
     short, long_ = traced_psd_peak(tmp_path, 900.0), traced_psd_peak(tmp_path, 3600.0)
     # 180k against 720k samples: synthesizing the series first grew the
     # peak by ~6.1 MiB.  What may grow is the vehicle table, with the
-    # spans the sampler keeps (16 B a vehicle) and the work arrays of
-    # their bisection (:func:`_sample_spans`), for the ~1,350 more
-    # vehicles.
+    # spans the sampler keeps (16 B a vehicle), for the ~1,350 more
+    # vehicles: 62 B a vehicle, measured.  The work arrays that find the
+    # spans (:func:`_sample_spans`) take the vehicles in chunks, so they
+    # do not grow with the table.
     extra_vehicles = 0.5 * (3600.0 - 900.0)
-    assert long_ - short <= 512 * extra_vehicles
+    assert long_ - short <= 64 * extra_vehicles
